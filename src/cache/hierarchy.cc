@@ -91,53 +91,6 @@ CacheHierarchy::fillPrivate(Addr addr)
     propagateVictim(l1_.insertTracked(line, false));
 }
 
-namespace {
-
-void
-collectVictim(const SetAssocCache::Victim &victim,
-              std::vector<Addr> &dirty_victims)
-{
-    if (victim.addr != kInvalidAddr && victim.dirty)
-        dirty_victims.push_back(victim.addr);
-}
-
-} // namespace
-
-CacheOutcome
-CacheHierarchy::accessPrivate(Addr addr, bool is_write,
-                              std::vector<Addr> &dirty_victims)
-{
-    prof::Scope scope(prof::Component::Cache);
-    const Addr line = lineAddr(addr);
-    Cycle latency = cfg_.l1.latency;
-    if (l1_.lookup(line)) {
-        if (is_write)
-            l1_.markDirty(line);
-        return {CacheLevel::L1, latency};
-    }
-
-    latency += cfg_.l2.latency;
-    if (l2_.lookup(line)) {
-        if (is_write)
-            l2_.markDirty(line);
-        collectVictim(l1_.insertTracked(line, is_write),
-                      dirty_victims);
-        return {CacheLevel::L2, latency};
-    }
-
-    return {CacheLevel::Memory, latency};
-}
-
-void
-CacheHierarchy::fillPrivateCollect(Addr addr, bool is_write,
-                                   std::vector<Addr> &dirty_victims)
-{
-    prof::Scope scope(prof::Component::Cache);
-    const Addr line = lineAddr(addr);
-    collectVictim(l2_.insertTracked(line, is_write), dirty_victims);
-    collectVictim(l1_.insertTracked(line, is_write), dirty_victims);
-}
-
 void
 CacheHierarchy::report(stats::Report &out) const
 {

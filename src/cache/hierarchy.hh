@@ -13,7 +13,6 @@
 #define TEMPO_CACHE_HIERARCHY_HH
 
 #include <memory>
-#include <vector>
 
 #include "cache/set_assoc.hh"
 #include "common/types.hh"
@@ -117,24 +116,6 @@ class CacheHierarchy
     /** Install into the private levels only (used for L1 prefetchers'
      * fills and MSHR-merged responses). */
     void fillPrivate(Addr addr);
-
-    /**
-     * Private-levels-only probe for sharded execution: walks L1 -> L2
-     * and never touches the shared LLC (which lives in another event
-     * domain). A miss returns CacheLevel::Memory with the private
-     * lookup latency only — the caller sends a port message for the
-     * LLC probe. Dirty private victims are appended to
-     * @p dirty_victims instead of marking the LLC copy dirty; the
-     * caller forwards them as explicit writeback messages
-     * (non-inclusive writeback model on the sharded path).
-     */
-    CacheOutcome accessPrivate(Addr addr, bool is_write,
-                               std::vector<Addr> &dirty_victims);
-
-    /** Sharded-path fill of the private levels only; dirty victims
-     * are collected like accessPrivate(). */
-    void fillPrivateCollect(Addr addr, bool is_write,
-                            std::vector<Addr> &dirty_victims);
 
     /** Dirty L1/L2 victims whose line was no longer in the LLC (the
      * writeback is dropped by the model; see DESIGN.md). */

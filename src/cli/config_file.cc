@@ -1,6 +1,7 @@
 #include "cli/config_file.hh"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -38,16 +39,17 @@ parseBool(int line_no, const std::string &value)
 }
 
 std::uint64_t
-parseUnsigned(int line_no, const std::string &value)
+parseUnsigned(int line_no, const std::string &key, const std::string &value)
 {
-    try {
-        std::size_t consumed = 0;
-        const std::uint64_t parsed = std::stoull(value, &consumed);
-        if (consumed == value.size())
-            return parsed;
-    } catch (const std::exception &) {
+    // std::stoull accepts a sign and wraps "-1" to 2^64-1: digits only.
+    if (value.find_first_not_of("0123456789") == std::string::npos) {
+        try {
+            return std::stoull(value);
+        } catch (const std::exception &) {
+        }
     }
-    bad(line_no, "expected an integer, got '" + value + "'");
+    bad(line_no, key + " expects a non-negative integer, got '" + value
+                     + "'");
 }
 
 double
@@ -67,7 +69,16 @@ void
 applyKey(int line_no, SystemConfig &cfg, const std::string &section,
          const std::string &key, const std::string &value)
 {
-    auto u = [&] { return parseUnsigned(line_no, value); };
+    auto u = [&] { return parseUnsigned(line_no, key, value); };
+    // DRAM geometry feeds the address map's bit slicing, so each field
+    // must be a power of two that fits its unsigned field.
+    auto pow2 = [&] {
+        const std::uint64_t v = u();
+        if (!isPow2(v) || v > std::numeric_limits<unsigned>::max())
+            bad(line_no, key + " must be a power of 2, got '" + value
+                             + "'");
+        return static_cast<unsigned>(v);
+    };
     auto f = [&] { return parseFloat(line_no, value); };
     auto b = [&] { return parseBool(line_no, value); };
 
@@ -98,10 +109,15 @@ applyKey(int line_no, SystemConfig &cfg, const std::string &section,
         else if (key == "assoc") cfg.mmu.assoc = u();
         else bad(line_no, "unknown [mmu] key '" + key + "'");
     } else if (section == "dram") {
-        if (key == "channels") cfg.dram.channels = u();
-        else if (key == "ranks") cfg.dram.ranksPerChannel = u();
-        else if (key == "banks") cfg.dram.banksPerRank = u();
-        else if (key == "row_bytes") cfg.dram.rowBufferBytes = u();
+        if (key == "channels") cfg.dram.channels = pow2();
+        else if (key == "ranks") cfg.dram.ranksPerChannel = pow2();
+        else if (key == "banks") cfg.dram.banksPerRank = pow2();
+        else if (key == "row_bytes") {
+            cfg.dram.rowBufferBytes = pow2();
+            if (cfg.dram.rowBufferBytes < kLineBytes)
+                bad(line_no, "row_bytes must be at least one line ("
+                                 + std::to_string(kLineBytes) + ")");
+        }
         else if (key == "trcd") cfg.dram.tRCD = u();
         else if (key == "trp") cfg.dram.tRP = u();
         else if (key == "tcas") cfg.dram.tCAS = u();

@@ -18,16 +18,15 @@ bad(const std::string &message)
 std::uint64_t
 parseU64(const std::string &flag, const std::string &value)
 {
-    std::size_t consumed = 0;
-    std::uint64_t parsed = 0;
+    // std::stoull accepts a sign and wraps "-1" to 2^64-1: digits only.
+    if (value.empty()
+        || value.find_first_not_of("0123456789") != std::string::npos)
+        bad(flag + " expects a non-negative integer, got '" + value + "'");
     try {
-        parsed = std::stoull(value, &consumed);
+        return std::stoull(value);
     } catch (const std::exception &) {
-        bad(flag + " expects a number, got '" + value + "'");
+        bad(flag + " expects a non-negative integer, got '" + value + "'");
     }
-    if (consumed != value.size())
-        bad(flag + " expects a number, got '" + value + "'");
-    return parsed;
 }
 
 double
@@ -73,10 +72,6 @@ usage()
         "  --subrow A          none | foa | poa sub-row buffers\n"
         "  --subrow-dedicated N  sub-rows reserved for prefetches\n"
         "  --seed N            RNG seed (default 42)\n"
-        "  --shards N          run each point on the sharded engine\n"
-        "                      with N worker threads (also via\n"
-        "                      TEMPO_SHARDS; 0 = legacy inline engine;\n"
-        "                      output is identical for every N >= 1)\n"
         "  --jobs N            worker threads for --compare runs\n"
         "                      (default: all cores, or TEMPO_JOBS)\n"
         "  --retries N         re-run a failed point up to N times with\n"
@@ -183,9 +178,6 @@ parse(const std::vector<std::string> &args)
                 parseU64(arg, next("--subrow-dedicated")));
         } else if (arg == "--seed") {
             options.seed = parseU64(arg, next("--seed"));
-        } else if (arg == "--shards") {
-            options.shards =
-                static_cast<unsigned>(parseU64(arg, next("--shards")));
         } else if (arg == "--jobs") {
             options.jobs =
                 static_cast<unsigned>(parseU64(arg, next("--jobs")));
@@ -281,7 +273,6 @@ toConfig(const Options &options)
 
     cfg.translator.useReferenceTranslator = options.referenceTranslator;
     cfg.cache.useReferenceCache = options.referenceCache;
-    cfg.withShards(options.shards);
 
     if (!options.prefetcher.empty()) {
         cfg.withPrefetchers(options.prefetcher);

@@ -33,12 +33,6 @@ struct Options {
     std::string subrow = "none";       //!< none | foa | poa
     unsigned subrowDedicated = 0;
     std::uint64_t seed = 42;
-    /** Sharded in-point engine: 0 = legacy inline engine (default),
-     * N >= 1 = run each point on the sharded multi-domain engine with
-     * N workers (also via TEMPO_SHARDS). Results are bit-identical for
-     * every N >= 1 but form their own timing model — see
-     * docs/MODEL.md "Sharded execution". */
-    unsigned shards = 0;
     /** Worker threads for parallel runs (--compare); 0 = all cores
      * (or the TEMPO_JOBS env var). */
     unsigned jobs = 0;

@@ -12,9 +12,8 @@
  * time, not inclusive time: a Dram scope inside an Mc scope bills the
  * DRAM portion to Dram only. All mutable state is thread-local, so
  * profiling is thread-safe by construction: the parallel experiment
- * engine runs each point's window on one worker thread, and a sharded
- * point opens one window per shard worker and sums them with
- * Totals::add (barrier wait bills to Scheduler).
+ * engine runs each point's window on one worker thread, and callers
+ * that open several windows sum them with Totals::add.
  *
  * Profile numbers are wall-clock and therefore NOT deterministic; they
  * are reported under the "profile." prefix only when --profile is on,
@@ -65,8 +64,8 @@ struct Totals {
     std::uint64_t ns[kNumComponents] = {};
     std::uint64_t calls[kNumComponents] = {};
 
-    /** Merge another window into this one (sharded runs open one
-     * window per worker thread and sum them into a point total). */
+    /** Merge another window into this one (e.g. per-worker windows
+     * summed into one total). */
     void
     add(const Totals &other)
     {

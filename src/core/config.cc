@@ -1,6 +1,7 @@
 #include "core/config.hh"
 
 #include <bit>
+#include <stdexcept>
 
 #include "prefetch/registry.hh"
 
@@ -187,13 +188,6 @@ SystemConfig::digest() const
     h.e(tlbPrefetchNext);
     h.u64(seed);
 
-    // Sharding is hashed as an engine flag only: results depend on
-    // WHETHER the sharded engine runs, never on how many workers drive
-    // it, so shards=1/2/8 share a digest (and legacy digests are
-    // unchanged because zero contributes nothing).
-    if (shards)
-        h.u64(1);
-
     return h.state;
 }
 
@@ -288,9 +282,12 @@ SystemConfig::withSeed(std::uint64_t new_seed)
 }
 
 SystemConfig &
-SystemConfig::withShards(unsigned new_shards)
+SystemConfig::withShards(unsigned shards)
 {
-    shards = new_shards;
+    if (shards != 0)
+        throw std::invalid_argument(
+            "withShards: the sharded engine was removed; only 0 (the "
+            "inline engine) is accepted");
     return *this;
 }
 

@@ -92,17 +92,6 @@ struct SystemConfig {
      * translation of the next virtual page into the TLB. */
     bool tlbPrefetchNext = false;
 
-    /**
-     * Sharded in-point parallelism: 0 (default) runs the legacy inline
-     * engine on one event queue; N >= 1 partitions the point into
-     * per-app domains plus a shared-machine domain driven by a
-     * ShardEngine with N worker threads. Output is bit-identical for
-     * any N >= 1 (N = 1 is the single-threaded oracle) but the sharded
-     * engine is its own timing model, distinct from the legacy
-     * schedule (docs/MODEL.md "Sharded execution").
-     */
-    unsigned shards = 0;
-
     std::uint64_t seed = 42;
 
     /**
@@ -130,6 +119,7 @@ struct SystemConfig {
     SystemConfig &withPrefetchers(const std::string &csv);
     SystemConfig &withSubRows(SubRowAlloc alloc, unsigned dedicated);
     SystemConfig &withSeed(std::uint64_t seed);
+    /** Stub for the frozen perf ledger: 0 is a no-op, else throws. */
     SystemConfig &withShards(unsigned shards);
 };
 

@@ -172,9 +172,6 @@ ExperimentOptions::fromEnv()
             static_cast<unsigned>(std::strtoul(env, nullptr, 10));
     if (const char *env = std::getenv("TEMPO_POINT_TIMEOUT"))
         opts.pointTimeoutSec = std::strtod(env, nullptr);
-    if (const char *env = std::getenv("TEMPO_SHARDS"))
-        opts.shards =
-            static_cast<unsigned>(std::strtoul(env, nullptr, 10));
     if (const char *env = std::getenv("TEMPO_FABRIC_DIR"))
         opts.fabricDir = env;
     if (const char *env = std::getenv("TEMPO_FABRIC_ROLE")) {
@@ -229,18 +226,9 @@ ExperimentOptions::fromEnv()
 }
 
 std::vector<RunResult>
-runExperiments(const std::vector<ExperimentPoint> &raw_points,
+runExperiments(const std::vector<ExperimentPoint> &points,
                const ExperimentOptions &opts)
 {
-    // The TEMPO_SHARDS override rewrites the points BEFORE digests are
-    // computed, so checkpoint journals key on the engine that actually
-    // ran (the sharded engine is its own timing model).
-    std::vector<ExperimentPoint> points = raw_points;
-    if (opts.shards) {
-        for (ExperimentPoint &point : points)
-            point.config.withShards(*opts.shards);
-    }
-
     std::vector<std::uint64_t> digests(points.size());
     for (std::size_t i = 0; i < points.size(); ++i)
         digests[i] = pointDigest(points[i], i);
@@ -325,17 +313,12 @@ runExperiments(const std::vector<ExperimentPoint> &points, unsigned jobs)
 }
 
 std::vector<MultiResult>
-runMixExperiments(const std::vector<MixPoint> &raw_points,
+runMixExperiments(const std::vector<MixPoint> &points,
                   const ExperimentOptions &opts)
 {
     // Mixes are fault-isolated like single-app points but neither
     // checkpoint nor report onPointDone (the callback carries a
     // RunResult); see docs/MODEL.md.
-    std::vector<MixPoint> points = raw_points;
-    if (opts.shards) {
-        for (MixPoint &point : points)
-            point.config.withShards(*opts.shards);
-    }
     std::vector<MultiResult> results(points.size());
     parallelFor(points.size(), opts.jobs, [&](std::size_t i) {
         const MixPoint &point = points[i];

@@ -97,12 +97,6 @@ struct ExperimentOptions {
      * start, points whose digest is already journaled are restored
      * instead of re-run; each newly finished ok point is appended. */
     std::string checkpointPath;
-    /** Sharded-engine override: when set, every point runs with
-     * config.shards forced to this value (0 = legacy inline engine).
-     * Applied before point digests are computed so checkpoint journals
-     * key on the engine that actually ran. Set from TEMPO_SHARDS by
-     * fromEnv(). */
-    std::optional<unsigned> shards;
     /** Test hook: injected faults (see FaultInjection). */
     std::vector<FaultInjection> inject;
     /** Progress callback, invoked under the engine lock as each point
@@ -151,8 +145,7 @@ struct ExperimentOptions {
     /**
      * Environment overrides, applied by the benches so CI can inject
      * faults without per-binary flags: TEMPO_RETRIES,
-     * TEMPO_POINT_TIMEOUT (seconds), TEMPO_SHARDS (worker count for
-     * the sharded engine), TEMPO_FAULT_INJECT
+     * TEMPO_POINT_TIMEOUT (seconds), TEMPO_FAULT_INJECT
      * ("<index>:throw,<index>:hang"), TEMPO_PROGRESS (progress line
      * period), and the fabric: TEMPO_FABRIC_DIR, TEMPO_FABRIC_ROLE
      * ("worker" | "coordinator"), TEMPO_FABRIC_WORKER,

@@ -3,22 +3,6 @@
  * The shared half of a simulated machine: one event queue, one DRAM
  * device, one memory controller, one shared LLC, and one OS physical
  * memory pool. SimCores (one per application) plug into it.
- *
- * Two execution modes:
- *
- *  - Legacy inline (config.shards == 0): every component shares the
- *    machine's single event queue; cores call straight into the LLC
- *    and memory controller. This is the historical engine and its
- *    schedule; golden stats are pinned to it.
- *
- *  - Sharded (config.shards >= 1): a ShardEngine partitions the point
- *    into per-app domains plus this shared domain (LLC + MC + DRAM +
- *    TEMPO engine, driven by the machine's queue). Cores reach the
- *    shared side only through the timestamped port messages below;
- *    every hop costs portLatency() — the engine's lookahead quantum.
- *    Output is bit-identical at any worker count (but is its own
- *    timing model, distinct from the legacy schedule; see
- *    docs/MODEL.md "Sharded execution").
  */
 
 #ifndef TEMPO_CORE_MACHINE_HH
@@ -26,35 +10,12 @@
 
 #include "cache/hierarchy.hh"
 #include "common/event_queue.hh"
-#include "common/shard.hh"
 #include "core/config.hh"
 #include "dram/dram.hh"
 #include "mc/memory_controller.hh"
 #include "vm/os_memory.hh"
 
 namespace tempo {
-
-/** Inline capture budget for port-reply continuations: fits the demand
- * path's (this, ref-context, submit-time) captures; walk-chain
- * continuations fall back to the heap. */
-inline constexpr std::size_t kPortReplyInlineBytes = 96;
-
-/** Shared-domain answer to a core's port request. */
-struct PortReply {
-    enum class Point : std::uint8_t {
-        Llc,    //!< line was resident in the LLC at arrival
-        Merged, //!< replay merged with an in-flight TEMPO prefetch
-        Dram,   //!< full memory-controller round trip
-    };
-    Point point = Point::Dram;
-    /** As the legacy MemResult, with complete advanced to the reply's
-     * delivery time at the core (includes the return port hop). */
-    MemResult res{};
-};
-
-/** Reply continuation, invoked in the requesting core's domain. */
-using PortReplyFn =
-    InlineFunction<void(const PortReply &), kPortReplyInlineBytes>;
 
 class Machine
 {
@@ -108,72 +69,6 @@ class Machine
         }
         return total;
     }
-
-    // --- Sharded execution ---
-
-    bool sharded() const { return shardEngine_ != nullptr; }
-
-    /** One port hop's latency — the LLC lookup latency (the minimum
-     * cross-domain distance) and therefore the engine's quantum. */
-    Cycle portLatency() const { return llc.latency(); }
-
-    /** Wire a shard engine to this machine. The machine's own queue
-     * becomes the shared domain; @p num_apps cores will register. */
-    void attachShardEngine(ShardEngine *engine, unsigned num_apps);
-
-    /** Register one core's domain queue; returns its domain id. */
-    DomainId registerAppDomain(EventQueue *app_eq);
-
-    DomainId sharedDomain() const { return sharedDomain_; }
-    unsigned shardApps() const { return shardApps_; }
-
-    /**
-     * Core -> shared-machine request (the sharded replacement for a
-     * direct LLC probe + mc.submit). Sent from domain @p src at cycle
-     * @p send_at (>= the sender's now); it arrives at the shared
-     * domain one port hop later, probes the LLC, merges replays with
-     * in-flight prefetches, or goes through the memory controller.
-     * @p reply is invoked back in the sender's domain at
-     * reply.res.complete.
-     */
-    void portRequest(DomainId src, Cycle send_at, MemRequest req,
-                     PortReplyFn reply);
-
-    /**
-     * Core -> DRAM read that bypasses the LLC entirely (prefetcher
-     * metadata traffic: MISB-style off-chip metadata is never cached
-     * in the data hierarchy). Same port timing as portRequest; the
-     * reply point is always Dram.
-     */
-    void portUncachedRead(DomainId src, Cycle send_at, MemRequest req,
-                          PortReplyFn reply);
-
-    /** Fire-and-forget dirty-victim writeback from a core's private
-     * levels, delivered to the shared domain one port hop after
-     * @p send_at. */
-    void portWriteback(Cycle send_at, Addr line, AppId app);
-
-    /**
-     * Warmup handshake: each core notifies the shared domain when it
-     * crosses its warmup boundary; when the last one arrives the
-     * shared statistics (MC, DRAM, LLC) reset and onSharedWarmed runs
-     * (in the shared domain — systems hook their obs session resets
-     * there).
-     */
-    void portWarmupNotify(Cycle send_at);
-
-    std::function<void()> onSharedWarmed;
-
-  private:
-    /** Shared-domain service of one port request. */
-    void handleRequest(DomainId src, MemRequest req, PortReplyFn reply);
-    /** Post @p reply back to @p dst at reply.res.complete. */
-    void sendReply(DomainId dst, PortReplyFn reply, const PortReply &r);
-
-    ShardEngine *shardEngine_ = nullptr;
-    DomainId sharedDomain_ = 0;
-    unsigned shardApps_ = 0;
-    unsigned warmedApps_ = 0;
 };
 
 } // namespace tempo

@@ -45,12 +45,6 @@ MultiSystem::MultiSystem(const SystemConfig &cfg,
     : machine_(cfg)
 {
     TEMPO_ASSERT(!workloads.empty(), "empty workload mix");
-    if (cfg.shards > 0) {
-        engine_ = std::make_unique<ShardEngine>(machine_.portLatency(),
-                                                cfg.shards);
-        machine_.attachShardEngine(
-            engine_.get(), static_cast<unsigned>(workloads.size()));
-    }
     AppId app = 0;
     for (auto &workload : workloads) {
         cores_.push_back(std::make_unique<SimCore>(machine_, app++,
@@ -69,15 +63,7 @@ MultiSystem::run(std::uint64_t refs_per_app,
             cores_[i]->setWarmupCallback(
                 warmup_per_app, [this, i, &warmed, &measure_from] {
                     cores_[i]->resetStats();
-                    measure_from[i] = cores_[i]->eq().now();
-                    if (engine_) {
-                        // The shared machine resets when the LAST
-                        // core's notification arrives (Machine counts
-                        // them in the shared domain).
-                        machine_.portWarmupNotify(
-                            cores_[i]->eq().now());
-                        return;
-                    }
+                    measure_from[i] = machine_.eq.now();
                     if (++warmed == cores_.size()) {
                         machine_.mc.resetStats();
                         machine_.dram.resetStats();
@@ -88,10 +74,7 @@ MultiSystem::run(std::uint64_t refs_per_app,
     }
     for (auto &core : cores_)
         core->start(refs_per_app + warmup_per_app);
-    if (engine_)
-        engine_->run();
-    else
-        machine_.eq.runAll();
+    machine_.eq.runAll();
 
     MultiResult result;
     for (std::size_t i = 0; i < cores_.size(); ++i) {

@@ -66,9 +66,6 @@ class MultiSystem
 
   private:
     Machine machine_;
-    /** Present iff cfg.shards > 0; must outlive cores_ (each core
-     * registers its domain queue with it). */
-    std::unique_ptr<ShardEngine> engine_;
     std::vector<std::unique_ptr<SimCore>> cores_;
 };
 

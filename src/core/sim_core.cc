@@ -89,35 +89,14 @@ namespace {
  * aliasing only costs tracking accuracy under extreme pressure. */
 constexpr std::size_t kPfResidentEntries = 4096;
 
-/** Sharded mode gives each app a disjoint slice of physical memory so
- * its allocation order cannot depend on cross-app event interleaving.
- * The seed is unchanged: a single-app sharded run draws the same
- * allocation sequence as the legacy shared pool. */
-OsMemoryConfig
-shardOsConfig(const OsMemoryConfig &base, AppId app, unsigned num_apps)
-{
-    OsMemoryConfig cfg = base;
-    const Addr slice =
-        alignDown(base.physBytes / num_apps, kPage2MBytes);
-    cfg.baseAddr = static_cast<Addr>(app) * slice;
-    cfg.physBytes = cfg.baseAddr + slice;
-    return cfg;
-}
-
 } // namespace
 
 SimCore::SimCore(Machine &machine, AppId app,
                  std::unique_ptr<Workload> workload)
-    : ownEq_(machine.sharded() ? std::make_unique<EventQueue>()
-                               : nullptr),
-      ownOs_(machine.sharded()
-                 ? std::make_unique<OsMemory>(shardOsConfig(
-                       machine.config.os, app, machine.shardApps()))
-                 : nullptr),
-      tlb(machine.config.tlb, machine.config.cache),
+    : tlb(machine.config.tlb, machine.config.cache),
       mmu(machine.config.mmu, machine.config.cache),
       caches(machine.config.caches, &machine.llc, machine.config.cache),
-      addressSpace(ownOs_ ? *ownOs_ : machine.os, [&] {
+      addressSpace(machine.os, [&] {
           AddressSpaceConfig vm_cfg = machine.config.vm;
           vm_cfg.seed += app * 97; // decorrelate per-app decisions
           return vm_cfg;
@@ -132,8 +111,6 @@ SimCore::SimCore(Machine &machine, AppId app,
     window_ = cfg_.useWorkloadMlpHint ? workload_->mlpHint()
                                       : cfg_.mlpWindow;
     window_ = std::max(1u, window_);
-    if (machine_.sharded())
-        domain_ = machine_.registerAppDomain(ownEq_.get());
 
     for (auto &engine : buildPrefetchers(cfg_)) {
         EngineSlot slot;
@@ -165,7 +142,7 @@ SimCore::start(std::uint64_t num_refs)
     TEMPO_ASSERT(target_ == 0, "start() called twice");
     TEMPO_ASSERT(num_refs > 0, "empty run");
     target_ = num_refs;
-    nextIssueAt_ = eq().now();
+    nextIssueAt_ = machine_.eq.now();
     pump();
 }
 
@@ -201,11 +178,11 @@ void
 SimCore::pump()
 {
     while (inflight_ < window_ && issued_ < target_) {
-        const Cycle when = std::max(eq().now(), nextIssueAt_);
+        const Cycle when = std::max(machine_.eq.now(), nextIssueAt_);
         nextIssueAt_ = when + cfg_.issueGap;
         ++inflight_;
         ++issued_;
-        eq().schedule(when, [this] { beginRef(); });
+        machine_.eq.schedule(when, [this] { beginRef(); });
     }
 }
 
@@ -218,7 +195,7 @@ SimCore::beginRef()
         prof::Scope workload_scope(prof::Component::Workload);
         ctx->ref = workload_->next();
     }
-    ctx->issueAt = eq().now();
+    ctx->issueAt = machine_.eq.now();
     ++stats_.refs;
 
     // Demand paging: the OS maps the page on first touch.
@@ -232,13 +209,13 @@ SimCore::beginRef()
 
     const TlbResult tlb_result = tlb.lookup(ctx->ref.vaddr);
     const Cycle after_tlb =
-        eq().now() + tlb_result.latency + fault_penalty;
+        machine_.eq.now() + tlb_result.latency + fault_penalty;
 
     if (tlb_result.hit) {
         ctx->paddr =
             addressSpace.translate(ctx->ref.vaddr).physAddr(
                 ctx->ref.vaddr);
-        eq().schedule(after_tlb, [this, ctx] { dataAccess(ctx); });
+        machine_.eq.schedule(after_tlb, [this, ctx] { dataAccess(ctx); });
         return;
     }
 
@@ -249,7 +226,7 @@ SimCore::beginRef()
     auto plan = std::make_shared<WalkPlan>(walker.plan(ctx->ref.vaddr));
     TEMPO_ASSERT(plan->xlate.valid, "demand reference walk must resolve");
     if (auto *o = obs::session()) {
-        ctx->walkId = o->walkBegin(eq().now(), ctx->ref.vaddr,
+        ctx->walkId = o->walkBegin(machine_.eq.now(), ctx->ref.vaddr,
                                    obs::WalkKind::Demand,
                                    plan->fetches.size(), plan->skipped);
         plan->obsWalkId = ctx->walkId;
@@ -257,7 +234,7 @@ SimCore::beginRef()
 
     const Cycle walk_start = after_tlb + cfg_.mmu.latency;
     const Addr vaddr = ctx->ref.vaddr;
-    eq().schedule(walk_start, [this, ctx, plan, vaddr] {
+    machine_.eq.schedule(walk_start, [this, ctx, plan, vaddr] {
         walkAsync(vaddr, plan, 0, false,
                   [this, ctx, plan, vaddr](Cycle when, double dram_cycles,
                                            bool leaf_dram) {
@@ -272,7 +249,7 @@ SimCore::beginRef()
                       tlb.fill(vaddr, plan->xlate.size);
                       maybeTlbPrefetch(vaddr, plan->xlate.size);
                       ctx->paddr = plan->xlate.physAddr(vaddr);
-                      eq().schedule(
+                      machine_.eq.schedule(
                           when + cfg_.tlbFillLatency,
                           [this, ctx] { dataAccess(ctx); });
                   });
@@ -287,16 +264,16 @@ SimCore::walkAsync(Addr vaddr, std::shared_ptr<WalkPlan> plan,
     prof::Scope prof_scope(prof::Component::Walker);
     // Walk finished (or faulted at the last fetched level).
     if (step >= plan->fetches.size()) {
-        done(eq().now(), 0, false);
+        done(machine_.eq.now(), 0, false);
         return;
     }
 
     const WalkStep &fetch = plan->fetches[step];
     const bool is_leaf = step + 1 == plan->fetches.size();
-    const CacheOutcome outcome = probeCaches(fetch.pteAddr, false);
-    const Cycle after_caches = eq().now() + outcome.latency;
+    const CacheOutcome outcome = caches.access(fetch.pteAddr, false);
+    const Cycle after_caches = machine_.eq.now() + outcome.latency;
     if (auto *o = obs::session()) {
-        o->walkStep(eq().now(), plan->obsWalkId, fetch.level,
+        o->walkStep(machine_.eq.now(), plan->obsWalkId, fetch.level,
                     fetch.pteAddr,
                     static_cast<std::uint8_t>(outcome.level));
     }
@@ -309,7 +286,7 @@ SimCore::walkAsync(Addr vaddr, std::shared_ptr<WalkPlan> plan,
               default: ++stats_.leafPtLlcHits; break;
             }
         }
-        eq().schedule(
+        machine_.eq.schedule(
             after_caches,
             [this, vaddr, plan, step, for_prefetch,
              done = std::move(done)]() mutable {
@@ -363,7 +340,7 @@ SimCore::walkAsync(Addr vaddr, std::shared_ptr<WalkPlan> plan,
                 lineAddr(plan->xlate.physAddr(vaddr));
         }
         if (auto *o = obs::session()) {
-            o->ptAccessTag(eq().now(), plan->obsWalkId,
+            o->ptAccessTag(machine_.eq.now(), plan->obsWalkId,
                            lineAddr(fetch.pteAddr),
                            req.tempo.replayPaddr, plan->xlate.valid);
         }
@@ -371,43 +348,6 @@ SimCore::walkAsync(Addr vaddr, std::shared_ptr<WalkPlan> plan,
 
     const Cycle submit_at = after_caches;
     const Addr pte_addr = fetch.pteAddr;
-
-    if (machine_.sharded()) {
-        // Port round trip: the shared domain probes the LLC and falls
-        // through to the memory controller; the reply point tells us
-        // which. An LLC hit surfaces here, not at probe time.
-        const std::uint8_t level = plan->fetches[step].level;
-        machine_.portRequest(
-            domain_, submit_at, std::move(req),
-            [this, vaddr, plan, step, for_prefetch, is_leaf, submit_at,
-             pte_addr, level,
-             done = std::move(done)](const PortReply &pr) mutable {
-                fillPrivateLevels(pte_addr);
-                mshrClose(lineAddr(pte_addr), pr.res.complete);
-                double dram_cycles = 0;
-                const bool leaf_dram =
-                    is_leaf && pr.point == PortReply::Point::Dram;
-                if (pr.point == PortReply::Point::Dram) {
-                    ++stats_.ptDramAccesses;
-                    ++stats_.ptDramByLevel[level];
-                    if (is_leaf)
-                        ++stats_.leafPtDramAccesses;
-                    dram_cycles = static_cast<double>(
-                        pr.res.complete - submit_at);
-                } else if (is_leaf) {
-                    ++stats_.leafPtLlcHits;
-                }
-                auto chained =
-                    [dram_cycles, leaf_dram, done = std::move(done)](
-                        Cycle when, double more, bool leaf) {
-                        done(when, dram_cycles + more,
-                             leaf || leaf_dram);
-                    };
-                walkAsync(vaddr, plan, step + 1, for_prefetch,
-                          std::move(chained));
-            });
-        return;
-    }
 
     req.onComplete = [this, vaddr, plan, step, for_prefetch, is_leaf,
                       submit_at, pte_addr,
@@ -444,11 +384,11 @@ SimCore::dataAccess(const RefPtr &ctx)
     TEMPO_ASSERT(ctx->paddr != kInvalidAddr, "data access untranslated");
     if (ctx->tlbMiss) {
         if (auto *o = obs::session())
-            o->replayBegin(eq().now(), ctx->walkId, ctx->paddr);
+            o->replayBegin(machine_.eq.now(), ctx->walkId, ctx->paddr);
     }
     const CacheOutcome outcome =
-        probeCaches(ctx->paddr, ctx->ref.isWrite);
-    const Cycle after_caches = eq().now() + outcome.latency;
+        caches.access(ctx->paddr, ctx->ref.isWrite);
+    const Cycle after_caches = machine_.eq.now() + outcome.latency;
 
     if (outcome.level != CacheLevel::Memory) {
         classifyDemandHit(lineAddr(ctx->paddr));
@@ -467,7 +407,7 @@ SimCore::dataAccess(const RefPtr &ctx)
                                  : obs::ReplayClass::PrivateHit);
             }
         }
-        eq().schedule(after_caches, [this, ctx] { finishRef(ctx); });
+        machine_.eq.schedule(after_caches, [this, ctx] { finishRef(ctx); });
         return;
     }
 
@@ -476,14 +416,7 @@ SimCore::dataAccess(const RefPtr &ctx)
     // lookup latency still counts as an LLC hit (hit during miss
     // handling), and one still in flight is merged with MSHR-style
     // instead of issuing a duplicate DRAM access (the paper's
-    // partial-overlap case, Sec. 3). On the sharded path the LLC
-    // probe itself happens in the shared domain, so the miss hands
-    // off at the private-level boundary instead.
-    if (machine_.sharded()) {
-        eq().schedule(after_caches,
-                      [this, ctx] { shardedMemoryAccess(ctx); });
-        return;
-    }
+    // partial-overlap case, Sec. 3).
     machine_.eq.schedule(after_caches,
                          [this, ctx] { memoryAccess(ctx); });
 }
@@ -614,159 +547,10 @@ SimCore::memoryAccess(const RefPtr &ctx)
 }
 
 void
-SimCore::shardedMemoryAccess(const RefPtr &ctx)
-{
-    prof::Scope prof_scope(prof::Component::Core);
-    const Addr line = lineAddr(ctx->paddr);
-
-    // A demand fill of this line may already be outstanding in this
-    // core (another reference or an IMP chain): wait on it rather than
-    // sending a duplicate port request. LLC-presence and prefetch-merge
-    // checks happen in the shared domain when the request arrives.
-    if (mshrWait(line, [this, ctx, submit = eq().now()](Cycle when) {
-            ++stats_.dataMshrMerges;
-            fillPrivateLevels(ctx->paddr, ctx->ref.isWrite);
-            ctx->replayDramCycles = 0;
-            const double waited = when > submit
-                ? static_cast<double>(when - submit)
-                : 0.0;
-            if (ctx->tlbMiss) {
-                ++stats_.replayDramAccesses;
-                ctx->replayDramCycles = waited;
-                if (ctx->walkLeafDram) {
-                    ++stats_.replayAfterDramWalk;
-                    ++stats_.replayDramAfterDramWalk;
-                    ++stats_.replayArray;
-                }
-                if (auto *o = obs::session()) {
-                    o->replayEnd(when, ctx->walkId,
-                                 obs::ReplayClass::Array);
-                }
-            } else {
-                stats_.cyclesOtherDram += waited;
-            }
-            finishRef(ctx);
-        })) {
-        classifyDemandMerge(line);
-        return;
-    }
-    mshrOpen(line);
-
-    MemRequest req;
-    req.paddr = line;
-    req.isWrite = ctx->ref.isWrite;
-    req.kind = ctx->tlbMiss ? ReqKind::Replay : ReqKind::Regular;
-    req.app = app_;
-    req.walkId = ctx->walkId;
-    const Cycle submit_at = eq().now();
-    machine_.portRequest(
-        domain_, submit_at, std::move(req),
-        [this, ctx, submit_at](const PortReply &pr) {
-            fillPrivateLevels(ctx->paddr, ctx->ref.isWrite);
-            mshrClose(lineAddr(ctx->paddr), pr.res.complete);
-            const double dram_cycles =
-                static_cast<double>(pr.res.complete - submit_at);
-            if (pr.point == PortReply::Point::Llc)
-                classifyDemandHit(lineAddr(ctx->paddr));
-            else
-                classifyDemandMiss(lineAddr(ctx->paddr));
-            switch (pr.point) {
-              case PortReply::Point::Llc:
-                // The line was resident (a TEMPO prefetch landed, or
-                // another core pulled it in). Mirrors the legacy
-                // hit-during-miss-handling path.
-                if (ctx->tlbMiss) {
-                    if (ctx->walkLeafDram) {
-                        ++stats_.replayAfterDramWalk;
-                        ++stats_.replayLlcHits;
-                    }
-                    if (auto *o = obs::session()) {
-                        o->replayEnd(pr.res.complete, ctx->walkId,
-                                     obs::ReplayClass::LlcHit);
-                    }
-                }
-                break;
-              case PortReply::Point::Merged:
-                ++stats_.replayDramAccesses;
-                ctx->replayDramCycles = dram_cycles;
-                if (ctx->walkLeafDram) {
-                    ++stats_.replayAfterDramWalk;
-                    ++stats_.replayMerged;
-                }
-                if (auto *o = obs::session()) {
-                    o->replayEnd(pr.res.complete, ctx->walkId,
-                                 obs::ReplayClass::Merged);
-                }
-                break;
-              case PortReply::Point::Dram: {
-                const bool row_hit = pr.res.rowEvent
-                    == static_cast<std::uint8_t>(RowEvent::Hit);
-                if (ctx->tlbMiss) {
-                    ++stats_.replayDramAccesses;
-                    ctx->replayDramCycles = dram_cycles;
-                    if (ctx->walkLeafDram) {
-                        ++stats_.replayAfterDramWalk;
-                        ++stats_.replayDramAfterDramWalk;
-                        if (row_hit)
-                            ++stats_.replayRowHits;
-                        else
-                            ++stats_.replayArray;
-                    }
-                    if (auto *o = obs::session()) {
-                        o->replayEnd(pr.res.complete, ctx->walkId,
-                                     row_hit
-                                         ? obs::ReplayClass::RowHit
-                                         : obs::ReplayClass::Array);
-                    }
-                } else {
-                    ++stats_.regularDramAccesses;
-                    stats_.cyclesOtherDram += dram_cycles;
-                }
-                break;
-              }
-            }
-            finishRef(ctx);
-        });
-}
-
-CacheOutcome
-SimCore::probeCaches(Addr addr, bool is_write)
-{
-    if (!machine_.sharded())
-        return caches.access(addr, is_write);
-    const CacheOutcome outcome =
-        caches.accessPrivate(addr, is_write, victimScratch_);
-    flushVictims();
-    return outcome;
-}
-
-void
-SimCore::fillPrivateLevels(Addr addr, bool is_write)
-{
-    if (!machine_.sharded()) {
-        caches.fillPrivate(addr);
-        return;
-    }
-    caches.fillPrivateCollect(addr, is_write, victimScratch_);
-    flushVictims();
-}
-
-void
-SimCore::flushVictims()
-{
-    if (victimScratch_.empty())
-        return;
-    const Cycle now = eq().now();
-    for (const Addr line : victimScratch_)
-        machine_.portWriteback(now, line, app_);
-    victimScratch_.clear();
-}
-
-void
 SimCore::finishRef(const RefPtr &ctx)
 {
     prof::Scope prof_scope(prof::Component::Core);
-    const Cycle now = eq().now();
+    const Cycle now = machine_.eq.now();
     stats_.cyclesPtwDram += ctx->ptwDramCycles;
     stats_.cyclesReplayDram += ctx->replayDramCycles;
     stats_.cyclesTotal += static_cast<double>(now - ctx->issueAt);
@@ -818,7 +602,7 @@ SimCore::resetStats()
 void
 SimCore::runPrefetchers(const MemRef &ref)
 {
-    const Cycle now = eq().now();
+    const Cycle now = machine_.eq.now();
     for (std::size_t i = 0; i < engines_.size(); ++i) {
         actionScratch_.clear();
         engines_[i].engine->observe(ref, now, actionScratch_);
@@ -849,7 +633,7 @@ SimCore::dispatchActions(std::size_t idx)
                     ++es.dropped;
             }
             if (auto *o = obs::session())
-                o->corePrefetchDrop(eq().now(), lineAddr(act.addr));
+                o->corePrefetchDrop(machine_.eq.now(), lineAddr(act.addr));
             break;
         }
         ++impInflight_;
@@ -859,7 +643,7 @@ SimCore::dispatchActions(std::size_t idx)
             ++stats_.strideIssued;
         ++es.issued;
         if (auto *o = obs::session())
-            o->corePrefetchIssue(eq().now(), lineAddr(act.addr));
+            o->corePrefetchIssue(machine_.eq.now(), lineAddr(act.addr));
         prefetchChain(act.addr, idx);
     }
 }
@@ -886,14 +670,6 @@ SimCore::metadataFetch(std::size_t idx, Addr addr)
     req.isWrite = false;
     req.kind = ReqKind::ImpPrefetch;
     req.app = app_;
-
-    if (machine_.sharded()) {
-        machine_.portUncachedRead(domain_, eq().now(), std::move(req),
-                                  [this](const PortReply &) {
-                                      --metadataInflight_;
-                                  });
-        return;
-    }
     req.onComplete = [this](const MemResult &) { --metadataInflight_; };
     machine_.eq.schedule(machine_.eq.now(),
                          [this, req = std::move(req)]() mutable {
@@ -960,26 +736,26 @@ SimCore::prefetchChain(Addr target, std::size_t idx)
     // page is dropped, exercising TEMPO's page-fault suppression
     // (Sec. 4.5).
     const TlbResult tlb_result = tlb.lookup(target);
-    const Cycle after_tlb = eq().now() + tlb_result.latency;
+    const Cycle after_tlb = machine_.eq.now() + tlb_result.latency;
 
     if (tlb_result.hit) {
         const Translation xlate = addressSpace.translate(target);
         TEMPO_ASSERT(xlate.valid, "TLB hit for unmapped page");
-        eq().schedule(after_tlb, [this, idx, paddr =
-                                      xlate.physAddr(target)] {
-            impData(paddr, idx);
-        });
+        machine_.eq.schedule(after_tlb,
+                             [this, idx, paddr = xlate.physAddr(target)] {
+                                 impData(paddr, idx);
+                             });
         return;
     }
 
     auto plan = std::make_shared<WalkPlan>(walker.plan(target));
     if (auto *o = obs::session()) {
         plan->obsWalkId =
-            o->walkBegin(eq().now(), target,
+            o->walkBegin(machine_.eq.now(), target,
                          obs::WalkKind::CorePrefetch,
                          plan->fetches.size(), plan->skipped);
     }
-    eq().schedule(
+    machine_.eq.schedule(
         after_tlb + cfg_.mmu.latency, [this, plan, target, idx] {
             walkAsync(target, plan, 0, true,
                       [this, plan, target, idx](Cycle when, double,
@@ -996,7 +772,7 @@ SimCore::prefetchChain(Addr target, std::size_t idx)
                           }
                           walker.finish(target, *plan);
                           tlb.fill(target, plan->xlate.size);
-                          eq().schedule(
+                          machine_.eq.schedule(
                               when + cfg_.tlbFillLatency,
                               [this, idx, paddr = plan->xlate.physAddr(
                                    target)] { impData(paddr, idx); });
@@ -1020,11 +796,11 @@ SimCore::maybeTlbPrefetch(Addr vaddr, PageSize size)
     auto plan = std::make_shared<WalkPlan>(walker.plan(next));
     if (auto *o = obs::session()) {
         plan->obsWalkId =
-            o->walkBegin(eq().now(), next,
+            o->walkBegin(machine_.eq.now(), next,
                          obs::WalkKind::TlbPrefetch,
                          plan->fetches.size(), plan->skipped);
     }
-    eq().scheduleIn(cfg_.mmu.latency, [this, plan, next] {
+    machine_.eq.scheduleIn(cfg_.mmu.latency, [this, plan, next] {
         walkAsync(next, plan, 0, true,
                   [this, plan, next](Cycle when, double,
                                      bool leaf_dram) {
@@ -1043,7 +819,7 @@ SimCore::maybeTlbPrefetch(Addr vaddr, PageSize size)
 void
 SimCore::impData(Addr paddr, std::size_t idx)
 {
-    const CacheOutcome outcome = probeCaches(paddr, false);
+    const CacheOutcome outcome = caches.access(paddr, false);
     if (outcome.level != CacheLevel::Memory) {
         // Already resident: the chain was redundant (it stays in the
         // issued-but-never-classified bucket, i.e. useless).
@@ -1060,18 +836,6 @@ SimCore::impData(Addr paddr, std::size_t idx)
     req.isWrite = false;
     req.kind = ReqKind::ImpPrefetch;
     req.app = app_;
-
-    if (machine_.sharded()) {
-        machine_.portRequest(
-            domain_, eq().now() + outcome.latency, std::move(req),
-            [this, paddr](const PortReply &pr) {
-                fillPrivateLevels(paddr);
-                mshrClose(lineAddr(paddr), pr.res.complete);
-                notePrefetchFill(lineAddr(paddr));
-                --impInflight_;
-            });
-        return;
-    }
 
     req.onComplete = [this, paddr](const MemResult &res) {
         // IMP fills into L1 (inclusive hierarchy).

@@ -129,12 +129,6 @@ struct CoreStats {
 
 class SimCore
 {
-    // Sharded-mode ownership, declared before everything else:
-    // addressSpace below binds whichever OsMemory these resolve to, so
-    // they must be constructed first. Null in legacy inline mode.
-    std::unique_ptr<EventQueue> ownEq_;
-    std::unique_ptr<OsMemory> ownOs_;
-
   public:
     SimCore(Machine &machine, AppId app,
             std::unique_ptr<Workload> workload);
@@ -148,23 +142,6 @@ class SimCore
     const CoreStats &stats() const { return stats_; }
     Workload &workload() { return *workload_; }
     AppId app() const { return app_; }
-
-    /** The event queue driving this core: its own domain queue when
-     * sharded, the machine's single queue otherwise. */
-    EventQueue &eq() { return ownEq_ ? *ownEq_ : machine_.eq; }
-    const EventQueue &
-    eq() const
-    {
-        return ownEq_ ? *ownEq_ : machine_.eq;
-    }
-
-    /** The OS pool this core allocates from: its private partition
-     * when sharded, the machine's shared pool otherwise. */
-    const OsMemory &
-    osMemory() const
-    {
-        return ownOs_ ? *ownOs_ : machine_.os;
-    }
 
     // Per-core components, exposed for reporting and tests.
     Tlb tlb;
@@ -210,20 +187,8 @@ class SimCore
     /** Miss handling once the LLC lookup completes: late-prefetch hit
      * detection, MSHR merge, or a real memory-controller request. */
     void memoryAccess(const RefPtr &ctx);
-    /** Sharded replacement for memoryAccess(): MSHR merge locally,
-     * otherwise a port request to the shared domain; the reply point
-     * (LLC hit / prefetch merge / DRAM) drives the same statistics. */
-    void shardedMemoryAccess(const RefPtr &ctx);
     void finishRef(const RefPtr &ctx);
 
-    /** Cache probe for the issue path: full L1->L2->LLC walk in legacy
-     * mode, private levels only (plus victim collection) sharded. */
-    CacheOutcome probeCaches(Addr addr, bool is_write);
-    /** Install a returned line into the private levels (legacy
-     * fillPrivate, or the collecting variant sharded). */
-    void fillPrivateLevels(Addr addr, bool is_write = false);
-    /** Forward collected dirty private victims as port writebacks. */
-    void flushVictims();
     /** Run every engine's observe+drain on @p ref and dispatch the
      * resulting actions (the registry replacement for the hard-wired
      * maybeImpPrefetch/maybeStridePrefetch pair). */
@@ -308,8 +273,6 @@ class SimCore
     std::vector<ResidentPf> pfResident_;
 
     std::vector<PrefetchAction> actionScratch_; //!< observe/drain out
-    std::vector<Addr> victimScratch_; //!< sharded dirty-victim scratch
-    DomainId domain_ = 0;             //!< this core's shard domain id
 
     std::uint64_t warmupAfter_ = 0;
     std::function<void()> warmupCallback_;

@@ -1,8 +1,5 @@
 #include "core/tempo_system.hh"
 
-#include <atomic>
-#include <cstdio>
-
 #include "common/log.hh"
 #include "common/profiler.hh"
 
@@ -64,14 +61,8 @@ RunResult::energySavingOver(const RunResult &baseline) const
 
 TempoSystem::TempoSystem(const SystemConfig &cfg,
                          std::unique_ptr<Workload> workload)
-    : machine_(cfg)
+    : machine_(cfg), core_(machine_, 0, std::move(workload))
 {
-    if (cfg.shards > 0) {
-        engine_ = std::make_unique<ShardEngine>(machine_.portLatency(),
-                                                cfg.shards);
-        machine_.attachShardEngine(engine_.get(), 1);
-    }
-    core_ = std::make_unique<SimCore>(machine_, 0, std::move(workload));
 }
 
 RunResult
@@ -81,98 +72,44 @@ TempoSystem::run(std::uint64_t num_refs, std::uint64_t warmup_refs)
     // globally enabled; disabled runs pay one relaxed load per hook).
     obs::ScopedRun obs_run;
 
-    // Sharded runs give the shared-machine domain its own session so
-    // two domains never record into one session concurrently; the app
-    // session absorbs it before finish().
-    std::unique_ptr<obs::Session> shared_session;
-    if (engine_ && obs_run.session())
-        shared_session = std::make_unique<obs::Session>(obs::config());
-
     Cycle measure_from = 0;
     if (warmup_refs > 0) {
-        core_->setWarmupCallback(warmup_refs, [this, &measure_from] {
-            measure_from = core_->eq().now();
-            core_->resetStats();
+        core_.setWarmupCallback(warmup_refs, [this, &measure_from] {
+            measure_from = machine_.eq.now();
+            core_.resetStats();
             if (auto *o = obs::session())
                 o->resetCounters();
-            if (engine_) {
-                // The shared side (MC/DRAM/LLC stats and its obs
-                // session) resets when this notification arrives,
-                // one port hop later.
-                machine_.portWarmupNotify(core_->eq().now());
-                return;
-            }
             machine_.mc.resetStats();
             machine_.dram.resetStats();
             machine_.llc.resetStats();
         });
-        if (engine_) {
-            machine_.onSharedWarmed = [&shared_session] {
-                if (shared_session)
-                    shared_session->resetCounters();
-            };
-        }
     }
     const bool profiling = prof::enabled();
-    if (profiling && !engine_)
+    if (profiling)
         prof::beginWindow();
     if (obs::Session *s = obs_run.session()) {
         const Cycle window = obs::config().timeseriesWindow;
-        // The sampler reads shared-side state (Tx-Q occupancy, DRAM
-        // row counters) from the app domain, so it stays off under
-        // sharding; "timeseries_windows" reports 0 there.
-        if (window > 0 && !engine_)
+        if (window > 0)
             scheduleObsSample(s, window);
-        else if (window > 0 && engine_) {
-            static std::atomic<bool> warned{false};
-            if (!warned.exchange(true))
-                std::fprintf(
-                    stderr,
-                    "warning: time-series sampling "
-                    "(timeseries-window) is disabled under the "
-                    "sharded engine (shards > 0); the sampler reads "
-                    "shared-side state that sharded domains cannot "
-                    "touch safely\n");
-        }
     }
-    core_->start(num_refs + warmup_refs);
+    core_.start(num_refs + warmup_refs);
+    machine_.eq.runAll();
     prof::Totals prof_totals;
-    if (engine_) {
-        engine_->collectProfile = profiling;
-        obs::Session *app_session = obs_run.session();
-        if (app_session) {
-            engine_->onEnterDomain =
-                [this, app_session,
-                 shared = shared_session.get()](DomainId d) {
-                    obs::detail::tlsSession =
-                        d == machine_.sharedDomain() ? shared
-                                                     : app_session;
-                };
-        }
-        engine_->run();
-        // Workers leave tlsSession at whichever domain they ran last;
-        // restore the app session before finish().
-        obs::detail::tlsSession = app_session;
-        if (profiling)
-            prof_totals = engine_->profTotals();
-    } else {
-        machine_.eq.runAll();
-        if (profiling)
-            prof_totals = prof::endWindow();
-    }
-    TEMPO_ASSERT(core_->done(), "event queue drained before completion");
+    if (profiling)
+        prof_totals = prof::endWindow();
+    TEMPO_ASSERT(core_.done(), "event queue drained before completion");
 
     RunResult result;
-    result.core = core_->stats();
+    result.core = core_.stats();
     result.runtime = result.core.lastFinish - measure_from;
     result.energy =
         computeEnergy(machine_.config.energy, result.runtime,
                       machine_.dram, machine_.mcRequests(),
                       machine_.config.mc.tempoEnabled);
     result.superpageCoverage =
-        core_->addressSpace.superpageCoverage();
-    result.coverage2M = core_->addressSpace.coverage2M();
-    result.coverage1G = core_->addressSpace.coverage1G();
+        core_.addressSpace.superpageCoverage();
+    result.coverage2M = core_.addressSpace.coverage2M();
+    result.coverage1G = core_.addressSpace.coverage1G();
 
     result.dramPtw = machine_.mc.served(ReqKind::PtWalk);
     result.dramReplay = machine_.mc.served(ReqKind::Replay);
@@ -186,7 +123,7 @@ TempoSystem::run(std::uint64_t num_refs, std::uint64_t warmup_refs)
     // with the core's "prefetch.<name>.issued"-style taxonomy keys.
     // Like those, they appear only for explicit engine lists.
     if (result.core.prefetchEngineKeys) {
-        for (const Prefetcher *engine : core_->prefetchEngines()) {
+        for (const Prefetcher *engine : core_.prefetchEngines()) {
             stats::Report engine_report;
             engine->report(engine_report);
             result.report.merge(
@@ -200,27 +137,25 @@ TempoSystem::run(std::uint64_t num_refs, std::uint64_t warmup_refs)
     machine_.mc.report(mc_report);
     result.report.merge("mc.", mc_report);
     stats::Report tlb_report;
-    core_->tlb.report(tlb_report);
+    core_.tlb.report(tlb_report);
     result.report.merge("tlb.", tlb_report);
     stats::Report mmu_report;
-    core_->mmu.report(mmu_report);
+    core_.mmu.report(mmu_report);
     result.report.merge("mmu.", mmu_report);
     stats::Report cache_report;
-    core_->caches.report(cache_report);
+    core_.caches.report(cache_report);
     result.report.merge("cache.", cache_report);
     stats::Report vm_report;
-    core_->addressSpace.report(vm_report);
+    core_.addressSpace.report(vm_report);
     result.report.merge("vm.", vm_report);
     stats::Report os_report;
-    core_->osMemory().report(os_report);
+    machine_.os.report(os_report);
     result.report.merge("os.", os_report);
     stats::Report energy_report;
     result.energy.report(energy_report);
     result.report.merge("energy.", energy_report);
 
     if (obs_run.session()) {
-        if (shared_session)
-            obs_run.session()->absorb(*shared_session);
         stats::Report obs_report;
         result.obs = obs_run.finish(obs_report);
         // Per-engine lifecycle taxonomy in the audit namespace. The
@@ -253,9 +188,7 @@ TempoSystem::run(std::uint64_t num_refs, std::uint64_t warmup_refs)
             total_ns += prof_totals.ns[i];
         }
         prof_report.add("total_ms", static_cast<double>(total_ns) / 1e6);
-        prof_report.add("events_executed",
-                        machine_.eq.executed()
-                            + (engine_ ? core_->eq().executed() : 0));
+        prof_report.add("events_executed", machine_.eq.executed());
         result.report.merge("profile.", prof_report);
     }
 
@@ -269,10 +202,10 @@ TempoSystem::scheduleObsSample(obs::Session *s, Cycle window)
         s->timeseriesSample(machine_.eq.now(),
                             machine_.mc.queueOccupancy(),
                             machine_.mc.pendingPrefetchCount(),
-                            core_->outstandingWalks(),
+                            core_.outstandingWalks(),
                             machine_.dram.rowHits(),
                             machine_.dram.accesses());
-        if (!core_->done())
+        if (!core_.done())
             scheduleObsSample(s, window);
     });
 }

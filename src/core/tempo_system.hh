@@ -80,17 +80,14 @@ class TempoSystem
     RunResult run(std::uint64_t num_refs, std::uint64_t warmup_refs = 0);
 
     Machine &machine() { return machine_; }
-    SimCore &core() { return *core_; }
+    SimCore &core() { return core_; }
 
   private:
     /** Re-arm the periodic time-series sample event. */
     void scheduleObsSample(obs::Session *s, Cycle window);
 
     Machine machine_;
-    /** Present iff cfg.shards > 0; must outlive core_ (the core
-     * registers its domain queue with it). */
-    std::unique_ptr<ShardEngine> engine_;
-    std::unique_ptr<SimCore> core_;
+    SimCore core_;
 };
 
 /** Convenience: run workload @p name under @p cfg for @p refs. */

@@ -1,5 +1,6 @@
 #include "fabric/claim.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
@@ -10,6 +11,7 @@
 #include <limits>
 #include <stdexcept>
 #include <system_error>
+#include <thread>
 
 #include <unistd.h>
 
@@ -41,8 +43,13 @@ parseDigestHex(const std::string &text)
 void
 writeFileAtomic(const std::string &path, const std::string &content)
 {
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
+    // One temp name per call: threads of one process that publish the
+    // same path must never truncate or rename each other's temp file.
+    static std::atomic<std::uint64_t> nextNonce{0};
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid())
+        + "." + std::to_string(std::hash<std::thread::id>{}(
+                    std::this_thread::get_id()))
+        + "." + std::to_string(nextNonce.fetch_add(1));
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         out.write(content.data(),

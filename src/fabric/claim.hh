@@ -30,7 +30,7 @@ std::string digestHex(std::uint64_t digest);
 /** Inverse of digestHex(). @throws std::runtime_error on bad input. */
 std::uint64_t parseDigestHex(const std::string &text);
 
-/** Write @p content to @p path via a process-unique temp file and
+/** Write @p content to @p path via a per-call unique temp file and
  * rename, so readers only ever see complete contents.
  * @throws std::runtime_error when the write fails. */
 void writeFileAtomic(const std::string &path, const std::string &content);

@@ -80,7 +80,9 @@ Heartbeat::listWorkers(const std::string &dir)
     std::error_code ec;
     for (const auto &entry : fs::directory_iterator(dir, ec)) {
         const std::string name = entry.path().filename().string();
-        if (name.rfind("hb_", 0) == 0)
+        // Skip a heartbeat's in-flight temp file (writeFileAtomic).
+        if (name.rfind("hb_", 0) == 0
+            && name.find(".tmp.") == std::string::npos)
             workers.push_back(name.substr(3));
     }
     std::sort(workers.begin(), workers.end());

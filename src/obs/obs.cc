@@ -399,51 +399,6 @@ Session::resetCounters()
     ++epoch_;
 }
 
-void
-Session::absorb(Session &other)
-{
-    counters_.walks += other.counters_.walks;
-    counters_.walksPrefetch += other.counters_.walksPrefetch;
-    counters_.walksTlbPrefetch += other.counters_.walksTlbPrefetch;
-    counters_.walksLeafDram += other.counters_.walksLeafDram;
-    counters_.walkSteps += other.counters_.walkSteps;
-    counters_.walkStepsSkipped += other.counters_.walkStepsSkipped;
-    for (std::size_t i = 0; i < kNumReplayClasses; ++i)
-        counters_.replay[i] += other.counters_.replay[i];
-    counters_.prefetchIssued += other.counters_.prefetchIssued;
-    counters_.prefetchUseful += other.counters_.prefetchUseful;
-    counters_.prefetchLate += other.counters_.prefetchLate;
-    counters_.prefetchUseless += other.counters_.prefetchUseless;
-    counters_.prefetchDropped += other.counters_.prefetchDropped;
-    counters_.prefetchFaults += other.counters_.prefetchFaults;
-    counters_.blissBlacklists += other.counters_.blissBlacklists;
-
-    for (std::size_t i = 0; i < kNumReplayClasses; ++i)
-        replayLat_[i].merge(other.replayLat_[i]);
-    other.totalLat_.merge(other.windowLat_);
-    other.windowLat_.reset();
-    totalLat_.merge(other.totalLat_);
-    replayHist_.merge(other.replayHist_);
-    dropped_ += other.dropped_;
-
-    // Buffer the other ring's events oldest-first; finish() interleaves
-    // them with this session's by timestamp.
-    if (other.ringWrapped_) {
-        for (std::size_t i = 0; i < other.ring_.size(); ++i) {
-            absorbed_.push_back(
-                other.ring_[(other.ringNext_ + i)
-                            % other.ring_.size()]);
-        }
-    } else {
-        absorbed_.insert(absorbed_.end(), other.ring_.begin(),
-                         other.ring_.end());
-    }
-    other.ring_.clear();
-    other.ring_ = {};
-    other.counters_ = Counters{};
-    other.dropped_ = 0;
-}
-
 std::shared_ptr<RunObs>
 Session::finish(stats::Report &audit)
 {
@@ -487,8 +442,7 @@ Session::finish(stats::Report &audit)
     audit.add("prefetch_dropped", counters_.prefetchDropped);
     audit.add("prefetch_fault_suppressed", counters_.prefetchFaults);
     audit.add("bliss_blacklists", counters_.blissBlacklists);
-    audit.add("trace_events", static_cast<std::uint64_t>(
-                                  ring_.size() + absorbed_.size()));
+    audit.add("trace_events", static_cast<std::uint64_t>(ring_.size()));
     audit.add("trace_dropped", dropped_);
     audit.add("timeseries_windows",
               static_cast<std::uint64_t>(
@@ -511,20 +465,6 @@ Session::finish(stats::Report &audit)
     }
     ring_ = {};
     ts_ = TimeSeries{};
-
-    // Interleave events absorbed from other domains' sessions. The
-    // stable sort keeps this session's events first within a cycle and
-    // preserves each ring's internal order, so the result is a pure
-    // function of the simulated schedule (worker-count independent).
-    if (!absorbed_.empty()) {
-        run->events.insert(run->events.end(), absorbed_.begin(),
-                           absorbed_.end());
-        std::stable_sort(run->events.begin(), run->events.end(),
-                         [](const TraceEvent &x, const TraceEvent &y) {
-                             return x.ts < y.ts;
-                         });
-        absorbed_ = {};
-    }
     return run;
 }
 

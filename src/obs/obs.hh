@@ -271,18 +271,6 @@ class Session
      * and hand the recorded data out. The session becomes inert. */
     std::shared_ptr<RunObs> finish(stats::Report &audit);
 
-    /**
-     * Fold another session into this one (sharded runs keep one
-     * session per event domain; the app session absorbs the shared
-     * domain's before finish()). Counters and latency statistics sum;
-     * @p other's trace events are buffered and interleaved by
-     * timestamp at finish(). Walk records are NOT transferred — the
-     * cross-domain prefetch timeliness taxonomy (useful/late/useless)
-     * is not maintained under sharding and reports zero. @p other is
-     * drained and must not record afterwards.
-     */
-    void absorb(Session &other);
-
   private:
     friend class ScopedRun;
 
@@ -327,10 +315,6 @@ class Session
     std::vector<WalkRecord> walks_; //!< indexed by walk id - 1
     Counters counters_;
     std::uint32_t epoch_ = 0;
-
-    /** Events absorbed from other domains' sessions, merged into the
-     * ring's chronology at finish(). */
-    std::vector<TraceEvent> absorbed_;
 
     stats::Distribution replayLat_[kNumReplayClasses];
     stats::Distribution windowLat_; //!< current window's replay latency

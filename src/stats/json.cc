@@ -1,9 +1,7 @@
 #include "stats/json.hh"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -544,11 +542,6 @@ benchJson(const std::string &bench, std::uint64_t refs,
     // and uninterrupted runs emit identical bytes.
     std::uint64_t num_ok = 0, num_failed = 0, num_timed_out = 0;
     std::uint64_t num_retries = 0;
-    // "shards" summarizes the sharded engine across points: the
-    // maximum per-point "shards" config value (the domain count, which
-    // is worker-count-invariant), or 0 when every point ran on the
-    // legacy inline engine. Always emitted, like the other keys.
-    std::uint64_t num_shards = 0;
     for (const BenchPoint &point : points) {
         if (point.status == "ok")
             ++num_ok;
@@ -557,13 +550,6 @@ benchJson(const std::string &bench, std::uint64_t refs,
         else
             ++num_failed;
         num_retries += point.attempts > 0 ? point.attempts - 1 : 0;
-        for (const auto &[key, value] : point.config) {
-            if (key == "shards")
-                num_shards = std::max(
-                    num_shards,
-                    std::uint64_t(std::strtoull(value.c_str(), nullptr,
-                                                10)));
-        }
     }
     Json experiment = Json::object();
     experiment.set("points", std::uint64_t(points.size()));
@@ -571,7 +557,6 @@ benchJson(const std::string &bench, std::uint64_t refs,
     experiment.set("failed", num_failed);
     experiment.set("timed_out", num_timed_out);
     experiment.set("retries", num_retries);
-    experiment.set("shards", num_shards);
     doc.set("experiment", std::move(experiment));
 
     Json point_array = Json::array();

@@ -21,10 +21,7 @@
  *     "seed": <base RNG seed>,
  *     "experiment": {
  *       "points": <uint>, "ok": <uint>, "failed": <uint>,
- *       "timed_out": <uint>, "retries": <uint>,
- *       "shards": <uint>   // max per-point "shards" config value
- *                          // (sharded-engine domain count; 0 = every
- *                          // point ran on the legacy inline engine)
+ *       "timed_out": <uint>, "retries": <uint>
  *     },
  *     "points": [
  *       {

@@ -153,36 +153,6 @@ class Histogram
         count_ = 0;
     }
 
-    /**
-     * Fold another histogram into this one. Requires identical
-     * geometry (bucket width and count) — the only merges in the tree
-     * are between sessions built from the same configuration.
-     */
-    void
-    merge(const Histogram &other)
-    {
-        if (other.count_ == 0)
-            return;
-        if (bucketWidth_ == other.bucketWidth_
-            && buckets_.size() == other.buckets_.size()) {
-            for (std::size_t i = 0; i < buckets_.size(); ++i)
-                buckets_[i] += other.buckets_[i];
-            overflow_ += other.overflow_;
-            count_ += other.count_;
-            return;
-        }
-        // Geometry mismatch: re-bin by bucket midpoint rather than
-        // silently mixing incompatible bins.
-        for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
-            const double mid =
-                (static_cast<double>(i) + 0.5) * other.bucketWidth_;
-            for (std::uint64_t n = 0; n < other.buckets_[i]; ++n)
-                sample(mid);
-        }
-        overflow_ += other.overflow_;
-        count_ += other.overflow_;
-    }
-
   private:
     double bucketWidth_;
     std::vector<std::uint64_t> buckets_;

@@ -7,14 +7,10 @@
 namespace tempo {
 
 OsMemory::OsMemory(const OsMemoryConfig &cfg)
-    : cfg_(cfg), rng_(cfg.seed), nextBlockBase_(cfg.baseAddr)
+    : cfg_(cfg), rng_(cfg.seed)
 {
     TEMPO_ASSERT(cfg.fragLevel >= 0.0 && cfg.fragLevel < 1.0,
                  "fragmentation level must be in [0,1)");
-    TEMPO_ASSERT(cfg.baseAddr % kPage2MBytes == 0,
-                 "partition base must be 2MB-aligned");
-    TEMPO_ASSERT(cfg.baseAddr < cfg.physBytes,
-                 "partition base past end of physical memory");
 }
 
 Addr

@@ -36,11 +36,6 @@ struct OsMemoryConfig {
     /** memhog-style external fragmentation level in [0, 1). */
     double fragLevel = 0.0;
     std::uint64_t seed = 1;
-    /** First byte the bump allocator hands out. Sharded runs give
-     * each app a disjoint partition [baseAddr, physBytes) so per-app
-     * allocation order is independent of cross-app event interleaving
-     * (internal plumbing, not a user knob — excluded from digests). */
-    Addr baseAddr = 0;
 };
 
 class OsMemory
@@ -81,7 +76,7 @@ class OsMemory
     OsMemoryConfig cfg_;
     Rng rng_;
 
-    Addr nextBlockBase_;       //!< bump pointer over 2MB blocks
+    Addr nextBlockBase_ = 0;   //!< bump pointer over 2MB blocks
     Addr open4kBase_ = kInvalidAddr; //!< current block for 4KB carving
     Addr open4kNext_ = 0;      //!< next free 4KB frame in that block
 

@@ -70,6 +70,21 @@ TEST(CliOptions, RejectsBadNumbers)
                  std::invalid_argument);
 }
 
+TEST(CliOptions, RejectsNegativeIntegers)
+{
+    // std::stoull would wrap -1 to 2^64-1 and run with that seed.
+    try {
+        (void)parse({"--seed", "-1"});
+        FAIL() << "expected an exception";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what()).find("--seed"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_THROW((void)parse({"--refs", "+5"}), std::invalid_argument);
+    EXPECT_THROW((void)parse({"--jobs", " 2"}), std::invalid_argument);
+}
+
 TEST(CliOptions, RejectsBadEnums)
 {
     EXPECT_THROW((void)parse({"--sched", "magic"}),

@@ -175,6 +175,38 @@ TEST(ConfigFile, ErrorsNameTheLine)
     }
 }
 
+/** The error for @p text names @p needle (a key, typically). */
+void
+expectErrorNames(const std::string &text, const std::string &needle)
+{
+    try {
+        apply(text);
+        FAIL() << "expected an exception for: " << text;
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what()).find(needle),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
+TEST(ConfigFile, NegativeIntegersAreRejected)
+{
+    // std::stoull would wrap -1 to 2^64-1 (and abort in the cache).
+    expectErrorNames("[caches]\nl1_assoc = -1\n", "l1_assoc");
+    expectErrorNames("[core]\nseed = +7\n", "seed");
+}
+
+TEST(ConfigFile, DramGeometryMustBePowersOfTwo)
+{
+    expectErrorNames("[dram]\nchannels = 0\n", "channels");
+    expectErrorNames("[dram]\nbanks = 6\n", "banks");
+    expectErrorNames("[dram]\nranks = 3\n", "ranks");
+    expectErrorNames("[dram]\nrow_bytes = 32\n", "row_bytes");
+    const SystemConfig cfg = apply("[dram]\nchannels = 4\nbanks = 16\n");
+    EXPECT_EQ(cfg.dram.channels, 4u);
+    EXPECT_EQ(cfg.dram.banksPerRank, 16u);
+}
+
 TEST(ConfigFile, MissingFileThrows)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();

@@ -115,6 +115,53 @@ TEST(FabricClaim, DigestHexRoundTrips)
     EXPECT_THROW(fabric::parseDigestHex("xyz"), std::runtime_error);
 }
 
+TEST(FabricPublish, ConcurrentWritersOfOnePathNeverCollide)
+{
+    // Threads of one process publishing the same path (worker threads
+    // in one test binary, a heartbeat beside a status writer) must each
+    // get their own temp file, or one rename steals another's.
+    TempDir dir("publish_race");
+    const std::string path = dir.path + "/status_w0.json";
+    constexpr int kThreads = 8;
+    constexpr int kRounds = 1000;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            const std::string body = "writer " + std::to_string(t);
+            for (int r = 0; r < kRounds; ++r) {
+                try {
+                    fabric::writeFileAtomic(path, body);
+                } catch (const std::exception &) {
+                    ++failures;
+                }
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(failures.load(), 0);
+    // One writer's complete content survives, and no temp file does.
+    std::ifstream in(path);
+    std::string content;
+    std::getline(in, content);
+    EXPECT_EQ(content.rfind("writer ", 0), 0u);
+    std::size_t files = 0;
+    for (const auto &entry : fs::directory_iterator(dir.path)) {
+        (void)entry;
+        ++files;
+    }
+    EXPECT_EQ(files, 1u);
+}
+
+TEST(FabricHeartbeat, ListWorkersSkipsTempFiles)
+{
+    TempDir dir("heartbeat_tmp");
+    fabric::writeFileAtomic(Heartbeat::path(dir.path, "w1"), "1\n");
+    std::ofstream(Heartbeat::path(dir.path, "w2") + ".tmp.1.2.3") << "2\n";
+    EXPECT_EQ(Heartbeat::listWorkers(dir.path),
+              std::vector<std::string>{"w1"});
+}
+
 TEST(FabricHeartbeat, StalenessIsFileAge)
 {
     TempDir dir("heartbeat");

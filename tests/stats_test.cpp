@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/profiler.hh"
 #include "stats/stats.hh"
 
 namespace tempo::stats {
@@ -219,6 +220,24 @@ TEST(Report, CsvOutputHasHeaderAndRow)
     std::ostringstream os;
     r.printCsv(os);
     EXPECT_EQ(os.str(), "a,b\n1,2\n");
+}
+
+// --- Profiler aggregation --------------------------------------------
+
+TEST(ProfilerTotals, AddMergesPerWorkerWindows)
+{
+    prof::Totals a, b;
+    a.ns[0] = 10;
+    a.calls[0] = 2;
+    a.ns[prof::kNumComponents - 1] = 7;
+    b.ns[0] = 5;
+    b.calls[0] = 1;
+    b.calls[prof::kNumComponents - 1] = 3;
+    a.add(b);
+    EXPECT_EQ(a.ns[0], 15u);
+    EXPECT_EQ(a.calls[0], 3u);
+    EXPECT_EQ(a.ns[prof::kNumComponents - 1], 7u);
+    EXPECT_EQ(a.calls[prof::kNumComponents - 1], 3u);
 }
 
 } // namespace

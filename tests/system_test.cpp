@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/tempo_system.hh"
 
 namespace tempo {
@@ -157,6 +159,16 @@ TEST(System, PageFaultLatencyExtendsRuntime)
     slow_cfg.pageFaultLatency = 2000;
     const RunResult slow = runWorkload(slow_cfg, "illustris", 10000);
     EXPECT_GT(slow.runtime, fast.runtime);
+}
+
+TEST(System, WithShardsAcceptsOnlyTheInlineEngine)
+{
+    SystemConfig cfg = SystemConfig::skylakeScaled();
+    const std::uint64_t before = cfg.digest();
+    EXPECT_EQ(&cfg.withShards(0), &cfg);
+    EXPECT_EQ(cfg.digest(), before);
+    EXPECT_THROW(cfg.withShards(1), std::invalid_argument);
+    EXPECT_THROW(cfg.withShards(4), std::invalid_argument);
 }
 
 TEST(SystemDeathTest, EmptyRunIsRejected)

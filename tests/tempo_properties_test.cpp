@@ -17,12 +17,9 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <vector>
 
-#include "common/event_queue.hh"
 #include "common/rng.hh"
-#include "common/shard.hh"
 #include "core/tempo_system.hh"
 #include "vm/translator.hh"
 
@@ -355,94 +352,6 @@ TEST(TranslatorProperty, MemoEqualsFunctionalWalkAfterAnyMutations)
                     ASSERT_EQ(got.writable, want.writable) << va;
                 }
             }
-        }
-    }
-}
-
-// Sharded execution property (DESIGN commitment 6 extension): the
-// cross-domain message order a destination observes is canonical —
-// (when, srcDomain, srcSeq) — a pure function of the simulation state.
-// Randomized traffic over six domains must therefore produce
-// byte-identical per-domain execution and delivery logs at every
-// worker count, with the 1-worker run as the oracle.
-TEST(ShardMessageOrdering, RandomizedTrafficIsWorkerCountInvariant)
-{
-    constexpr Cycle kQuantum = 7;
-    constexpr std::size_t kDomains = 6;
-
-    struct Delivery {
-        DomainId src;
-        std::uint64_t seq;
-        Cycle when;
-
-        bool
-        operator==(const Delivery &other) const
-        {
-            return src == other.src && seq == other.seq
-                && when == other.when;
-        }
-    };
-
-    // Every random draw belongs to exactly one domain and happens in
-    // that domain's deterministic event order, so the traffic pattern
-    // itself is identical across worker counts; only the delivery
-    // machinery is under test.
-    auto run = [&](unsigned workers) {
-        std::vector<EventQueue> eqs(kDomains);
-        std::vector<Rng> rngs;
-        for (std::size_t d = 0; d < kDomains; ++d)
-            rngs.emplace_back(0x5eed0000ull + d);
-        std::vector<std::vector<Delivery>> log(kDomains);
-        std::vector<std::uint64_t> sent(kDomains, 0);
-
-        ShardEngine engine(kQuantum, workers);
-        for (EventQueue &eq : eqs)
-            engine.addDomain(&eq);
-
-        // Each activation fans out 0-2 messages to random domains at
-        // random legal delivery times, chaining to a bounded depth.
-        std::function<void(DomainId, int)> act = [&](DomainId self,
-                                                     int depth) {
-            if (depth == 0)
-                return;
-            Rng &rng = rngs[self];
-            const std::uint64_t fanout = rng.below(3);
-            for (std::uint64_t i = 0; i < fanout; ++i) {
-                const DomainId dst =
-                    static_cast<DomainId>(rng.below(kDomains));
-                const Cycle when =
-                    eqs[self].now() + kQuantum + rng.below(25);
-                const std::uint64_t seq = sent[self]++;
-                engine.post(dst, when, [&, self, dst, seq, depth] {
-                    log[dst].push_back(
-                        Delivery{self, seq, eqs[dst].now()});
-                    act(dst, depth - 1);
-                });
-            }
-        };
-
-        for (std::size_t d = 0; d < kDomains; ++d) {
-            for (int e = 0; e < 3; ++e) {
-                const Cycle t = rngs[d].below(20);
-                const DomainId self = static_cast<DomainId>(d);
-                eqs[d].schedule(t, [&act, self] { act(self, 4); });
-            }
-        }
-        engine.run();
-        return log;
-    };
-
-    const auto oracle = run(1);
-    std::size_t total = 0;
-    for (const auto &dst_log : oracle)
-        total += dst_log.size();
-    ASSERT_GT(total, 0u) << "property test generated no traffic";
-    for (const unsigned workers : {2u, 3u, 4u}) {
-        const auto got = run(workers);
-        for (std::size_t d = 0; d < kDomains; ++d) {
-            EXPECT_TRUE(got[d] == oracle[d])
-                << workers << " workers: delivery log of domain " << d
-                << " diverged from the 1-worker oracle";
         }
     }
 }

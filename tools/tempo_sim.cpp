@@ -97,7 +97,13 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const SystemConfig cfg = toConfig(options);
+    SystemConfig cfg;
+    try {
+        cfg = toConfig(options);
+    } catch (const std::invalid_argument &error) {
+        std::fprintf(stderr, "error: %s\n", error.what());
+        return 2;
+    }
     prof::setEnabled(options.profile);
 
     // Observability: environment first, explicit flags on top.
@@ -151,13 +157,6 @@ main(int argc, char **argv)
         engine_opts.pointTimeoutSec = options.pointTimeout;
     if (!options.checkpointPath.empty())
         engine_opts.checkpointPath = options.checkpointPath;
-    if (options.shards)
-        engine_opts.shards = options.shards;
-    // The engine that actually runs: the TEMPO_SHARDS/--shards
-    // override if present, else whatever the config carries.
-    const unsigned shard_workers = engine_opts.shards
-        ? *engine_opts.shards
-        : cfg.shards;
 
     std::vector<RunResult> results;
     try {
@@ -254,15 +253,9 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < results.size(); ++i) {
             const bool tempo_on =
                 points[i].config.mc.tempoEnabled;
-            std::vector<std::pair<std::string, std::string>> pairs = {
-                {"mc.tempo", tempo_on ? "true" : "false"}};
-            // Sharded runs record the DOMAIN count (1 app + 1 shared
-            // machine), which is invariant across worker counts, so
-            // shards=1/2/8 produce byte-identical files.
-            if (shard_workers > 0)
-                pairs.emplace_back("shards", "2");
             bench_points.push_back(toBenchPoint(
-                points[i].workload, std::move(pairs), results[i]));
+                points[i].workload,
+                {{"mc.tempo", tempo_on ? "true" : "false"}}, results[i]));
         }
         try {
             stats::writeBenchJson(options.jsonPath, "tempo_sim",

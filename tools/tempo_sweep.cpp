@@ -43,7 +43,6 @@ struct SweepArgs {
     std::uint64_t refs = 150000;
     std::uint64_t warmup = 0;
     unsigned jobs = 0;
-    unsigned shards = 0;
     unsigned retries = 0;
     double pointTimeout = 0;
     std::string checkpointPath;
@@ -64,7 +63,7 @@ usage(int status)
     std::fputs(
         "usage: tempo_sweep --key SECTION.KEY --values V1,V2,...\n"
         "  [--workload NAME] [--refs N] [--warmup N]\n"
-        "  [--jobs N] [--shards N] [--json PATH] [--profile]\n"
+        "  [--jobs N] [--json PATH] [--profile]\n"
         "  [--reference-translator] [--reference-cache]\n"
         "  [--retries N] [--point-timeout S] [--checkpoint PATH]\n"
         "  [--progress [N]] [--serve [ADDR:PORT]]\n"
@@ -115,9 +114,6 @@ parseArgs(int argc, char **argv)
             args.warmup = std::strtoull(next().c_str(), nullptr, 10);
         else if (arg == "--jobs")
             args.jobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
-        else if (arg == "--shards")
-            args.shards = static_cast<unsigned>(
                 std::strtoul(next().c_str(), nullptr, 10));
         else if (arg == "--retries")
             args.retries = static_cast<unsigned>(
@@ -240,15 +236,6 @@ main(int argc, char **argv)
         opts.pointTimeoutSec = args.pointTimeout;
     if (!args.checkpointPath.empty())
         opts.checkpointPath = args.checkpointPath;
-    if (args.shards)
-        opts.shards = args.shards;
-    // Sharded runs record the domain count (1 app + 1 shared machine)
-    // per point; it is invariant across worker counts, so the JSON is
-    // byte-identical for --shards 1/2/8.
-    if (opts.shards.value_or(0) > 0) {
-        for (auto &pairs : overrides)
-            pairs.emplace_back("shards", "2");
-    }
 
     if (args.progressEvery)
         opts.progressEvery = args.progressEvery;
