@@ -88,6 +88,9 @@ TEST(AddressMap, SegmentOfMonolithicRowIsZero)
 
 struct GeometryParam {
     unsigned channels, ranks, banks;
+    // Fills what would be padding: gtest names each case by the
+    // object's bytes, so padding would put stack garbage into the name.
+    unsigned zero = 0;
     Addr rowBytes;
 };
 
@@ -128,11 +131,16 @@ TEST_P(AddressMapGeometry, SameRowIsReflexive)
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AddressMapGeometry,
-    ::testing::Values(GeometryParam{1, 1, 8, 8192},
-                      GeometryParam{2, 1, 8, 8192},
-                      GeometryParam{4, 2, 16, 4096},
-                      GeometryParam{2, 2, 8, 16384},
-                      GeometryParam{8, 1, 4, 2048}));
+    ::testing::Values(GeometryParam{.channels = 1, .ranks = 1, .banks = 8,
+                                    .rowBytes = 8192},
+                      GeometryParam{.channels = 2, .ranks = 1, .banks = 8,
+                                    .rowBytes = 8192},
+                      GeometryParam{.channels = 4, .ranks = 2, .banks = 16,
+                                    .rowBytes = 4096},
+                      GeometryParam{.channels = 2, .ranks = 2, .banks = 8,
+                                    .rowBytes = 16384},
+                      GeometryParam{.channels = 8, .ranks = 1, .banks = 4,
+                                    .rowBytes = 2048}));
 
 } // namespace
 } // namespace tempo

@@ -22,6 +22,15 @@ struct MatrixPoint {
     RowPolicyKind rowPolicy;
 };
 
+// gtest prints each parameter into the registered test name; the
+// default byte dump would include the label's address, which ASLR
+// changes on every test discovery.
+void
+PrintTo(const MatrixPoint &p, std::ostream *os)
+{
+    *os << p.label;
+}
+
 class ConfigMatrix : public ::testing::TestWithParam<MatrixPoint>
 {
   protected:
