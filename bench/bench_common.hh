@@ -42,10 +42,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "core/experiment.hh"
 #include "core/multi_system.hh"
 #include "core/tempo_system.hh"
@@ -129,6 +131,15 @@ point(const SystemConfig &cfg, const std::string &workload,
     return p;
 }
 
+/** A malformed TEMPO_* variable is a usage error, as in the tools:
+ * print it and exit 2 rather than die on an uncaught exception. */
+[[noreturn]] inline void
+badEnv(const std::invalid_argument &error)
+{
+    std::fprintf(stderr, "error: %s\n", error.what());
+    std::exit(2);
+}
+
 /** One-time, environment-driven observability setup (TEMPO_TRACE_DIR,
  * TEMPO_TRACE_FILTER, TEMPO_TIMESERIES_WINDOW, TEMPO_TRACE_CAPACITY);
  * safe to call from every batch entry point. */
@@ -136,10 +147,27 @@ inline void
 configureObsFromEnv()
 {
     static const bool once = [] {
-        obs::configure(obs::configFromEnv());
+        try {
+            obs::configure(obs::configFromEnv());
+        } catch (const std::invalid_argument &error) {
+            badEnv(error);
+        }
         return true;
     }();
     (void)once;
+}
+
+/** ExperimentOptions::fromEnv(), with TEMPO_JOBS checked as well
+ * before any batch starts. */
+inline ExperimentOptions
+envOptions()
+{
+    try {
+        (void)ThreadPool::defaultThreads();
+        return ExperimentOptions::fromEnv();
+    } catch (const std::invalid_argument &error) {
+        badEnv(error);
+    }
 }
 
 /** The bench name registered by the JsonRecorder constructor; names
@@ -161,7 +189,7 @@ currentBenchName()
 inline ExperimentOptions
 benchOptions()
 {
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
+    ExperimentOptions opts = envOptions();
     if (!currentBenchName().empty())
         opts.progressLabel = currentBenchName();
     const char *dir = std::getenv("TEMPO_BENCH_CHECKPOINT_DIR");
@@ -236,7 +264,7 @@ runAll(std::vector<ExperimentPoint> points)
 inline std::vector<MultiResult>
 runAllMix(const std::vector<MixPoint> &points)
 {
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
+    ExperimentOptions opts = envOptions();
     std::vector<MultiResult> results = runMixExperiments(points, opts);
     reportFailures(results);
     return results;

@@ -1,5 +1,7 @@
 #include "cache/set_assoc.hh"
 
+#include <limits>
+
 #include "common/log.hh"
 
 namespace tempo {
@@ -13,12 +15,9 @@ SetAssocCache::SetAssocCache(Addr size_bytes, unsigned assoc,
                              const CacheConfig &impl)
     : sizeBytes_(size_bytes), assoc_(assoc)
 {
-    TEMPO_ASSERT(assoc > 0, "associativity must be positive");
-    const Addr lines = size_bytes / kLineBytes;
-    TEMPO_ASSERT(lines >= assoc, "cache smaller than one set");
-    numSets_ = static_cast<unsigned>(lines / assoc);
-    TEMPO_ASSERT(isPow2(numSets_), "set count must be a power of two: ",
-                 numSets_);
+    const std::string error = geometryError(size_bytes, assoc);
+    TEMPO_ASSERT(error.empty(), error);
+    numSets_ = static_cast<unsigned>(size_bytes / kLineBytes / assoc);
     setShift_ = log2Exact(numSets_);
     useRef_ = impl.useReferenceCache || envReferenceCache()
               || !TagArray::packable(numSets_, assoc_);
@@ -27,6 +26,21 @@ SetAssocCache::SetAssocCache(Addr size_bytes, unsigned assoc,
     } else {
         tags_ = TagArray(numSets_, assoc_);
     }
+}
+
+std::string
+SetAssocCache::geometryError(Addr size_bytes, unsigned assoc)
+{
+    if (assoc == 0)
+        return "associativity must be positive";
+    const Addr lines = size_bytes / kLineBytes;
+    if (lines < assoc)
+        return "cache smaller than one set";
+    const Addr sets = lines / assoc;
+    if (!isPow2(sets) || sets > std::numeric_limits<unsigned>::max())
+        return "set count must be a power of two below 2^32, got "
+            + std::to_string(sets);
+    return {};
 }
 
 unsigned

@@ -16,6 +16,7 @@
 #define TEMPO_CACHE_SET_ASSOC_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cache/tag_array.hh"
@@ -35,6 +36,11 @@ class SetAssocCache
      */
     SetAssocCache(Addr size_bytes, unsigned assoc,
                   const CacheConfig &impl = {});
+
+    /** Why @p size_bytes and @p assoc cannot form a cache, or "" when
+     * they can. The constructor asserts this; config loading reports
+     * it as an input error. */
+    static std::string geometryError(Addr size_bytes, unsigned assoc);
 
     /** Outcome of insertTracked(): the evicted victim, if any. */
     struct Victim {

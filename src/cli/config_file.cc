@@ -4,8 +4,12 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
+#include "cache/set_assoc.hh"
+#include "common/parse.hh"
 #include "prefetch/registry.hh"
+#include "vm/assoc_array.hh"
 
 namespace tempo::cli {
 namespace {
@@ -38,48 +42,88 @@ parseBool(int line_no, const std::string &value)
     bad(line_no, "expected a boolean, got '" + value + "'");
 }
 
-std::uint64_t
-parseUnsigned(int line_no, const std::string &key, const std::string &value)
-{
-    // std::stoull accepts a sign and wraps "-1" to 2^64-1: digits only.
-    if (value.find_first_not_of("0123456789") == std::string::npos) {
-        try {
-            return std::stoull(value);
-        } catch (const std::exception &) {
-        }
-    }
-    bad(line_no, key + " expects a non-negative integer, got '" + value
-                     + "'");
-}
+/** An INI integer that converts to the integer field it is assigned
+ * to, rejecting a value that field cannot hold instead of truncating
+ * it. */
+struct Integer {
+    int lineNo;
+    const std::string &key;
+    std::uint64_t value;
 
-double
-parseFloat(int line_no, const std::string &value)
-{
-    try {
-        std::size_t consumed = 0;
-        const double parsed = std::stod(value, &consumed);
-        if (consumed == value.size())
-            return parsed;
-    } catch (const std::exception &) {
+    template <typename T>
+        requires std::is_integral_v<T>
+    operator T() const
+    {
+        constexpr auto max = std::numeric_limits<T>::max();
+        if (value > static_cast<std::uint64_t>(max))
+            bad(lineNo, key + " must be at most " + std::to_string(max)
+                            + ", got " + std::to_string(value));
+        return static_cast<T>(value);
     }
-    bad(line_no, "expected a number, got '" + value + "'");
+};
+
+/** The cache, TLB and MMU geometry rules of the constructors that
+ * will build them. Checked once the whole text is applied, since a
+ * later line may fix what an earlier one set. */
+void
+checkGeometry(const SystemConfig &cfg)
+{
+    auto check = [](const char *keys, const std::string &error) {
+        if (!error.empty())
+            throw std::invalid_argument("config " + std::string(keys)
+                                        + ": " + error);
+    };
+    const CacheHierarchyConfig &caches = cfg.caches;
+    check("[caches] l1_bytes/l1_assoc",
+          SetAssocCache::geometryError(caches.l1.sizeBytes,
+                                       caches.l1.assoc));
+    check("[caches] l2_bytes/l2_assoc",
+          SetAssocCache::geometryError(caches.l2.sizeBytes,
+                                       caches.l2.assoc));
+    check("[caches] llc_bytes/llc_assoc",
+          SetAssocCache::geometryError(caches.llc.sizeBytes,
+                                       caches.llc.assoc));
+    const TlbConfig &tlb = cfg.tlb;
+    check("[tlb] l1_entries_4k",
+          AssocArray<>::geometryError(tlb.l1Entries4K, tlb.l1Assoc4K));
+    check("[tlb] l1_entries_2m",
+          AssocArray<>::geometryError(tlb.l1Entries2M, tlb.l1Assoc2M));
+    check("[tlb] l1_entries_1g",
+          AssocArray<>::geometryError(tlb.l1Entries1G, tlb.l1Assoc1G));
+    check("[tlb] l2_entries/l2_assoc",
+          AssocArray<>::geometryError(tlb.l2Entries, tlb.l2Assoc));
+    check("[mmu] entries_per_level/assoc",
+          AssocArray<>::geometryError(cfg.mmu.entriesPerLevel,
+                                      cfg.mmu.assoc));
 }
 
 void
 applyKey(int line_no, SystemConfig &cfg, const std::string &section,
          const std::string &key, const std::string &value)
 {
-    auto u = [&] { return parseUnsigned(line_no, key, value); };
+    auto u = [&] {
+        try {
+            return Integer{line_no, key, parseU64(key, value)};
+        } catch (const std::invalid_argument &error) {
+            bad(line_no, error.what());
+        }
+    };
     // DRAM geometry feeds the address map's bit slicing, so each field
     // must be a power of two that fits its unsigned field.
     auto pow2 = [&] {
-        const std::uint64_t v = u();
-        if (!isPow2(v) || v > std::numeric_limits<unsigned>::max())
+        const unsigned v = u();
+        if (!isPow2(v))
             bad(line_no, key + " must be a power of 2, got '" + value
                              + "'");
-        return static_cast<unsigned>(v);
+        return v;
     };
-    auto f = [&] { return parseFloat(line_no, value); };
+    auto f = [&] {
+        try {
+            return parseDouble(key, value);
+        } catch (const std::invalid_argument &error) {
+            bad(line_no, error.what());
+        }
+    };
     auto b = [&] { return parseBool(line_no, value); };
 
     if (section == "caches") {
@@ -297,6 +341,7 @@ applyConfigText(const std::string &ini_text, SystemConfig &cfg)
             bad(line_no, "key before any [section]");
         applyKey(line_no, cfg, section, key, value);
     }
+    checkGeometry(cfg);
 }
 
 void

@@ -1,6 +1,7 @@
 #include "cli/options.hh"
 
 #include "cli/config_file.hh"
+#include "common/parse.hh"
 #include "obs/obs.hh"
 #include "prefetch/registry.hh"
 
@@ -13,35 +14,6 @@ namespace {
 bad(const std::string &message)
 {
     throw std::invalid_argument(message);
-}
-
-std::uint64_t
-parseU64(const std::string &flag, const std::string &value)
-{
-    // std::stoull accepts a sign and wraps "-1" to 2^64-1: digits only.
-    if (value.empty()
-        || value.find_first_not_of("0123456789") != std::string::npos)
-        bad(flag + " expects a non-negative integer, got '" + value + "'");
-    try {
-        return std::stoull(value);
-    } catch (const std::exception &) {
-        bad(flag + " expects a non-negative integer, got '" + value + "'");
-    }
-}
-
-double
-parseDouble(const std::string &flag, const std::string &value)
-{
-    std::size_t consumed = 0;
-    double parsed = 0;
-    try {
-        parsed = std::stod(value, &consumed);
-    } catch (const std::exception &) {
-        bad(flag + " expects a number, got '" + value + "'");
-    }
-    if (consumed != value.size())
-        bad(flag + " expects a number, got '" + value + "'");
-    return parsed;
 }
 
 } // namespace
@@ -174,21 +146,17 @@ parse(const std::vector<std::string> &args)
                 bad("--subrow must be none, foa, or poa");
             }
         } else if (arg == "--subrow-dedicated") {
-            options.subrowDedicated = static_cast<unsigned>(
-                parseU64(arg, next("--subrow-dedicated")));
+            options.subrowDedicated =
+                parseUnsigned(arg, next("--subrow-dedicated"));
         } else if (arg == "--seed") {
             options.seed = parseU64(arg, next("--seed"));
         } else if (arg == "--jobs") {
-            options.jobs =
-                static_cast<unsigned>(parseU64(arg, next("--jobs")));
+            options.jobs = parseUnsigned(arg, next("--jobs"));
         } else if (arg == "--retries") {
-            options.retries =
-                static_cast<unsigned>(parseU64(arg, next("--retries")));
+            options.retries = parseUnsigned(arg, next("--retries"));
         } else if (arg == "--point-timeout") {
             options.pointTimeout =
-                parseDouble(arg, next("--point-timeout"));
-            if (options.pointTimeout < 0)
-                bad("--point-timeout must be >= 0");
+                parseSeconds(arg, next("--point-timeout"));
         } else if (arg == "--checkpoint") {
             options.checkpointPath = next("--checkpoint");
         } else if (arg == "--full-report") {

@@ -37,34 +37,4 @@ splitCommas(const std::string &s)
     return out;
 }
 
-std::pair<std::string, std::uint16_t>
-splitHostPort(const std::string &s, const std::string &defaultHost,
-              std::uint16_t defaultPort)
-{
-    const std::string text = trim(s);
-    auto parsePort = [&](const std::string &token) -> std::uint16_t {
-        if (token.empty() ||
-            token.find_first_not_of("0123456789") != std::string::npos)
-            throw std::invalid_argument("bad port '" + token +
-                                        "' in address '" + s + "'");
-        const unsigned long port = std::stoul(token);
-        if (port > 65535)
-            throw std::invalid_argument("port " + token +
-                                        " out of range in '" + s + "'");
-        return static_cast<std::uint16_t>(port);
-    };
-    if (text.empty())
-        return {defaultHost, defaultPort};
-    const std::size_t colon = text.rfind(':');
-    if (colon == std::string::npos) {
-        // Bare token: all digits reads as a port, else as a host.
-        if (text.find_first_not_of("0123456789") == std::string::npos)
-            return {defaultHost, parsePort(text)};
-        return {text, defaultPort};
-    }
-    const std::string host = trim(text.substr(0, colon));
-    return {host.empty() ? defaultHost : host,
-            parsePort(trim(text.substr(colon + 1)))};
-}
-
 } // namespace tempo::cli

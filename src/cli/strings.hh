@@ -7,24 +7,13 @@
 #ifndef TEMPO_CLI_STRINGS_HH
 #define TEMPO_CLI_STRINGS_HH
 
-#include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace tempo::cli {
 
 /** Strip leading/trailing ASCII whitespace. */
 std::string trim(const std::string &s);
-
-/**
- * Parse a listen address: "host:port", ":port", a bare "port" (all
- * digits), a bare "host", or "" — absent pieces take the defaults.
- * @throws std::invalid_argument on a non-numeric or out-of-range port.
- */
-std::pair<std::string, std::uint16_t>
-splitHostPort(const std::string &s, const std::string &defaultHost,
-              std::uint16_t defaultPort);
 
 /**
  * Split a comma-separated list into trimmed values.

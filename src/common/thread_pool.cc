@@ -1,16 +1,16 @@
 #include "common/thread_pool.hh"
 
-#include <cstdlib>
+#include "common/parse.hh"
 
 namespace tempo {
 
 unsigned
 ThreadPool::defaultThreads()
 {
-    if (const char *env = std::getenv("TEMPO_JOBS")) {
-        const unsigned long parsed = std::strtoul(env, nullptr, 10);
+    if (const char *env = envValue("TEMPO_JOBS")) {
+        const unsigned parsed = parseUnsigned("TEMPO_JOBS", env);
         if (parsed > 0)
-            return static_cast<unsigned>(parsed);
+            return parsed;
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

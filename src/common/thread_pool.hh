@@ -65,7 +65,8 @@ class ThreadPool
     }
 
     /** TEMPO_JOBS env var if set and positive, else all hardware
-     * threads (at least 1). */
+     * threads (at least 1).
+     * @throws std::invalid_argument when TEMPO_JOBS is not a number. */
     static unsigned defaultThreads();
 
   private:

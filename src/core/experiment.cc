@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/parse.hh"
 #include "common/thread_pool.hh"
 #include "common/watchdog.hh"
 #include "core/checkpoint.hh"
@@ -167,11 +168,10 @@ ExperimentOptions
 ExperimentOptions::fromEnv()
 {
     ExperimentOptions opts;
-    if (const char *env = std::getenv("TEMPO_RETRIES"))
-        opts.retries =
-            static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-    if (const char *env = std::getenv("TEMPO_POINT_TIMEOUT"))
-        opts.pointTimeoutSec = std::strtod(env, nullptr);
+    if (const char *env = envValue("TEMPO_RETRIES"))
+        opts.retries = parseUnsigned("TEMPO_RETRIES", env);
+    if (const char *env = envValue("TEMPO_POINT_TIMEOUT"))
+        opts.pointTimeoutSec = parseSeconds("TEMPO_POINT_TIMEOUT", env);
     if (const char *env = std::getenv("TEMPO_FABRIC_DIR"))
         opts.fabricDir = env;
     if (const char *env = std::getenv("TEMPO_FABRIC_ROLE")) {
@@ -187,13 +187,13 @@ ExperimentOptions::fromEnv()
     }
     if (const char *env = std::getenv("TEMPO_FABRIC_WORKER"))
         opts.fabricWorkerId = env;
-    if (const char *env = std::getenv("TEMPO_FABRIC_STALE_SEC"))
-        opts.fabricStaleSec = std::strtod(env, nullptr);
-    if (const char *env = std::getenv("TEMPO_FABRIC_HEARTBEAT_SEC"))
-        opts.fabricHeartbeatSec = std::strtod(env, nullptr);
-    if (const char *env = std::getenv("TEMPO_PROGRESS"))
-        opts.progressEvery =
-            static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+    if (const char *env = envValue("TEMPO_FABRIC_STALE_SEC"))
+        opts.fabricStaleSec = parseSeconds("TEMPO_FABRIC_STALE_SEC", env);
+    if (const char *env = envValue("TEMPO_FABRIC_HEARTBEAT_SEC"))
+        opts.fabricHeartbeatSec =
+            parseSeconds("TEMPO_FABRIC_HEARTBEAT_SEC", env);
+    if (const char *env = envValue("TEMPO_PROGRESS"))
+        opts.progressEvery = parseUnsigned("TEMPO_PROGRESS", env);
     if (const char *env = std::getenv("TEMPO_FAULT_INJECT")) {
         // "<index>:throw,<index>:hang" — a test hook, so malformed
         // specs fail fast rather than silently injecting nothing.
@@ -209,7 +209,8 @@ ExperimentOptions::fromEnv()
                 throw std::invalid_argument(
                     "TEMPO_FAULT_INJECT: bad token " + token);
             FaultInjection fault;
-            fault.index = std::strtoul(token.c_str(), nullptr, 10);
+            fault.index = parseU64("TEMPO_FAULT_INJECT index",
+                                   token.substr(0, colon));
             const std::string kind = token.substr(colon + 1);
             if (kind == "throw")
                 fault.kind = FaultInjection::Kind::Throw;
@@ -249,7 +250,7 @@ runExperiments(const std::vector<ExperimentPoint> &points,
             });
     };
 
-    // Progress tracker: the caller's (tempo_sweep --serve), or an
+    // Progress tracker: the caller's (tempo_sweep --dashboard), or an
     // internal one when only --progress / TEMPO_PROGRESS is set.
     fabric::SweepProgress local_progress;
     fabric::SweepProgress *progress = opts.progress

@@ -129,15 +129,15 @@ struct ExperimentOptions {
     /** Liveness heartbeat period for fabric workers. */
     double fabricHeartbeatSec = 1.0;
 
-    // --- Progress reporting (tempo_sweep --progress / --serve) ---
+    // --- Progress reporting (tempo_sweep --progress / --dashboard) ---
 
     /** Emit a stderr progress line (done/failed/total, elapsed, ETA)
      * every this many completed points; 0 = silent. */
     unsigned progressEvery = 0;
     /** Label for progress lines, fabric manifests, and snapshots. */
     std::string progressLabel = "sweep";
-    /** Optional external tracker (tempo_sweep --serve feeds its local
-     * snapshot endpoint from one); the engine reports point starts and
+    /** Optional external tracker (tempo_sweep --dashboard writes its
+     * local snapshot file from one); the engine reports point starts and
      * completions into it. When null and progressEvery > 0 the engine
      * uses an internal tracker. Not owned. */
     fabric::SweepProgress *progress = nullptr;
@@ -149,7 +149,9 @@ struct ExperimentOptions {
      * ("<index>:throw,<index>:hang"), TEMPO_PROGRESS (progress line
      * period), and the fabric: TEMPO_FABRIC_DIR, TEMPO_FABRIC_ROLE
      * ("worker" | "coordinator"), TEMPO_FABRIC_WORKER,
-     * TEMPO_FABRIC_STALE_SEC, TEMPO_FABRIC_HEARTBEAT_SEC.
+     * TEMPO_FABRIC_STALE_SEC, TEMPO_FABRIC_HEARTBEAT_SEC. Unset or
+     * empty variables keep the defaults.
+     * @throws std::invalid_argument naming a malformed variable.
      */
     static ExperimentOptions fromEnv();
 

@@ -1,21 +1,30 @@
-#include "fabric/http.hh"
+#include "fabric/snapshot.hh"
 
-// The ops dashboard for `tempo_sweep --serve`: one self-contained page
-// (no external assets, works file-less over the embedded server) that
-// polls /snapshot.json every 2 s. Visual language: status colors are
+#include <filesystem>
+#include <stdexcept>
+#include <string_view>
+#include <utility>
+
+#include "common/log.hh"
+#include "fabric/claim.hh"
+
+// The ops dashboard for `tempo_sweep --dashboard`: one self-contained
+// page (no external assets, so file:// works) with the snapshot
+// inlined, reloaded every 2 s. Visual language: status colors are
 // reserved and always paired with a label+count (never color alone);
 // all text wears the text tokens; dark mode is its own palette selected
-// via prefers-color-scheme or an explicit data-theme attribute.
+// via prefers-color-scheme.
 
 namespace tempo::fabric {
 
-std::string
-dashboardHtml()
-{
-    return R"HTML(<!doctype html>
+namespace {
+
+constexpr std::string_view kSlot = "@SNAPSHOT@";
+constexpr std::string_view kPage = R"HTML(<!doctype html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
+<meta http-equiv="refresh" content="2">
 <meta name="viewport" content="width=device-width,initial-scale=1">
 <title>tempo sweep</title>
 <style>
@@ -29,16 +38,6 @@ dashboardHtml()
   --text:#ffffff;--text2:#c3c2b7;
   --ok:#008300;--failed:#e66767;--inflight:#3987e5;--pending:#3a3936;
 }}
-:root[data-theme=light]{
-  --surface:#fcfcfb;--raised:#f4f3f1;--border:#e3e2de;
-  --text:#0b0b0b;--text2:#52514e;
-  --ok:#008300;--failed:#e34948;--inflight:#2a78d6;--pending:#c9c8c3;
-}
-:root[data-theme=dark]{
-  --surface:#1a1a19;--raised:#242423;--border:#3a3936;
-  --text:#ffffff;--text2:#c3c2b7;
-  --ok:#008300;--failed:#e66767;--inflight:#3987e5;--pending:#3a3936;
-}
 *{box-sizing:border-box}
 body{margin:0;padding:20px;background:var(--surface);color:var(--text);
   font:14px/1.45 system-ui,-apple-system,"Segoe UI",sans-serif;
@@ -91,13 +90,12 @@ td.num,th.num{text-align:right}
   border-radius:3px;padding:1px 4px;font-size:11px}
 #fails .st{color:var(--failed);font-weight:600;margin:0 6px}
 .empty{color:var(--text2);font-size:12px}
-#err{color:var(--failed);font-size:12px;min-height:1em;margin-top:10px}
 </style>
 </head>
 <body>
 <header>
   <h1>tempo sweep <span id="sweep" class="sub"></span></h1>
-  <span id="upd" class="sub">connecting&hellip;</span>
+  <span id="upd" class="sub"></span>
 </header>
 
 <div class="bar" aria-hidden="true">
@@ -150,12 +148,25 @@ td.num,th.num{text-align:right}
     </tbody>
   </table>
 </div>
-<div id="err"></div>
 
+<script type="application/json" id="snapshot">@SNAPSHOT@</script>
 <script>
 "use strict";
 const $ = id => document.getElementById(id);
-const hist = [];
+// Each reload is a fresh page, so the sparkline's [elapsed, ev/s]
+// samples live in sessionStorage, one list per sweep label.
+function history(s){
+  const key = "tempo-spark:" + (s.sweep || "");
+  const sample = [s.elapsed_sec, s.events_per_sec || 0];
+  try {
+    const h = JSON.parse(sessionStorage.getItem(key)) || [];
+    if (!h.length || h[h.length-1][0] !== sample[0]) h.push(sample);
+    sessionStorage.setItem(key, JSON.stringify(h.slice(-150)));
+    return h.slice(-150).map(p => p[1]);
+  } catch (e) {
+    return [sample[1]]; // storage unavailable: no history
+  }
+}
 function fmtN(x){
   if (x == null || !isFinite(x)) return "–";
   if (x >= 1e9) return (x/1e9).toFixed(1)+"G";
@@ -182,7 +193,7 @@ function render(s){
   const failedAll = (s.failed|0) + (s.timed_out|0);
   const done = (s.ok|0) + failedAll;
   $("sweep").textContent = s.sweep ? "· " + s.sweep : "";
-  $("upd").textContent = "updated " + new Date().toLocaleTimeString();
+  $("upd").textContent = "loaded " + new Date().toLocaleTimeString();
   seg("b-ok", s.ok, s.points); seg("b-failed", failedAll, s.points);
   seg("b-inflight", s.in_flight, s.points);
   seg("b-pending", s.pending, s.points);
@@ -197,8 +208,7 @@ function render(s){
   $("t-elapsed").textContent = fmtDur(s.elapsed_sec);
   $("t-eta").textContent = done >= s.points ? "done" : fmtDur(s.eta_sec);
 
-  hist.push(s.events_per_sec || 0);
-  if (hist.length > 150) hist.shift();
+  const hist = history(s);
   const peak = Math.max(1, ...hist);
   $("spark").setAttribute("points", hist.map((v,i) =>
     (hist.length < 2 ? 150 : i*300/(hist.length-1)).toFixed(1) + "," +
@@ -231,22 +241,76 @@ function render(s){
           '<td class="num">' + hb + "</td></tr>";
       }).join("");
 }
-async function tick(){
-  try {
-    const r = await fetch("snapshot.json", {cache:"no-store"});
-    if (!r.ok) throw new Error("HTTP " + r.status);
-    render(await r.json());
-    $("err").textContent = "";
-  } catch (e) {
-    $("err").textContent = "snapshot fetch failed: " + e;
-  }
-  setTimeout(tick, 2000);
-}
-tick();
+render(JSON.parse($("snapshot").textContent));
 </script>
 </body>
 </html>
 )HTML";
+
+} // namespace
+
+std::string
+dashboardHtml(const std::string &snapshotJson)
+{
+    // '<' appears in JSON only inside strings, where \u003c means the
+    // same; escaping it keeps a "</script>" in an error message from
+    // ending the data block.
+    std::string data;
+    for (const char c : snapshotJson) {
+        if (c == '<')
+            data += "\\u003c";
+        else
+            data += c;
+    }
+    std::string page(kPage);
+    return page.replace(page.find(kSlot), kSlot.size(), data);
+}
+
+DashboardWriter::DashboardWriter(std::string dir, Provider provider)
+    : dir_(std::move(dir)), provider_(std::move(provider))
+{
+    std::filesystem::create_directories(dir_);
+    write(true);
+    thread_ = std::thread([this] {
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (!wake_.wait_for(lock, kPeriod, [this] { return stop_; })) {
+            lock.unlock(); // never hold the lock across the provider
+            write(false);
+            lock.lock();
+        }
+    });
+}
+
+DashboardWriter::~DashboardWriter()
+{
+    stop();
+}
+
+void
+DashboardWriter::stop()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (std::exchange(stop_, true))
+            return;
+    }
+    wake_.notify_all();
+    thread_.join();
+    write(false);
+}
+
+void
+DashboardWriter::write(bool first)
+{
+    try {
+        const std::string snapshot = provider_();
+        writeFileAtomic(dir_ + "/snapshot.json", snapshot);
+        writeFileAtomic(dir_ + "/dashboard.html", dashboardHtml(snapshot));
+    } catch (const std::exception &error) {
+        if (first)
+            throw; // an unwritable DIR fails before the sweep starts
+        TEMPO_WARN("dashboard: ", error.what()); // skip one refresh
+    }
 }
 
 } // namespace tempo::fabric

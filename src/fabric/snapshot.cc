@@ -57,21 +57,58 @@ timeseriesJson(
     return out;
 }
 
+/** The failure feed, ordered by digest in both snapshot kinds. */
 Json
-failureJson(const RunStatus &status)
+failuresJson(std::vector<const RunStatus *> failures)
 {
-    Json f = Json::object();
-    f.set("digest", digestHex(status.digest));
-    f.set("status", status.codeName());
-    f.set("error", status.error);
-    f.set("attempts", std::uint64_t(status.attempts));
-    return f;
+    std::sort(failures.begin(), failures.end(),
+              [](const RunStatus *a, const RunStatus *b) {
+                  return a->digest < b->digest;
+              });
+    Json out = Json::array();
+    for (const RunStatus *status : failures) {
+        Json f = Json::object();
+        f.set("digest", digestHex(status->digest));
+        f.set("status", status->codeName());
+        f.set("error", status->error);
+        f.set("attempts", std::uint64_t(status->attempts));
+        out.push(std::move(f));
+    }
+    return out;
 }
 
 double
 rate(double numerator, double seconds)
 {
     return seconds > 0 ? numerator / seconds : 0.0;
+}
+
+/** The "points" through "events_per_sec" members of a snapshot. Done
+ * and in-flight counts are capped and pending is the remainder, so
+ * ok + failed + timed_out + in_flight + pending == points exactly. */
+void
+setCounts(Json &doc, std::size_t points, std::size_t ok,
+          std::size_t failed, std::size_t timedOut, std::size_t inFlight,
+          std::uint64_t retries, std::uint64_t refsDone, double elapsed)
+{
+    const std::size_t done = std::min(ok + failed + timedOut, points);
+    const std::size_t inflight = std::min(inFlight, points - done);
+    const std::size_t pending = points - done - inflight;
+    const double pps = rate(static_cast<double>(done), elapsed);
+    doc.set("points", std::uint64_t(points));
+    doc.set("ok", std::uint64_t(ok));
+    doc.set("failed", std::uint64_t(failed));
+    doc.set("timed_out", std::uint64_t(timedOut));
+    doc.set("in_flight", std::uint64_t(inflight));
+    doc.set("pending", std::uint64_t(pending));
+    doc.set("retries", retries);
+    doc.set("elapsed_sec", elapsed);
+    doc.set("eta_sec",
+            pps > 0 ? static_cast<double>(pending + inflight) / pps
+                    : 0.0);
+    doc.set("points_per_sec", pps);
+    doc.set("events_per_sec",
+            rate(static_cast<double>(refsDone), elapsed));
 }
 
 } // namespace
@@ -217,42 +254,16 @@ SweepProgress::snapshotJson() const
                        std::chrono::steady_clock::now() - t0_)
                        .count()
                  : 0.0;
-    const std::size_t doneCapped = std::min(done_, total_);
-    const std::size_t inflight =
-        std::min(inFlight_, total_ - doneCapped);
-    const std::size_t pending = total_ - doneCapped - inflight;
-    const double pps = rate(static_cast<double>(doneCapped), elapsed);
-
     Json doc = Json::object();
     doc.set("schema", "tempo-fabric-snapshot-1");
     doc.set("sweep", label_);
-    doc.set("points", std::uint64_t(total_));
-    doc.set("ok", std::uint64_t(ok_));
-    doc.set("failed", std::uint64_t(failed_));
-    doc.set("timed_out", std::uint64_t(timedOut_));
-    doc.set("in_flight", std::uint64_t(inflight));
-    doc.set("pending", std::uint64_t(pending));
-    doc.set("retries", retries_);
-    doc.set("elapsed_sec", elapsed);
-    doc.set("eta_sec",
-            pps > 0 ? static_cast<double>(pending + inflight) / pps
-                    : 0.0);
-    doc.set("points_per_sec", pps);
-    doc.set("events_per_sec",
-            rate(static_cast<double>(refsDone_), elapsed));
+    setCounts(doc, total_, ok_, failed_, timedOut_, inFlight_, retries_,
+              refsDone_, elapsed);
     doc.set("workers", Json::array());
-    Json failures = Json::array();
-    std::vector<const RunStatus *> sorted;
-    sorted.reserve(failures_.size());
+    std::vector<const RunStatus *> failures;
     for (const RunStatus &status : failures_)
-        sorted.push_back(&status);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const RunStatus *a, const RunStatus *b) {
-                  return a->digest < b->digest;
-              });
-    for (const RunStatus *status : sorted)
-        failures.push(failureJson(*status));
-    doc.set("failures", std::move(failures));
+        failures.push_back(&status);
+    doc.set("failures", failuresJson(std::move(failures)));
     doc.set("timeseries", timeseriesJson(timeseries_));
     return doc.dump();
 }
@@ -272,10 +283,9 @@ buildDirSnapshotJson(const std::string &dir, double staleSec)
         haveManifest = false; // unreadable manifest -> empty snapshot
     }
     doc.set("sweep", manifest.sweep);
-    const std::size_t points = manifest.digests.size();
-    doc.set("points", std::uint64_t(points));
 
     std::size_t okCount = 0, failedCount = 0, timedOutCount = 0;
+    std::size_t claimed = 0;
     std::uint64_t retries = 0, refsDone = 0;
     std::vector<const RunStatus *> failures;
     std::set<std::uint64_t> doneSet;
@@ -310,7 +320,6 @@ buildDirSnapshotJson(const std::string &dir, double staleSec)
         }
         // In-flight: claimed manifest digests with no shard record.
         std::error_code ec;
-        std::size_t claimed = 0;
         for (const auto &entry : fs::directory_iterator(dir, ec)) {
             const std::string name = entry.path().filename().string();
             if (name.rfind("claim_", 0) != 0)
@@ -324,38 +333,10 @@ buildDirSnapshotJson(const std::string &dir, double staleSec)
             if (wanted.count(digest) && !doneSet.count(digest))
                 ++claimed;
         }
-        const std::size_t doneCount = doneSet.size();
-        const std::size_t inflight =
-            std::min(claimed, points - doneCount);
-        const std::size_t pending = points - doneCount - inflight;
-        doc.set("ok", std::uint64_t(okCount));
-        doc.set("failed", std::uint64_t(failedCount));
-        doc.set("timed_out", std::uint64_t(timedOutCount));
-        doc.set("in_flight", std::uint64_t(inflight));
-        doc.set("pending", std::uint64_t(pending));
-        doc.set("retries", retries);
-        const double pps =
-            rate(static_cast<double>(doneCount), elapsed);
-        doc.set("elapsed_sec", elapsed);
-        doc.set("eta_sec",
-                pps > 0
-                    ? static_cast<double>(pending + inflight) / pps
-                    : 0.0);
-        doc.set("points_per_sec", pps);
-        doc.set("events_per_sec",
-                rate(static_cast<double>(refsDone), elapsed));
-    } else {
-        doc.set("ok", 0);
-        doc.set("failed", 0);
-        doc.set("timed_out", 0);
-        doc.set("in_flight", 0);
-        doc.set("pending", 0);
-        doc.set("retries", 0);
-        doc.set("elapsed_sec", 0.0);
-        doc.set("eta_sec", 0.0);
-        doc.set("points_per_sec", 0.0);
-        doc.set("events_per_sec", 0.0);
     }
+    // Without a manifest every count is 0.
+    setCounts(doc, manifest.digests.size(), okCount, failedCount,
+              timedOutCount, claimed, retries, refsDone, elapsed);
 
     // Workers: anyone with a heartbeat or a status file.
     std::set<std::string> ids;
@@ -400,14 +381,7 @@ buildDirSnapshotJson(const std::string &dir, double staleSec)
     }
     doc.set("workers", std::move(workers));
 
-    std::sort(failures.begin(), failures.end(),
-              [](const RunStatus *a, const RunStatus *b) {
-                  return a->digest < b->digest;
-              });
-    Json failureArr = Json::array();
-    for (const RunStatus *status : failures)
-        failureArr.push(failureJson(*status));
-    doc.set("failures", std::move(failureArr));
+    doc.set("failures", failuresJson(std::move(failures)));
     doc.set("timeseries", timeseriesJson(rollup));
     return doc.dump();
 }

@@ -1,8 +1,10 @@
 /**
  * @file
  * Sweep status observability: per-worker status files, the in-process
- * progress tracker behind `tempo_sweep --progress`, and the merged
- * "tempo-fabric-snapshot-1" JSON served by `tempo_sweep --serve`.
+ * progress tracker behind `tempo_sweep --progress`, the merged
+ * "tempo-fabric-snapshot-1" JSON, and the writer behind `tempo_sweep
+ * --dashboard DIR` that keeps that snapshot and a page showing it in
+ * DIR.
  *
  * Snapshot schema (all keys always present):
  *
@@ -34,11 +36,14 @@
 #define TEMPO_FABRIC_SNAPSHOT_HH
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -80,7 +85,7 @@ void writeWorkerStatus(const std::string &dir, const WorkerTally &tally);
  * Thread-safe sweep progress tracker. The experiment engine reports
  * point starts and completions into one; it prints a stderr line every
  * `every` completions and can render a snapshot JSON for the local
- * (non-fabric) `--serve` mode. Fabric loops additionally feed
+ * (non-fabric) `--dashboard` mode. Fabric loops additionally feed
  * globalTick() with directory-wide counts so a worker's progress line
  * reflects the whole sweep, not just its own share.
  */
@@ -105,7 +110,7 @@ class SweepProgress
                     std::size_t total);
 
     /** "tempo-fabric-snapshot-1" built from in-process state only
-     * (workers is []); the --serve provider when no fabric dir. */
+     * (workers is []); the --dashboard provider when no fabric dir. */
     std::string snapshotJson() const;
 
   private:
@@ -140,10 +145,53 @@ class SweepProgress
  * one fresh scan of the manifest, every result shard, every claim,
  * heartbeat, and worker status file. Never throws — before the
  * manifest exists it reports an all-zero snapshot, and unreadable
- * worker files are skipped — so the HTTP thread can poll at any time.
+ * worker files are skipped — so the dashboard writer can poll at any
+ * time.
  */
 std::string buildDirSnapshotJson(const std::string &dir,
                                  double staleSec);
+
+/** The self-contained ops page (progress bar, stat tiles, worker
+ * table, failure feed, throughput sparkline) with @p snapshotJson
+ * inlined, every '<' escaped so no error text can close the data
+ * block. It reloads itself every 2 s and needs no other file, so it
+ * works over file://. */
+std::string dashboardHtml(const std::string &snapshotJson);
+
+/**
+ * `tempo_sweep --dashboard DIR`: writes DIR/snapshot.json (the
+ * provider's bytes) and DIR/dashboard.html through writeFileAtomic(),
+ * once on construction, every kPeriod on a background thread, and once
+ * more on stop(). Neither name matches a fabric file pattern, so DIR
+ * may be the fabric directory itself.
+ */
+class DashboardWriter
+{
+  public:
+    /** Builds the snapshot JSON; called from the writer thread, so it
+     * must be thread-safe. */
+    using Provider = std::function<std::string()>;
+    static constexpr std::chrono::seconds kPeriod{1};
+
+    /** @throws std::runtime_error when the first write fails. */
+    DashboardWriter(std::string dir, Provider provider);
+    ~DashboardWriter();
+    DashboardWriter(const DashboardWriter &) = delete;
+    DashboardWriter &operator=(const DashboardWriter &) = delete;
+
+    /** Join the thread, then write the final snapshot (idempotent). */
+    void stop();
+
+  private:
+    void write(bool first);
+
+    std::string dir_;
+    Provider provider_;
+    std::mutex mutex_;
+    std::condition_variable wake_;
+    bool stop_ = false;
+    std::thread thread_;
+};
 
 } // namespace tempo::fabric
 

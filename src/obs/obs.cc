@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "common/parse.hh"
+
 namespace tempo::obs {
 
 namespace detail {
@@ -102,10 +104,10 @@ configFromEnv()
         if (filter[0] != '\0')
             cfg.categories = parseCategories(filter);
     }
-    if (const char *window = std::getenv("TEMPO_TIMESERIES_WINDOW"))
-        cfg.timeseriesWindow = std::strtoull(window, nullptr, 10);
-    if (const char *cap = std::getenv("TEMPO_TRACE_CAPACITY")) {
-        const std::uint64_t parsed = std::strtoull(cap, nullptr, 10);
+    if (const char *window = envValue("TEMPO_TIMESERIES_WINDOW"))
+        cfg.timeseriesWindow = parseU64("TEMPO_TIMESERIES_WINDOW", window);
+    if (const char *cap = envValue("TEMPO_TRACE_CAPACITY")) {
+        const std::uint64_t parsed = parseU64("TEMPO_TRACE_CAPACITY", cap);
         if (parsed > 0)
             cfg.traceCapacity = static_cast<std::size_t>(parsed);
     }

@@ -151,7 +151,8 @@ const Config &config();
 
 /** Build a Config from TEMPO_TRACE_DIR / TEMPO_TRACE_FILTER /
  * TEMPO_TIMESERIES_WINDOW / TEMPO_TRACE_CAPACITY (without installing
- * it); unset variables leave the defaults. */
+ * it); unset or empty variables leave the defaults.
+ * @throws std::invalid_argument naming a malformed variable. */
 Config configFromEnv();
 
 /** Windowed time-series samples: parallel per-metric columns. */

@@ -15,6 +15,7 @@
 #define TEMPO_VM_ASSOC_ARRAY_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cache/tag_array.hh"
@@ -31,14 +32,11 @@ class AssocArray
                const CacheConfig &impl = {})
         : assoc_(assoc)
     {
-        TEMPO_ASSERT(entries > 0 && assoc > 0, "empty array");
+        const std::string error = geometryError(entries, assoc);
+        TEMPO_ASSERT(error.empty(), error);
         if (assoc_ > entries)
             assoc_ = entries;
         sets_ = entries / assoc_;
-        if (sets_ == 0)
-            sets_ = 1;
-        TEMPO_ASSERT(isPow2(sets_), "set count must be a power of two, "
-                     "got ", sets_, " from ", entries, "/", assoc);
         useRef_ = impl.useReferenceCache || envReferenceCache()
                   || !TagArray::packable(sets_, assoc_);
         if (useRef_) {
@@ -47,6 +45,23 @@ class AssocArray
             tags_ = TagArray(sets_, assoc_);
             payloads_.resize(static_cast<std::size_t>(sets_) * assoc_);
         }
+    }
+
+    /** Why @p entries and @p assoc cannot form an array, or "" when
+     * they can (an @p assoc above @p entries makes one full set). The
+     * constructor asserts this; config loading reports it as an input
+     * error. */
+    static std::string
+    geometryError(unsigned entries, unsigned assoc)
+    {
+        if (entries == 0 || assoc == 0)
+            return "entries and associativity must be positive";
+        const unsigned sets = assoc > entries ? 1 : entries / assoc;
+        if (!isPow2(sets))
+            return "set count must be a power of two, got "
+                + std::to_string(sets) + " from " + std::to_string(entries)
+                + "/" + std::to_string(assoc);
+        return {};
     }
 
     /** Look up @p key; on hit promotes to MRU and returns the payload. */

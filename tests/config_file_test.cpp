@@ -207,6 +207,45 @@ TEST(ConfigFile, DramGeometryMustBePowersOfTwo)
     EXPECT_EQ(cfg.dram.banksPerRank, 16u);
 }
 
+TEST(ConfigFile, CacheGeometryIsCheckedAtLoad)
+{
+    // Each of these used to pass the parser and panic in a constructor.
+    expectErrorNames("[caches]\nl1_assoc = 0\n", "l1_assoc");
+    expectErrorNames("[caches]\nllc_assoc = 3\n", "llc_assoc");
+    expectErrorNames("[caches]\nl2_bytes = 64\nl2_assoc = 4\n",
+                     "l2_bytes");
+}
+
+TEST(ConfigFile, TlbGeometryIsCheckedAtLoad)
+{
+    expectErrorNames("[tlb]\nl2_assoc = 0\n", "l2_assoc");
+    expectErrorNames("[tlb]\nl1_entries_4k = 0\n", "l1_entries_4k");
+}
+
+TEST(ConfigFile, MmuGeometryIsCheckedAtLoad)
+{
+    expectErrorNames("[mmu]\nassoc = 0\n", "assoc");
+    expectErrorNames("[mmu]\nentries_per_level = 24\n",
+                     "entries_per_level");
+}
+
+TEST(ConfigFile, GeometryIsCheckedAfterTheWholeText)
+{
+    // A later line may repair what an earlier one set.
+    const SystemConfig cfg =
+        apply("[caches]\nl1_assoc = 0\nl1_assoc = 4\n");
+    EXPECT_EQ(cfg.caches.l1.assoc, 4u);
+}
+
+TEST(ConfigFile, IntegersMustFitTheirField)
+{
+    // 2^32 + 4 used to truncate silently into a 4-way cache.
+    expectErrorNames("[caches]\nl1_assoc = 4294967300\n", "l1_assoc");
+    expectErrorNames("[tlb]\nl2_entries = 4294967296\n", "l2_entries");
+    const SystemConfig cfg = apply("[core]\nseed = 18446744073709551615\n");
+    EXPECT_EQ(cfg.seed, 18446744073709551615ull);
+}
+
 TEST(ConfigFile, MissingFileThrows)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();

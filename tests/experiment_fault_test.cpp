@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/experiment.hh"
 
@@ -193,6 +195,38 @@ TEST(ExperimentFault, OptionsFromEnvParsesKnobs)
     ::unsetenv("TEMPO_RETRIES");
     ::unsetenv("TEMPO_POINT_TIMEOUT");
     ::unsetenv("TEMPO_FAULT_INJECT");
+}
+
+TEST(ExperimentFault, OptionsFromEnvRejectsMalformedNumbers)
+{
+    // Only fromEnv() runs while a value is set: no point is run.
+    const std::pair<const char *, const char *> cases[] = {
+        {"TEMPO_RETRIES", "-1"},
+        {"TEMPO_RETRIES", "4294967296"},
+        {"TEMPO_POINT_TIMEOUT", "-1"},
+        {"TEMPO_POINT_TIMEOUT", "5s"},
+        {"TEMPO_PROGRESS", "1x"},
+        {"TEMPO_FABRIC_STALE_SEC", "abc"},
+        {"TEMPO_FABRIC_HEARTBEAT_SEC", "-0.5"},
+        {"TEMPO_FAULT_INJECT", "-1:throw"},
+        {"TEMPO_FAULT_INJECT", "x:hang"},
+    };
+    for (const auto &[name, value] : cases) {
+        ::setenv(name, value, 1);
+        try {
+            (void)ExperimentOptions::fromEnv();
+            ADD_FAILURE() << "accepted " << name << "=" << value;
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what()).find(name),
+                      std::string::npos)
+                << error.what();
+        }
+        ::unsetenv(name);
+    }
+    // An empty value keeps the default.
+    ::setenv("TEMPO_RETRIES", "", 1);
+    EXPECT_EQ(ExperimentOptions::fromEnv().retries, 0u);
+    ::unsetenv("TEMPO_RETRIES");
 }
 
 TEST(ExperimentFault, PointDigestIsStableAndDiscriminating)

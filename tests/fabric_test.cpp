@@ -3,30 +3,28 @@
  * Sweep fabric tests: claim exclusivity under racing contenders, stale
  * detection and reclaim, the streaming shard scanner's handling of a
  * truncated tail, snapshot JSON round-trips and the counting
- * invariant, the embedded HTTP server, and the headline property — a
+ * invariant, the dashboard files, and the headline property — a
  * multi-worker fabric sweep returns byte-identical results to a
  * single-process run, failures included.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
+#include <sstream>
 #include <thread>
-
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "core/checkpoint.hh"
 #include "core/experiment.hh"
 #include "fabric/claim.hh"
 #include "fabric/coordinator.hh"
 #include "fabric/heartbeat.hh"
-#include "fabric/http.hh"
 #include "fabric/snapshot.hh"
 
 namespace tempo {
@@ -67,6 +65,25 @@ sweepPoints()
         points.push_back(std::move(p));
     }
     return points;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream content;
+    content << in.rdbuf();
+    return content.str();
+}
+
+/** Names of every file in @p dir, sorted. */
+std::set<std::string>
+listDir(const std::string &dir)
+{
+    std::set<std::string> names;
+    for (const auto &entry : fs::directory_iterator(dir))
+        names.insert(entry.path().filename().string());
+    return names;
 }
 
 /** Flatten results to the full tempo-bench-1 document for byte
@@ -311,55 +328,59 @@ TEST(FabricSnapshot, DirSnapshotCountsClaimsAndShards)
               "boom");
 }
 
-TEST(FabricHttp, ServesSnapshotAndDashboard)
+TEST(FabricDashboard, InlinedSnapshotCannotCloseItsScriptBlock)
 {
-    fabric::HttpServer::Provider provider = [] {
-        return std::string("{\"probe\":1}");
-    };
-    std::unique_ptr<fabric::HttpServer> server;
-    try {
-        server = std::make_unique<fabric::HttpServer>("127.0.0.1", 0,
-                                                      provider);
-    } catch (const std::exception &error) {
-        GTEST_SKIP() << "cannot bind a localhost socket here: "
-                     << error.what();
+    // A failure's error is free text; a literal "</script>" in it must
+    // not end the page's data block.
+    const std::string json =
+        "{\"failures\":[{\"error\":\"bad </script><b>x</b>\"}]}";
+    TempDir dir("dash_escape");
+    fabric::DashboardWriter writer(dir.path, [&] { return json; });
+    writer.stop();
+    EXPECT_EQ(readFile(dir.path + "/snapshot.json"), json);
+
+    const std::string page = readFile(dir.path + "/dashboard.html");
+    EXPECT_EQ(page.rfind("<!doctype html>", 0), 0u);
+    EXPECT_NE(page.find("http-equiv=\"refresh\""), std::string::npos);
+    const std::string open =
+        "<script type=\"application/json\" id=\"snapshot\">";
+    const std::size_t begin = page.find(open);
+    ASSERT_NE(begin, std::string::npos);
+    const std::size_t dataBegin = begin + open.size();
+    const std::size_t end = page.find("</script>", dataBegin);
+    ASSERT_NE(end, std::string::npos);
+    EXPECT_EQ(page.substr(dataBegin, end - dataBegin),
+              "{\"failures\":[{\"error\":\"bad \\u003c/script>"
+              "\\u003cb>x\\u003c/b>\"}]}");
+}
+
+TEST(FabricDashboard, StopWritesFinalSnapshotAndLeavesNoTempFiles)
+{
+    std::mutex mutex;
+    std::string state = "{\"phase\":\"running\"}";
+    std::atomic<int> calls{0};
+    TempDir dir("dash_final");
+    fabric::DashboardWriter writer(dir.path, [&] {
+        ++calls;
+        std::lock_guard<std::mutex> lock(mutex);
+        return state;
+    });
+    // The first write happens before the constructor returns.
+    EXPECT_EQ(calls.load(), 1);
+    EXPECT_EQ(readFile(dir.path + "/snapshot.json"), state);
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        state = "{\"phase\":\"done\"}";
     }
-    ASSERT_NE(server->port(), 0);
-
-    auto get = [&](const std::string &target) {
-        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(server->port());
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            ::close(fd);
-            return std::string();
-        }
-        const std::string request =
-            "GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n";
-        (void)!::send(fd, request.data(), request.size(), 0);
-        std::string response;
-        char buf[4096];
-        ssize_t n;
-        while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-            response.append(buf, static_cast<std::size_t>(n));
-        ::close(fd);
-        return response;
-    };
-
-    const std::string snapshot = get("/snapshot.json");
-    EXPECT_NE(snapshot.find("200 OK"), std::string::npos);
-    EXPECT_NE(snapshot.find("{\"probe\":1}"), std::string::npos);
-    EXPECT_NE(snapshot.find("application/json"), std::string::npos);
-    const std::string dash = get("/");
-    EXPECT_NE(dash.find("200 OK"), std::string::npos);
-    EXPECT_NE(dash.find("<!doctype html>"), std::string::npos);
-    EXPECT_NE(dash.find("snapshot.json"), std::string::npos);
-    const std::string missing = get("/nope");
-    EXPECT_NE(missing.find("404"), std::string::npos);
-    server->stop();
+    writer.stop();
+    writer.stop(); // idempotent
+    EXPECT_EQ(readFile(dir.path + "/snapshot.json"),
+              "{\"phase\":\"done\"}");
+    EXPECT_NE(readFile(dir.path + "/dashboard.html")
+                  .find("{\"phase\":\"done\"}"),
+              std::string::npos);
+    EXPECT_EQ(listDir(dir.path),
+              (std::set<std::string>{"dashboard.html", "snapshot.json"}));
 }
 
 TEST(FabricEndToEnd, TwoWorkersMatchSingleProcessByteForByte)
@@ -405,6 +426,54 @@ TEST(FabricEndToEnd, TwoWorkersMatchSingleProcessByteForByte)
     coord.fabricDir = dir.path;
     coord.fabricRole = ExperimentOptions::FabricRole::Coordinator;
     EXPECT_EQ(emitJson(runExperiments(points, coord)), expected);
+}
+
+TEST(FabricEndToEnd, DashboardInFabricDirLeavesMergeUnchanged)
+{
+    const std::vector<ExperimentPoint> points = sweepPoints();
+
+    ExperimentOptions reference;
+    reference.jobs = 2;
+    const std::string expected =
+        emitJson(runExperiments(points, reference));
+
+    // The dashboard files live beside the claims and shards, rewritten
+    // while two workers and a coordinator share the directory.
+    TempDir dir("e2e_dash");
+    fabric::DashboardWriter writer(dir.path, [&] {
+        return fabric::buildDirSnapshotJson(dir.path, 30.0);
+    });
+    auto workerOpts = [&](const char *id) {
+        ExperimentOptions opts;
+        opts.jobs = 1;
+        opts.fabricDir = dir.path;
+        opts.fabricRole = ExperimentOptions::FabricRole::Worker;
+        opts.fabricWorkerId = id;
+        opts.fabricHeartbeatSec = 0.1;
+        return opts;
+    };
+    std::string fromA, fromB;
+    std::thread workerA([&] {
+        fromA = emitJson(runExperiments(points, workerOpts("wA")));
+    });
+    std::thread workerB([&] {
+        fromB = emitJson(runExperiments(points, workerOpts("wB")));
+    });
+    ExperimentOptions coord;
+    coord.fabricDir = dir.path;
+    coord.fabricRole = ExperimentOptions::FabricRole::Coordinator;
+    const std::string fromCoord = emitJson(runExperiments(points, coord));
+    workerA.join();
+    workerB.join();
+    writer.stop();
+    EXPECT_EQ(fromA, expected);
+    EXPECT_EQ(fromB, expected);
+    EXPECT_EQ(fromCoord, expected);
+
+    const stats::JsonValue doc =
+        stats::parseJson(readFile(dir.path + "/snapshot.json"));
+    EXPECT_EQ(doc.at("points").asUint64(), points.size());
+    EXPECT_EQ(doc.at("ok").asUint64(), points.size());
 }
 
 TEST(FabricEndToEnd, DeterministicFailuresMergeIdentically)

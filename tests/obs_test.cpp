@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,6 +68,32 @@ benchDump(const RunResult &result)
 // touched the subsystem — including after an instrumented run has
 // configured and torn it down — and the instrumented run itself leaves
 // the simulated machine (timing, counters) untouched.
+TEST(ObsConfig, FromEnvValidatesNumbers)
+{
+    // Only configFromEnv() runs while a value is set: nothing is traced.
+    ::setenv("TEMPO_TIMESERIES_WINDOW", "500", 1);
+    EXPECT_EQ(obs::configFromEnv().timeseriesWindow, 500u);
+    ::unsetenv("TEMPO_TIMESERIES_WINDOW");
+    const std::pair<const char *, const char *> cases[] = {
+        {"TEMPO_TIMESERIES_WINDOW", "-1"},
+        {"TEMPO_TIMESERIES_WINDOW", "abc"},
+        {"TEMPO_TRACE_CAPACITY", "1x"},
+        {"TEMPO_TRACE_CAPACITY", "+4"},
+    };
+    for (const auto &[name, value] : cases) {
+        ::setenv(name, value, 1);
+        try {
+            (void)obs::configFromEnv();
+            ADD_FAILURE() << "accepted " << name << "=" << value;
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what()).find(name),
+                      std::string::npos)
+                << error.what();
+        }
+        ::unsetenv(name);
+    }
+}
+
 TEST(ObsDisabled, OutputIsByteIdentical)
 {
     const SystemConfig cfg = tempoCfg();

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "common/thread_pool.hh"
 #include "core/experiment.hh"
@@ -74,6 +75,27 @@ TEST(ThreadPool, ParallelForWritesByIndex)
 TEST(ThreadPool, DefaultThreadsIsPositive)
 {
     EXPECT_GE(ThreadPool::defaultThreads(), 1u);
+}
+
+TEST(ThreadPool, DefaultThreadsValidatesTempoJobs)
+{
+    // Only defaultThreads() runs while a value is set: no pool is built.
+    const unsigned cores = ThreadPool::defaultThreads();
+    ::setenv("TEMPO_JOBS", "3", 1);
+    EXPECT_EQ(ThreadPool::defaultThreads(), 3u);
+    ::setenv("TEMPO_JOBS", "0", 1); // 0 keeps meaning "all cores"
+    EXPECT_EQ(ThreadPool::defaultThreads(), cores);
+    for (const char *bad : {"-1", "2x", "4294967296"}) {
+        ::setenv("TEMPO_JOBS", bad, 1);
+        try {
+            (void)ThreadPool::defaultThreads();
+            ADD_FAILURE() << "accepted TEMPO_JOBS=" << bad;
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what()).find("TEMPO_JOBS"),
+                      std::string::npos);
+        }
+    }
+    ::unsetenv("TEMPO_JOBS");
 }
 
 TEST(Experiment, DerivedSeedsDecorrelate)

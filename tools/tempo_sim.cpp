@@ -98,8 +98,12 @@ main(int argc, char **argv)
     }
 
     SystemConfig cfg;
+    obs::Config obs_cfg;
+    ExperimentOptions engine_opts;
     try {
         cfg = toConfig(options);
+        obs_cfg = obs::configFromEnv();
+        engine_opts = ExperimentOptions::fromEnv();
     } catch (const std::invalid_argument &error) {
         std::fprintf(stderr, "error: %s\n", error.what());
         return 2;
@@ -107,7 +111,6 @@ main(int argc, char **argv)
     prof::setEnabled(options.profile);
 
     // Observability: environment first, explicit flags on top.
-    obs::Config obs_cfg = obs::configFromEnv();
     if (!options.tracePath.empty())
         obs_cfg.trace = true;
     if (!options.traceFilter.empty())
@@ -149,7 +152,6 @@ main(int argc, char **argv)
     // Engine options: environment first (so CI can inject faults), then
     // explicit flags on top. A failing point no longer kills the run —
     // its status is reported and the other point still completes.
-    ExperimentOptions engine_opts = ExperimentOptions::fromEnv();
     engine_opts.jobs = options.jobs;
     if (options.retries)
         engine_opts.retries = options.retries;

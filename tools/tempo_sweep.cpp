@@ -26,9 +26,9 @@
 
 #include "cli/config_file.hh"
 #include "cli/strings.hh"
+#include "common/parse.hh"
 #include "common/profiler.hh"
 #include "core/experiment.hh"
-#include "fabric/http.hh"
 #include "fabric/snapshot.hh"
 #include "obs/obs.hh"
 
@@ -53,8 +53,7 @@ struct SweepArgs {
     bool referenceTranslator = false;
     bool referenceCache = false;
     unsigned progressEvery = 0;
-    bool serve = false;
-    std::string serveAddr; //!< "" = 127.0.0.1:8377
+    std::string dashboardDir; //!< "" = no dashboard
 };
 
 [[noreturn]] void
@@ -66,7 +65,7 @@ usage(int status)
         "  [--jobs N] [--json PATH] [--profile]\n"
         "  [--reference-translator] [--reference-cache]\n"
         "  [--retries N] [--point-timeout S] [--checkpoint PATH]\n"
-        "  [--progress [N]] [--serve [ADDR:PORT]]\n"
+        "  [--progress [N]] [--dashboard DIR]\n"
         "  [--tempo | --compare]\n"
         "Keys are the INI config keys (src/cli/config_file.hh),\n"
         "e.g. dram.row_policy, mc.pt_row_hold, vm.frag.\n"
@@ -78,12 +77,12 @@ usage(int status)
         "re-running finished points.\n"
         "--progress [N] prints a stderr line (done/failed/total,\n"
         "elapsed, ETA) every N completed points (default 10).\n"
-        "--serve [ADDR:PORT] starts an embedded HTTP status server\n"
-        "(default 127.0.0.1:8377, port 0 = ephemeral): / is a live\n"
-        "dashboard, /snapshot.json the machine-readable snapshot.\n"
+        "--dashboard DIR rewrites DIR/snapshot.json (the machine-\n"
+        "readable snapshot) and DIR/dashboard.html (a live page to\n"
+        "open in a browser) every second.\n"
         "Scale-out: with TEMPO_FABRIC_DIR/TEMPO_FABRIC_ROLE set (see\n"
         "EXPERIMENTS.md \"Fabric sweeps\"), several worker processes\n"
-        "share one sweep; --serve then reports the whole fabric (and\n"
+        "share one sweep; --dashboard then reports the whole fabric (and\n"
         "implies the coordinator role when none is set).\n"
         "Exit status: 0 when at least one\n"
         "point succeeded, 3 when all failed, 2 on usage errors.\n",
@@ -108,18 +107,18 @@ parseArgs(int argc, char **argv)
             args.key = next();
         else if (arg == "--values")
             args.values = cli::splitCommas(next());
-        else if (arg == "--refs")
-            args.refs = std::strtoull(next().c_str(), nullptr, 10);
-        else if (arg == "--warmup")
-            args.warmup = std::strtoull(next().c_str(), nullptr, 10);
+        else if (arg == "--refs") {
+            args.refs = parseU64(arg, next());
+            if (args.refs == 0)
+                throw std::invalid_argument("--refs must be positive");
+        } else if (arg == "--warmup")
+            args.warmup = parseU64(arg, next());
         else if (arg == "--jobs")
-            args.jobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            args.jobs = parseUnsigned(arg, next());
         else if (arg == "--retries")
-            args.retries = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            args.retries = parseUnsigned(arg, next());
         else if (arg == "--point-timeout")
-            args.pointTimeout = std::strtod(next().c_str(), nullptr);
+            args.pointTimeout = parseSeconds(arg, next());
         else if (arg == "--checkpoint")
             args.checkpointPath = next();
         else if (arg == "--json")
@@ -131,21 +130,16 @@ parseArgs(int argc, char **argv)
         else if (arg == "--profile")
             args.profile = true;
         else if (arg == "--progress") {
-            // Optional period: consume the next token only when it is
-            // a number (so "--progress --serve" parses).
+            // Optional period: consume the next token only when it
+            // starts with a digit (so "--progress --json x" parses).
             args.progressEvery = 10;
-            if (i + 1 < argc && argv[i + 1][0] != '\0' &&
-                std::string(argv[i + 1]).find_first_not_of(
-                    "0123456789") == std::string::npos)
-                args.progressEvery = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+            if (i + 1 < argc && argv[i + 1][0] >= '0' &&
+                argv[i + 1][0] <= '9')
+                args.progressEvery = parseUnsigned(arg, next());
             if (args.progressEvery == 0)
                 args.progressEvery = 10;
-        } else if (arg == "--serve") {
-            args.serve = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                args.serveAddr = next();
-        }
+        } else if (arg == "--dashboard")
+            args.dashboardDir = next();
         else if (arg == "--reference-translator")
             args.referenceTranslator = true;
         else if (arg == "--reference-cache")
@@ -159,10 +153,8 @@ parseArgs(int argc, char **argv)
         usage(2);
     const std::size_t dot = args.key.find('.');
     if (dot == std::string::npos || dot == 0
-        || dot + 1 == args.key.size()) {
-        std::fprintf(stderr, "error: --key must be SECTION.KEY\n");
-        std::exit(2);
-    }
+        || dot + 1 == args.key.size())
+        throw std::invalid_argument("--key must be SECTION.KEY");
     return args;
 }
 
@@ -185,13 +177,7 @@ configFor(const SweepArgs &args, const std::string &value, bool tempo)
 int
 main(int argc, char **argv)
 {
-    const SweepArgs args = parseArgs(argc, argv);
-    prof::setEnabled(args.profile);
-    // Observability is environment-driven here (TEMPO_TRACE_DIR,
-    // TEMPO_TRACE_FILTER, TEMPO_TIMESERIES_WINDOW); time series land in
-    // the --json output, traces in TEMPO_TRACE_DIR.
-    obs::configure(obs::configFromEnv());
-
+    SweepArgs args;
     // One point per value, plus the TEMPO twin when comparing. All
     // points are independent: each builds its own config and workload
     // (seeded from the config), so the engine may run them in any
@@ -199,7 +185,16 @@ main(int argc, char **argv)
     std::vector<ExperimentPoint> points;
     std::vector<std::vector<std::pair<std::string, std::string>>>
         overrides;
+    // Engine options: environment first (so CI can inject faults), then
+    // explicit flags on top.
+    ExperimentOptions opts;
     try {
+        args = parseArgs(argc, argv);
+        // Observability is environment-driven here (TEMPO_TRACE_DIR,
+        // TEMPO_TRACE_FILTER, TEMPO_TIMESERIES_WINDOW); time series
+        // land in the --json output, traces in TEMPO_TRACE_DIR.
+        obs::configure(obs::configFromEnv());
+        opts = ExperimentOptions::fromEnv();
         for (const std::string &value : args.values) {
             ExperimentPoint base;
             base.workload = args.workload;
@@ -225,10 +220,8 @@ main(int argc, char **argv)
         std::fprintf(stderr, "error: %s\n", error.what());
         return 2;
     }
+    prof::setEnabled(args.profile);
 
-    // Engine options: environment first (so CI can inject faults), then
-    // explicit flags on top.
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
     opts.jobs = args.jobs;
     if (args.retries)
         opts.retries = args.retries;
@@ -241,46 +234,46 @@ main(int argc, char **argv)
         opts.progressEvery = args.progressEvery;
     opts.progressLabel = args.workload + ":" + args.key;
 
-    // --serve: embedded status server. With a fabric directory the
-    // snapshot merges the whole directory (and absent an explicit
+    // --dashboard: snapshot and page files. With a fabric directory
+    // the snapshot merges the whole directory (and absent an explicit
     // role, this process supervises as the coordinator); without one
     // it reports this process's own progress tracker.
     fabric::SweepProgress progress;
-    std::unique_ptr<fabric::HttpServer> server;
-    if (args.serve) {
+    std::unique_ptr<fabric::DashboardWriter> dashboard;
+    if (!args.dashboardDir.empty()) {
         if (!opts.fabricDir.empty() &&
             opts.fabricRole == ExperimentOptions::FabricRole::None)
             opts.fabricRole =
                 ExperimentOptions::FabricRole::Coordinator;
         opts.progress = &progress;
+        fabric::DashboardWriter::Provider provider;
+        if (!opts.fabricDir.empty()) {
+            const std::string dir = opts.fabricDir;
+            const double stale = opts.fabricStaleSec;
+            provider = [dir, stale] {
+                return fabric::buildDirSnapshotJson(dir, stale);
+            };
+        } else {
+            // The first write then shows every point pending.
+            progress.configure(opts.progressLabel, points.size(),
+                               opts.progressEvery);
+            provider = [&progress] { return progress.snapshotJson(); };
+        }
         try {
-            const auto [host, port] =
-                cli::splitHostPort(args.serveAddr, "127.0.0.1", 8377);
-            fabric::HttpServer::Provider provider;
-            if (!opts.fabricDir.empty()) {
-                const std::string dir = opts.fabricDir;
-                const double stale = opts.fabricStaleSec;
-                provider = [dir, stale] {
-                    return fabric::buildDirSnapshotJson(dir, stale);
-                };
-            } else {
-                provider = [&progress] {
-                    return progress.snapshotJson();
-                };
-            }
-            server = std::make_unique<fabric::HttpServer>(
-                host, port, std::move(provider));
+            dashboard = std::make_unique<fabric::DashboardWriter>(
+                args.dashboardDir, std::move(provider));
         } catch (const std::exception &error) {
-            std::fprintf(stderr, "error: %s\n", error.what());
+            std::fprintf(stderr, "error: --dashboard: %s\n",
+                         error.what());
             return 2;
         }
-        std::fprintf(stderr, "serving http://%s:%u/\n",
-                     server->host().c_str(), server->port());
     }
 
     std::vector<RunResult> results;
     try {
         results = runExperiments(points, opts);
+        if (dashboard)
+            dashboard->stop();
     } catch (const std::exception &error) {
         // Only infrastructure errors (bad TEMPO_FAULT_INJECT spec, an
         // unwritable journal) reach here; point failures are captured
