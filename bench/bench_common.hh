@@ -181,8 +181,8 @@ currentBenchName()
 }
 
 /** Engine options for a bench batch: fault handling and the sweep
- * fabric from the environment (TEMPO_FABRIC_DIR + TEMPO_FABRIC_ROLE
- * turn any bench driver into a fabric worker or coordinator; see
+ * fabric from the environment (TEMPO_FABRIC_DIR turns any bench driver
+ * into a fabric worker, or a coordinator with TEMPO_FABRIC_ROLE; see
  * EXPERIMENTS.md "Fabric sweeps"), plus a per-bench checkpoint
  * journal when TEMPO_BENCH_CHECKPOINT_DIR is set (ignored under the
  * fabric, whose shard files are the journal). */

@@ -16,6 +16,10 @@ main()
     using namespace tempo;
     using namespace tempo::bench;
 
+    // aloneRuntimes() runs a parallel batch before any entry point that
+    // checks the environment: reject a malformed TEMPO_* variable here.
+    (void)envOptions();
+
     header("Figure 16",
            "BLISS fairness scheduler x TEMPO",
            "weighted speedup improves in every configuration; the "

@@ -15,6 +15,10 @@ main()
     using namespace tempo;
     using namespace tempo::bench;
 
+    // aloneRuntimes() runs a parallel batch before any entry point that
+    // checks the environment: reject a malformed TEMPO_* variable here.
+    (void)envOptions();
+
     header("Figure 17",
            "sub-row buffers: FOA/POA x dedicated prefetch sub-rows",
            "2 dedicated sub-rows is the sweet spot; more dedication "

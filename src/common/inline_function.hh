@@ -10,6 +10,12 @@
  * large enough for the simulator's hot-path captures — and falls back
  * to the heap only for oversized or over-aligned callables, so
  * correctness never depends on the capture fitting.
+ *
+ * Trivially copyable callables — the simulator's hot-path captures of
+ * `this`, a record index and a cycle — move with a fixed-size memcpy
+ * and need no destructor call, so relocating one costs no indirect
+ * call. hotCapture() turns "this capture must never reach the heap"
+ * into a compile-time check at the call site.
  */
 
 #ifndef TEMPO_COMMON_INLINE_FUNCTION_HH
@@ -74,7 +80,8 @@ class InlineFunction<R(Args...), Capacity>
     reset() noexcept
     {
         if (ops_) {
-            ops_->destroy(buf_);
+            if (ops_->destroy)
+                ops_->destroy(buf_);
             ops_ = nullptr;
         }
     }
@@ -83,6 +90,8 @@ class InlineFunction<R(Args...), Capacity>
     bool inlineStored() const noexcept { return ops_ && ops_->isInline; }
 
   private:
+    /** Per-callable-type operations. A null relocate means the stored
+     * bytes move with memcpy; a null destroy means nothing to run. */
     struct Ops {
         R (*invoke)(void *, Args &&...);
         void (*relocate)(void *dst, void *src) noexcept;
@@ -114,7 +123,11 @@ class InlineFunction<R(Args...), Capacity>
         {
             static_cast<Fn *>(p)->~Fn();
         }
-        static constexpr Ops ops{&invoke, &relocate, &destroy, true};
+        static constexpr Ops ops{
+            &invoke,
+            std::is_trivially_copyable_v<Fn> ? nullptr : &relocate,
+            std::is_trivially_destructible_v<Fn> ? nullptr : &destroy,
+            true};
     };
 
     template <typename Fn>
@@ -133,16 +146,12 @@ class InlineFunction<R(Args...), Capacity>
                 (*held(p))(std::forward<Args>(args)...));
         }
         static void
-        relocate(void *dst, void *src) noexcept
-        {
-            std::memcpy(dst, src, sizeof(Fn *));
-        }
-        static void
         destroy(void *p) noexcept
         {
             delete held(p);
         }
-        static constexpr Ops ops{&invoke, &relocate, &destroy, false};
+        // The buffer holds only the pointer: it moves with memcpy.
+        static constexpr Ops ops{&invoke, nullptr, &destroy, false};
     };
 
     template <typename F>
@@ -165,7 +174,10 @@ class InlineFunction<R(Args...), Capacity>
     {
         ops_ = other.ops_;
         if (ops_) {
-            ops_->relocate(buf_, other.buf_);
+            if (ops_->relocate)
+                ops_->relocate(buf_, other.buf_);
+            else
+                std::memcpy(buf_, other.buf_, Capacity);
             other.ops_ = nullptr;
         }
     }
@@ -173,6 +185,28 @@ class InlineFunction<R(Args...), Capacity>
     const Ops *ops_ = nullptr;
     alignas(std::max_align_t) unsigned char buf_[Capacity];
 };
+
+/** Capture budget of the simulator's per-reference path: `this`, a
+ * record index and a cycle. */
+inline constexpr std::size_t kHotCaptureBytes = 24;
+
+/**
+ * Return @p fn unchanged. Fails to compile unless @p fn is trivially
+ * copyable and at most @p Bytes (by default kHotCaptureBytes), so
+ * storing it in any InlineFunction of at least that capacity can never
+ * take the heap fallback and always relocates with memcpy.
+ */
+template <std::size_t Bytes = kHotCaptureBytes, typename F>
+constexpr F
+hotCapture(F fn)
+{
+    static_assert(sizeof(F) <= Bytes,
+                  "hot-path capture exceeds its inline budget: capture "
+                  "a record index instead of the record");
+    static_assert(std::is_trivially_copyable_v<F>,
+                  "hot-path capture must be trivially copyable");
+    return fn;
+}
 
 } // namespace tempo
 

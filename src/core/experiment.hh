@@ -109,15 +109,16 @@ struct ExperimentOptions {
 
     /** Which side of the fabric protocol this process plays. */
     enum class FabricRole {
-        None,        //!< single-process execution (the default)
+        None,        //!< not chosen: a worker when fabricDir is set
         Worker,      //!< claim points, run them, stream shard records
         Coordinator, //!< run nothing; wait for workers and merge
     };
 
     /** Shared fabric directory (claims, heartbeats, per-worker result
-     * shards, status snapshots). Empty = fabric off. When a fabric
-     * role is active, checkpointPath is ignored: the shard files ARE
-     * the journal, and a restarted sweep resumes from them. */
+     * shards, status snapshots). Empty = fabric off; set, it opts the
+     * process in, as a worker unless fabricRole says otherwise. In the
+     * fabric, checkpointPath is ignored: the shard files ARE the
+     * journal, and a restarted sweep resumes from them. */
     std::string fabricDir;
     FabricRole fabricRole = FabricRole::None;
     /** Stable worker identity (names the heartbeat/shard/status
@@ -155,11 +156,9 @@ struct ExperimentOptions {
      */
     static ExperimentOptions fromEnv();
 
-    bool
-    fabricActive() const
-    {
-        return !fabricDir.empty() && fabricRole != FabricRole::None;
-    }
+    /** A fabric directory alone opts in; runFabric() treats an
+     * unchosen role as a worker. */
+    bool fabricActive() const { return !fabricDir.empty(); }
 };
 
 /**

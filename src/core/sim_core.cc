@@ -70,18 +70,6 @@ CoreStats::report(stats::Report &out) const
     }
 }
 
-/** Per-reference in-flight state. */
-struct SimCore::RefContext {
-    MemRef ref;
-    Addr paddr = kInvalidAddr;
-    Cycle issueAt = 0;
-    bool tlbMiss = false;
-    bool walkLeafDram = false;
-    double ptwDramCycles = 0;
-    double replayDramCycles = 0;
-    std::uint64_t walkId = 0; //!< observability walk id (0 = none)
-};
-
 namespace {
 
 /** Direct-mapped resident-prefetch tracking table size (per core).
@@ -146,34 +134,6 @@ SimCore::start(std::uint64_t num_refs)
     pump();
 }
 
-bool
-SimCore::mshrWait(Addr line, MshrWaiter waiter)
-{
-    const auto it = mshr_.find(line);
-    if (it == mshr_.end())
-        return false;
-    it->second.push_back(std::move(waiter));
-    return true;
-}
-
-void
-SimCore::mshrOpen(Addr line)
-{
-    mshr_.try_emplace(line);
-}
-
-void
-SimCore::mshrClose(Addr line, Cycle when)
-{
-    const auto it = mshr_.find(line);
-    if (it == mshr_.end())
-        return;
-    auto waiters = std::move(it->second);
-    mshr_.erase(it);
-    for (auto &waiter : waiters)
-        waiter(when);
-}
-
 void
 SimCore::pump()
 {
@@ -182,7 +142,7 @@ SimCore::pump()
         nextIssueAt_ = when + cfg_.issueGap;
         ++inflight_;
         ++issued_;
-        machine_.eq.schedule(when, [this] { beginRef(); });
+        machine_.eq.schedule(when, hotCapture([this] { beginRef(); }));
     }
 }
 
@@ -190,90 +150,85 @@ void
 SimCore::beginRef()
 {
     prof::Scope prof_scope(prof::Component::Core);
-    auto ctx = std::make_shared<RefContext>();
+    // Only beginRef() acquires from refs_, so this reference stays
+    // valid through the calls below.
+    const std::uint32_t r = refs_.acquire();
+    RefRecord &ref = refs_[r];
     {
         prof::Scope workload_scope(prof::Component::Workload);
-        ctx->ref = workload_->next();
+        ref.ref = workload_->next();
     }
-    ctx->issueAt = machine_.eq.now();
+    ref.issueAt = machine_.eq.now();
     ++stats_.refs;
 
     // Demand paging: the OS maps the page on first touch.
     Cycle fault_penalty = 0;
-    if (addressSpace.touch(ctx->ref.vaddr)) {
+    if (addressSpace.touch(ref.ref.vaddr)) {
         ++stats_.pageFaults;
         fault_penalty = cfg_.pageFaultLatency;
     }
 
-    runPrefetchers(ctx->ref);
+    runPrefetchers(ref.ref);
 
-    const TlbResult tlb_result = tlb.lookup(ctx->ref.vaddr);
+    const TlbResult tlb_result = tlb.lookup(ref.ref.vaddr);
     const Cycle after_tlb =
         machine_.eq.now() + tlb_result.latency + fault_penalty;
 
     if (tlb_result.hit) {
-        ctx->paddr =
-            addressSpace.translate(ctx->ref.vaddr).physAddr(
-                ctx->ref.vaddr);
-        machine_.eq.schedule(after_tlb, [this, ctx] { dataAccess(ctx); });
+        ref.paddr =
+            addressSpace.translate(ref.ref.vaddr).physAddr(ref.ref.vaddr);
+        machine_.eq.schedule(after_tlb,
+                             hotCapture([this, r] { dataAccess(r); }));
         return;
     }
 
     // TLB miss: plan and execute the page table walk.
-    ctx->tlbMiss = true;
+    ref.tlbMiss = true;
     ++stats_.walks;
     ++walksOutstanding_;
-    auto plan = std::make_shared<WalkPlan>(walker.plan(ctx->ref.vaddr));
-    TEMPO_ASSERT(plan->xlate.valid, "demand reference walk must resolve");
-    if (auto *o = obs::session()) {
-        ctx->walkId = o->walkBegin(machine_.eq.now(), ctx->ref.vaddr,
-                                   obs::WalkKind::Demand,
-                                   plan->fetches.size(), plan->skipped);
-        plan->obsWalkId = ctx->walkId;
-    }
+    const std::uint32_t w =
+        newWalk(obs::WalkKind::Demand, r, ref.ref.vaddr);
+    TEMPO_ASSERT(walks_[w].plan.xlate.valid,
+                 "demand reference walk must resolve");
+    ref.walkId = walks_[w].plan.obsWalkId;
+    machine_.eq.schedule(after_tlb + cfg_.mmu.latency,
+                         hotCapture([this, w] { walkStep(w); }));
+}
 
-    const Cycle walk_start = after_tlb + cfg_.mmu.latency;
-    const Addr vaddr = ctx->ref.vaddr;
-    machine_.eq.schedule(walk_start, [this, ctx, plan, vaddr] {
-        walkAsync(vaddr, plan, 0, false,
-                  [this, ctx, plan, vaddr](Cycle when, double dram_cycles,
-                                           bool leaf_dram) {
-                      ctx->ptwDramCycles = dram_cycles;
-                      ctx->walkLeafDram = leaf_dram;
-                      if (leaf_dram)
-                          ++stats_.walksWithLeafDram;
-                      --walksOutstanding_;
-                      if (auto *o = obs::session())
-                          o->walkEnd(when, ctx->walkId, leaf_dram);
-                      walker.finish(vaddr, *plan);
-                      tlb.fill(vaddr, plan->xlate.size);
-                      maybeTlbPrefetch(vaddr, plan->xlate.size);
-                      ctx->paddr = plan->xlate.physAddr(vaddr);
-                      machine_.eq.schedule(
-                          when + cfg_.tlbFillLatency,
-                          [this, ctx] { dataAccess(ctx); });
-                  });
-    });
+std::uint32_t
+SimCore::newWalk(obs::WalkKind kind, std::uint32_t owner, Addr vaddr)
+{
+    const std::uint32_t w = walks_.acquire();
+    WalkRecord &walk = walks_[w];
+    walk.kind = kind;
+    walk.owner = owner;
+    walk.vaddr = vaddr;
+    walk.plan = walker.plan(vaddr);
+    if (auto *o = obs::session()) {
+        walk.plan.obsWalkId =
+            o->walkBegin(machine_.eq.now(), vaddr, kind,
+                         walk.plan.fetches.size(), walk.plan.skipped);
+    }
+    return w;
 }
 
 void
-SimCore::walkAsync(Addr vaddr, std::shared_ptr<WalkPlan> plan,
-                   std::size_t step, bool for_prefetch,
-                   std::function<void(Cycle, double, bool)> done)
+SimCore::walkStep(std::uint32_t w)
 {
     prof::Scope prof_scope(prof::Component::Walker);
+    const WalkRecord &walk = walks_[w];
     // Walk finished (or faulted at the last fetched level).
-    if (step >= plan->fetches.size()) {
-        done(machine_.eq.now(), 0, false);
+    if (walk.step >= walk.plan.fetches.size()) {
+        walkDone(w);
         return;
     }
 
-    const WalkStep &fetch = plan->fetches[step];
-    const bool is_leaf = step + 1 == plan->fetches.size();
+    const WalkStep &fetch = walk.plan.fetches[walk.step];
+    const bool is_leaf = walk.step + 1 == walk.plan.fetches.size();
     const CacheOutcome outcome = caches.access(fetch.pteAddr, false);
     const Cycle after_caches = machine_.eq.now() + outcome.latency;
     if (auto *o = obs::session()) {
-        o->walkStep(machine_.eq.now(), plan->obsWalkId, fetch.level,
+        o->walkStep(machine_.eq.now(), walk.plan.obsWalkId, fetch.level,
                     fetch.pteAddr,
                     static_cast<std::uint8_t>(outcome.level));
     }
@@ -286,13 +241,8 @@ SimCore::walkAsync(Addr vaddr, std::shared_ptr<WalkPlan> plan,
               default: ++stats_.leafPtLlcHits; break;
             }
         }
-        machine_.eq.schedule(
-            after_caches,
-            [this, vaddr, plan, step, for_prefetch,
-             done = std::move(done)]() mutable {
-                walkAsync(vaddr, plan, step + 1, for_prefetch,
-                          std::move(done));
-            });
+        machine_.eq.schedule(after_caches,
+                             hotCapture([this, w] { walkNext(w); }));
         return;
     }
 
@@ -302,99 +252,160 @@ SimCore::walkAsync(Addr vaddr, std::shared_ptr<WalkPlan> plan,
     // as a leaf-from-DRAM trigger — only the original request carries
     // the TEMPO tag.
     const Addr pte_line = lineAddr(fetch.pteAddr);
-    if (mshrPending(pte_line)) {
-        mshrWait(pte_line,
-                 [this, vaddr, plan, step, for_prefetch,
-                  submit = after_caches,
-                  done = std::move(done)](Cycle when) mutable {
-                     ++stats_.ptMshrMerges;
-                     const double waited = when > submit
-                         ? static_cast<double>(when - submit)
-                         : 0.0;
-                     auto chained =
-                         [waited, done = std::move(done)](
-                             Cycle t, double more, bool leaf) {
-                             done(t, waited + more, leaf);
-                         };
-                     walkAsync(vaddr, plan, step + 1, for_prefetch,
-                               std::move(chained));
-                 });
+    if (mshr_.wait(pte_line, hotCapture([this, w, submit = after_caches](
+                                            Cycle when) {
+            ++stats_.ptMshrMerges;
+            if (when > submit)
+                walks_[w].dramCycles += static_cast<double>(when - submit);
+            walkNext(w);
+        }))) {
         return;
     }
-    mshrOpen(pte_line);
+    mshr_.open(pte_line);
 
-    // PTE fetch goes to DRAM. The walker tags leaf fetches and appends
-    // the replay's target line (paper Sec. 4.1) — the tag carries the
-    // resolved replay address (or marks a fault, suppressing prefetch).
+    if (is_leaf) {
+        if (auto *o = obs::session()) {
+            o->ptAccessTag(machine_.eq.now(), walk.plan.obsWalkId,
+                           pte_line,
+                           walk.plan.xlate.valid
+                               ? lineAddr(walk.plan.xlate.physAddr(
+                                     walk.vaddr))
+                               : kInvalidAddr,
+                           walk.plan.xlate.valid);
+        }
+    }
+    machine_.eq.schedule(after_caches,
+                         hotCapture([this, w] { submitPtFetch(w); }));
+}
+
+void
+SimCore::walkNext(std::uint32_t w)
+{
+    ++walks_[w].step;
+    walkStep(w);
+}
+
+void
+SimCore::submitPtFetch(std::uint32_t w)
+{
+    // The walker tags leaf fetches and appends the replay's target line
+    // (paper Sec. 4.1) — the tag carries the resolved replay address
+    // (or marks a fault, suppressing prefetch).
+    const WalkRecord &walk = walks_[w];
+    const WalkStep &fetch = walk.plan.fetches[walk.step];
     MemRequest req;
     req.paddr = lineAddr(fetch.pteAddr);
     req.isWrite = false;
     req.kind = ReqKind::PtWalk;
     req.app = app_;
-    req.walkId = plan->obsWalkId;
-    if (is_leaf) {
+    req.walkId = walk.plan.obsWalkId;
+    if (walk.step + 1 == walk.plan.fetches.size()) {
         req.tempo.tagged = true;
-        req.tempo.pteValid = plan->xlate.valid;
-        if (plan->xlate.valid) {
+        req.tempo.pteValid = walk.plan.xlate.valid;
+        if (walk.plan.xlate.valid) {
             req.tempo.replayPaddr =
-                lineAddr(plan->xlate.physAddr(vaddr));
-        }
-        if (auto *o = obs::session()) {
-            o->ptAccessTag(machine_.eq.now(), plan->obsWalkId,
-                           lineAddr(fetch.pteAddr),
-                           req.tempo.replayPaddr, plan->xlate.valid);
+                lineAddr(walk.plan.xlate.physAddr(walk.vaddr));
         }
     }
-
-    const Cycle submit_at = after_caches;
-    const Addr pte_addr = fetch.pteAddr;
-
-    req.onComplete = [this, vaddr, plan, step, for_prefetch, is_leaf,
-                      submit_at, pte_addr,
-                      done = std::move(done)](
-                         const MemResult &res) mutable {
-        const Addr writeback = caches.fill(pte_addr);
-        if (writeback != kInvalidAddr)
-            machine_.submitWriteback(writeback, app_);
-        mshrClose(lineAddr(pte_addr), res.complete);
-        ++stats_.ptDramAccesses;
-        ++stats_.ptDramByLevel[plan->fetches[step].level];
-        if (is_leaf)
-            ++stats_.leafPtDramAccesses;
-        const double dram_cycles =
-            static_cast<double>(res.complete - submit_at);
-        // Chain to the next level; accumulate DRAM time and leaf flag.
-        auto chained = [dram_cycles, is_leaf, done = std::move(done)](
-                           Cycle when, double more, bool leaf) {
-            done(when, dram_cycles + more, leaf || is_leaf);
-        };
-        walkAsync(vaddr, plan, step + 1, for_prefetch,
-                  std::move(chained));
-    };
-
-    machine_.eq.schedule(submit_at, [this, req = std::move(req)]() mutable {
-        machine_.mc.submit(std::move(req));
-    });
+    req.onComplete = hotCapture(
+        [this, w, submit_at = machine_.eq.now()](const MemResult &res) {
+            ptFetchDone(w, submit_at, res.complete);
+        });
+    machine_.mc.submit(std::move(req));
 }
 
 void
-SimCore::dataAccess(const RefPtr &ctx)
+SimCore::ptFetchDone(std::uint32_t w, Cycle submit_at, Cycle complete)
+{
+    // Copied out: the MSHR waiters released below may start walks.
+    const WalkStep fetch = walks_[w].plan.fetches[walks_[w].step];
+    const bool is_leaf =
+        walks_[w].step + 1 == walks_[w].plan.fetches.size();
+    const Addr writeback = caches.fill(fetch.pteAddr);
+    if (writeback != kInvalidAddr)
+        machine_.submitWriteback(writeback, app_);
+    mshr_.close(lineAddr(fetch.pteAddr), complete);
+    ++stats_.ptDramAccesses;
+    ++stats_.ptDramByLevel[fetch.level];
+    if (is_leaf) {
+        ++stats_.leafPtDramAccesses;
+        walks_[w].leafDram = true;
+    }
+    walks_[w].dramCycles += static_cast<double>(complete - submit_at);
+    walkNext(w);
+}
+
+void
+SimCore::walkDone(std::uint32_t w)
+{
+    const Cycle when = machine_.eq.now();
+    // Copied out and released first: maybeTlbPrefetch() starts a walk.
+    const WalkRecord walk = walks_[w];
+    walks_.release(w);
+    if (auto *o = obs::session())
+        o->walkEnd(when, walk.plan.obsWalkId, walk.leafDram);
+
+    const Translation &xlate = walk.plan.xlate;
+    switch (walk.kind) {
+      case obs::WalkKind::Demand: {
+        const std::uint32_t r = walk.owner;
+        refs_[r].ptwDramCycles = walk.dramCycles;
+        refs_[r].walkLeafDram = walk.leafDram;
+        if (walk.leafDram)
+            ++stats_.walksWithLeafDram;
+        --walksOutstanding_;
+        walker.finish(walk.vaddr, walk.plan);
+        tlb.fill(walk.vaddr, xlate.size);
+        maybeTlbPrefetch(walk.vaddr, xlate.size);
+        refs_[r].paddr = xlate.physAddr(walk.vaddr);
+        machine_.eq.schedule(when + cfg_.tlbFillLatency,
+                             hotCapture([this, r] { dataAccess(r); }));
+        return;
+      }
+      case obs::WalkKind::CorePrefetch: {
+        const std::uint32_t idx = walk.owner;
+        if (!xlate.valid) {
+            ++stats_.impFaults;
+            ++stats_.prefetchEngines[idx].faults;
+            --impInflight_;
+            return;
+        }
+        walker.finish(walk.vaddr, walk.plan);
+        tlb.fill(walk.vaddr, xlate.size);
+        machine_.eq.schedule(
+            when + cfg_.tlbFillLatency,
+            hotCapture([this, idx, paddr = xlate.physAddr(walk.vaddr)] {
+                impData(paddr, idx);
+            }));
+        return;
+      }
+      case obs::WalkKind::TlbPrefetch:
+        if (!xlate.valid)
+            return;
+        walker.finish(walk.vaddr, walk.plan);
+        tlb.fill(walk.vaddr, xlate.size);
+        return;
+    }
+}
+
+void
+SimCore::dataAccess(std::uint32_t r)
 {
     prof::Scope prof_scope(prof::Component::Core);
-    TEMPO_ASSERT(ctx->paddr != kInvalidAddr, "data access untranslated");
-    if (ctx->tlbMiss) {
+    const RefRecord &ref = refs_[r];
+    TEMPO_ASSERT(ref.paddr != kInvalidAddr, "data access untranslated");
+    if (ref.tlbMiss) {
         if (auto *o = obs::session())
-            o->replayBegin(machine_.eq.now(), ctx->walkId, ctx->paddr);
+            o->replayBegin(machine_.eq.now(), ref.walkId, ref.paddr);
     }
-    const CacheOutcome outcome =
-        caches.access(ctx->paddr, ctx->ref.isWrite);
+    const CacheOutcome outcome = caches.access(ref.paddr, ref.ref.isWrite);
     const Cycle after_caches = machine_.eq.now() + outcome.latency;
 
     if (outcome.level != CacheLevel::Memory) {
-        classifyDemandHit(lineAddr(ctx->paddr));
-        if (ctx->tlbMiss) {
+        classifyDemandHit(lineAddr(ref.paddr));
+        if (ref.tlbMiss) {
             const bool llc = outcome.level == CacheLevel::LLC;
-            if (ctx->walkLeafDram) {
+            if (ref.walkLeafDram) {
                 ++stats_.replayAfterDramWalk;
                 if (llc)
                     ++stats_.replayLlcHits;
@@ -402,12 +413,13 @@ SimCore::dataAccess(const RefPtr &ctx)
                     ++stats_.replayPrivateHits;
             }
             if (auto *o = obs::session()) {
-                o->replayEnd(after_caches, ctx->walkId,
+                o->replayEnd(after_caches, ref.walkId,
                              llc ? obs::ReplayClass::LlcHit
                                  : obs::ReplayClass::PrivateHit);
             }
         }
-        machine_.eq.schedule(after_caches, [this, ctx] { finishRef(ctx); });
+        machine_.eq.schedule(after_caches,
+                             hotCapture([this, r] { finishRef(r); }));
         return;
     }
 
@@ -418,69 +430,73 @@ SimCore::dataAccess(const RefPtr &ctx)
     // instead of issuing a duplicate DRAM access (the paper's
     // partial-overlap case, Sec. 3).
     machine_.eq.schedule(after_caches,
-                         [this, ctx] { memoryAccess(ctx); });
+                         hotCapture([this, r] { memoryAccess(r); }));
 }
 
 void
-SimCore::memoryAccess(const RefPtr &ctx)
+SimCore::memoryAccess(std::uint32_t r)
 {
     prof::Scope prof_scope(prof::Component::Core);
-    const Addr line = lineAddr(ctx->paddr);
+    const RefRecord &ref = refs_[r];
+    const Addr line = lineAddr(ref.paddr);
 
-    if (ctx->tlbMiss && machine_.llc.cache().contains(line)) {
+    if (ref.tlbMiss && machine_.llc.cache().contains(line)) {
         // The prefetch filled the LLC while our lookup was in flight.
         classifyDemandHit(line);
         machine_.llc.cache().lookup(line); // LRU touch
         caches.fillPrivate(line);
-        if (ctx->walkLeafDram) {
+        if (ref.walkLeafDram) {
             ++stats_.replayAfterDramWalk;
             ++stats_.replayLlcHits;
         }
         if (auto *o = obs::session()) {
-            o->replayEnd(machine_.eq.now(), ctx->walkId,
+            o->replayEnd(machine_.eq.now(), ref.walkId,
                          obs::ReplayClass::LlcHit);
         }
-        finishRef(ctx);
+        finishRef(r);
         return;
     }
 
-    if (ctx->tlbMiss
+    if (ref.tlbMiss
         && machine_.mc.mergeWithPendingPrefetch(
-            line, [this, ctx, submit = machine_.eq.now()](Cycle done) {
-                caches.fillPrivate(ctx->paddr);
+            line, hotCapture([this, r,
+                              submit = machine_.eq.now()](Cycle done) {
+                RefRecord &merged = refs_[r];
+                caches.fillPrivate(merged.paddr);
                 ++stats_.replayDramAccesses;
-                ctx->replayDramCycles = done > submit
+                merged.replayDramCycles = done > submit
                     ? static_cast<double>(done - submit)
                     : 0.0;
-                if (ctx->walkLeafDram) {
+                if (merged.walkLeafDram) {
                     ++stats_.replayAfterDramWalk;
                     ++stats_.replayMerged;
                 }
                 if (auto *o = obs::session()) {
-                    o->replayEnd(done, ctx->walkId,
+                    o->replayEnd(done, merged.walkId,
                                  obs::ReplayClass::Merged);
                 }
                 // The waiter runs at the prefetch's completion event,
                 // which is never before `submit`.
-                finishRef(ctx);
-            })) {
+                finishRef(r);
+            }))) {
         return;
     }
 
     // A demand fill of this line may already be outstanding (another
     // reference or an IMP chain): wait on it rather than duplicating.
-    if (mshrWait(line, [this, ctx,
-                        submit = machine_.eq.now()](Cycle when) {
+    if (mshr_.wait(line, hotCapture([this, r, submit = machine_.eq.now()](
+                                        Cycle when) {
+            RefRecord &merged = refs_[r];
             ++stats_.dataMshrMerges;
-            caches.fillPrivate(ctx->paddr);
-            ctx->replayDramCycles = 0;
+            caches.fillPrivate(merged.paddr);
+            merged.replayDramCycles = 0;
             const double waited = when > submit
                 ? static_cast<double>(when - submit)
                 : 0.0;
-            if (ctx->tlbMiss) {
+            if (merged.tlbMiss) {
                 ++stats_.replayDramAccesses;
-                ctx->replayDramCycles = waited;
-                if (ctx->walkLeafDram) {
+                merged.replayDramCycles = waited;
+                if (merged.walkLeafDram) {
                     ++stats_.replayAfterDramWalk;
                     // The replay waited on a DRAM array fill of its own
                     // line: it "needed DRAM" in the paper's sense.
@@ -488,41 +504,42 @@ SimCore::memoryAccess(const RefPtr &ctx)
                     ++stats_.replayArray;
                 }
                 if (auto *o = obs::session()) {
-                    o->replayEnd(when, ctx->walkId,
+                    o->replayEnd(when, merged.walkId,
                                  obs::ReplayClass::Array);
                 }
             } else {
                 stats_.cyclesOtherDram += waited;
             }
-            finishRef(ctx);
-        })) {
+            finishRef(r);
+        }))) {
         classifyDemandMerge(line);
         return;
     }
-    mshrOpen(line);
+    mshr_.open(line);
     classifyDemandMiss(line);
 
     MemRequest req;
     req.paddr = line;
-    req.isWrite = ctx->ref.isWrite;
-    req.kind = ctx->tlbMiss ? ReqKind::Replay : ReqKind::Regular;
+    req.isWrite = ref.ref.isWrite;
+    req.kind = ref.tlbMiss ? ReqKind::Replay : ReqKind::Regular;
     req.app = app_;
-    req.walkId = ctx->walkId;
-    const Cycle submit_at = machine_.eq.now();
-    req.onComplete = [this, ctx, submit_at](const MemResult &res) {
+    req.walkId = ref.walkId;
+    req.onComplete = hotCapture([this, r, submit_at = machine_.eq.now()](
+                                    const MemResult &res) {
         const Addr writeback =
-            caches.fill(ctx->paddr, ctx->ref.isWrite);
+            caches.fill(refs_[r].paddr, refs_[r].ref.isWrite);
         if (writeback != kInvalidAddr)
             machine_.submitWriteback(writeback, app_);
-        mshrClose(lineAddr(ctx->paddr), res.complete);
+        mshr_.close(lineAddr(refs_[r].paddr), res.complete);
+        RefRecord &done = refs_[r];
         const double dram_cycles =
             static_cast<double>(res.complete - submit_at);
-        if (ctx->tlbMiss) {
+        if (done.tlbMiss) {
             ++stats_.replayDramAccesses;
-            ctx->replayDramCycles = dram_cycles;
+            done.replayDramCycles = dram_cycles;
             const bool row_hit = res.rowEvent
                 == static_cast<std::uint8_t>(RowEvent::Hit);
-            if (ctx->walkLeafDram) {
+            if (done.walkLeafDram) {
                 ++stats_.replayAfterDramWalk;
                 ++stats_.replayDramAfterDramWalk;
                 if (row_hit) {
@@ -532,7 +549,7 @@ SimCore::memoryAccess(const RefPtr &ctx)
                 }
             }
             if (auto *o = obs::session()) {
-                o->replayEnd(res.complete, ctx->walkId,
+                o->replayEnd(res.complete, done.walkId,
                              row_hit ? obs::ReplayClass::RowHit
                                      : obs::ReplayClass::Array);
             }
@@ -540,21 +557,23 @@ SimCore::memoryAccess(const RefPtr &ctx)
             ++stats_.regularDramAccesses;
             stats_.cyclesOtherDram += dram_cycles;
         }
-        finishRef(ctx);
-    };
+        finishRef(r);
+    });
 
     machine_.mc.submit(std::move(req));
 }
 
 void
-SimCore::finishRef(const RefPtr &ctx)
+SimCore::finishRef(std::uint32_t r)
 {
     prof::Scope prof_scope(prof::Component::Core);
     const Cycle now = machine_.eq.now();
-    stats_.cyclesPtwDram += ctx->ptwDramCycles;
-    stats_.cyclesReplayDram += ctx->replayDramCycles;
-    stats_.cyclesTotal += static_cast<double>(now - ctx->issueAt);
+    const RefRecord &ref = refs_[r];
+    stats_.cyclesPtwDram += ref.ptwDramCycles;
+    stats_.cyclesReplayDram += ref.replayDramCycles;
+    stats_.cyclesTotal += static_cast<double>(now - ref.issueAt);
     stats_.lastFinish = std::max(stats_.lastFinish, now);
+    refs_.release(r);
 
     TEMPO_ASSERT(inflight_ > 0, "finish without inflight");
     --inflight_;
@@ -665,16 +684,16 @@ SimCore::metadataFetch(std::size_t idx, Addr addr)
     // the ImpPrefetch request class so it bills as prefetch traffic).
     const Addr paddr =
         lineAddr((addr * 0x9E3779B97F4A7C15ull) % cfg_.os.physBytes);
-    MemRequest req;
-    req.paddr = paddr;
-    req.isWrite = false;
-    req.kind = ReqKind::ImpPrefetch;
-    req.app = app_;
-    req.onComplete = [this](const MemResult &) { --metadataInflight_; };
-    machine_.eq.schedule(machine_.eq.now(),
-                         [this, req = std::move(req)]() mutable {
-                             machine_.mc.submit(std::move(req));
-                         });
+    machine_.eq.schedule(machine_.eq.now(), hotCapture([this, paddr] {
+        MemRequest req;
+        req.paddr = paddr;
+        req.isWrite = false;
+        req.kind = ReqKind::ImpPrefetch;
+        req.app = app_;
+        req.onComplete = hotCapture(
+            [this](const MemResult &) { --metadataInflight_; });
+        machine_.mc.submit(std::move(req));
+    }));
 }
 
 void
@@ -738,46 +757,22 @@ SimCore::prefetchChain(Addr target, std::size_t idx)
     const TlbResult tlb_result = tlb.lookup(target);
     const Cycle after_tlb = machine_.eq.now() + tlb_result.latency;
 
+    const auto slot = static_cast<std::uint32_t>(idx);
     if (tlb_result.hit) {
         const Translation xlate = addressSpace.translate(target);
         TEMPO_ASSERT(xlate.valid, "TLB hit for unmapped page");
-        machine_.eq.schedule(after_tlb,
-                             [this, idx, paddr = xlate.physAddr(target)] {
-                                 impData(paddr, idx);
-                             });
+        machine_.eq.schedule(
+            after_tlb,
+            hotCapture([this, slot, paddr = xlate.physAddr(target)] {
+                impData(paddr, slot);
+            }));
         return;
     }
 
-    auto plan = std::make_shared<WalkPlan>(walker.plan(target));
-    if (auto *o = obs::session()) {
-        plan->obsWalkId =
-            o->walkBegin(machine_.eq.now(), target,
-                         obs::WalkKind::CorePrefetch,
-                         plan->fetches.size(), plan->skipped);
-    }
-    machine_.eq.schedule(
-        after_tlb + cfg_.mmu.latency, [this, plan, target, idx] {
-            walkAsync(target, plan, 0, true,
-                      [this, plan, target, idx](Cycle when, double,
-                                                bool leaf_dram) {
-                          if (auto *o = obs::session()) {
-                              o->walkEnd(when, plan->obsWalkId,
-                                         leaf_dram);
-                          }
-                          if (!plan->xlate.valid) {
-                              ++stats_.impFaults;
-                              ++stats_.prefetchEngines[idx].faults;
-                              --impInflight_;
-                              return;
-                          }
-                          walker.finish(target, *plan);
-                          tlb.fill(target, plan->xlate.size);
-                          machine_.eq.schedule(
-                              when + cfg_.tlbFillLatency,
-                              [this, idx, paddr = plan->xlate.physAddr(
-                                   target)] { impData(paddr, idx); });
-                      });
-        });
+    const std::uint32_t w =
+        newWalk(obs::WalkKind::CorePrefetch, slot, target);
+    machine_.eq.schedule(after_tlb + cfg_.mmu.latency,
+                         hotCapture([this, w] { walkStep(w); }));
 }
 
 void
@@ -793,27 +788,9 @@ SimCore::maybeTlbPrefetch(Addr vaddr, PageSize size)
     if (tlb.lookup(next).hit)
         return;
     ++stats_.tlbPrefetches;
-    auto plan = std::make_shared<WalkPlan>(walker.plan(next));
-    if (auto *o = obs::session()) {
-        plan->obsWalkId =
-            o->walkBegin(machine_.eq.now(), next,
-                         obs::WalkKind::TlbPrefetch,
-                         plan->fetches.size(), plan->skipped);
-    }
-    machine_.eq.scheduleIn(cfg_.mmu.latency, [this, plan, next] {
-        walkAsync(next, plan, 0, true,
-                  [this, plan, next](Cycle when, double,
-                                     bool leaf_dram) {
-                      if (auto *o = obs::session()) {
-                          o->walkEnd(when, plan->obsWalkId,
-                                     leaf_dram);
-                      }
-                      if (!plan->xlate.valid)
-                          return;
-                      walker.finish(next, *plan);
-                      tlb.fill(next, plan->xlate.size);
-                  });
-    });
+    const std::uint32_t w = newWalk(obs::WalkKind::TlbPrefetch, 0, next);
+    machine_.eq.scheduleIn(cfg_.mmu.latency,
+                           hotCapture([this, w] { walkStep(w); }));
 }
 
 void
@@ -826,31 +803,31 @@ SimCore::impData(Addr paddr, std::size_t idx)
         --impInflight_;
         return;
     }
-    if (mshrWait(lineAddr(paddr), [this](Cycle) { --impInflight_; }))
+    if (mshr_.wait(lineAddr(paddr),
+                   hotCapture([this](Cycle) { --impInflight_; })))
         return;
-    mshrOpen(lineAddr(paddr));
+    mshr_.open(lineAddr(paddr));
     pendingPf_.try_emplace(lineAddr(paddr), idx);
 
-    MemRequest req;
-    req.paddr = lineAddr(paddr);
-    req.isWrite = false;
-    req.kind = ReqKind::ImpPrefetch;
-    req.app = app_;
-
-    req.onComplete = [this, paddr](const MemResult &res) {
-        // IMP fills into L1 (inclusive hierarchy).
-        const Addr writeback = caches.fill(paddr);
-        if (writeback != kInvalidAddr)
-            machine_.submitWriteback(writeback, app_);
-        mshrClose(lineAddr(paddr), res.complete);
-        notePrefetchFill(lineAddr(paddr));
-        --impInflight_;
-    };
     machine_.eq.schedule(
-        machine_.eq.now() + outcome.latency,
-        [this, req = std::move(req)]() mutable {
+        machine_.eq.now() + outcome.latency, hotCapture([this, paddr] {
+            MemRequest req;
+            req.paddr = lineAddr(paddr);
+            req.isWrite = false;
+            req.kind = ReqKind::ImpPrefetch;
+            req.app = app_;
+            req.onComplete =
+                hotCapture([this, paddr](const MemResult &res) {
+                    // IMP fills into L1 (inclusive hierarchy).
+                    const Addr writeback = caches.fill(paddr);
+                    if (writeback != kInvalidAddr)
+                        machine_.submitWriteback(writeback, app_);
+                    mshr_.close(lineAddr(paddr), res.complete);
+                    notePrefetchFill(lineAddr(paddr));
+                    --impInflight_;
+                });
             machine_.mc.submit(std::move(req));
-        });
+        }));
 }
 
 } // namespace tempo

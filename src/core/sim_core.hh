@@ -27,6 +27,8 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "common/record_pool.hh"
+#include "common/waiter_table.hh"
 #include "core/machine.hh"
 #include "prefetch/prefetcher.hh"
 #include "stats/stats.hh"
@@ -37,6 +39,10 @@
 #include "workloads/workload.hh"
 
 namespace tempo {
+
+namespace obs {
+enum class WalkKind : std::uint8_t;
+} // namespace obs
 
 /**
  * Lifecycle taxonomy for one registry prefetch engine. Every issued
@@ -173,21 +179,61 @@ class SimCore
     std::uint64_t outstandingWalks() const { return walksOutstanding_; }
 
   private:
-    struct RefContext;
-    using RefPtr = std::shared_ptr<RefContext>;
+    /**
+     * One in-flight reference, from issue to finishRef(). The records
+     * live in refs_, a slab that grows with the first window of
+     * references and then holds the whole window; events and callbacks
+     * name a record by its index.
+     */
+    struct RefRecord {
+        MemRef ref;
+        Addr paddr = kInvalidAddr;
+        Cycle issueAt = 0;
+        bool tlbMiss = false;
+        bool walkLeafDram = false;
+        double ptwDramCycles = 0;
+        double replayDramCycles = 0;
+        std::uint64_t walkId = 0; //!< observability walk id (0 = none)
+    };
+
+    /** One page walk in flight: a demand walk, the walk of a core
+     * prefetch chain, or a next-page TLB prefetch. */
+    struct WalkRecord {
+        obs::WalkKind kind{};
+        /** Demand: the reference's index. Core prefetch: the engine
+         * slot. TLB prefetch: unused. */
+        std::uint32_t owner = 0;
+        Addr vaddr = 0; //!< the address being translated
+        WalkPlan plan;
+        std::size_t step = 0;   //!< index of the current fetch
+        double dramCycles = 0;  //!< DRAM time of the fetches so far
+        bool leafDram = false;  //!< the leaf fetch itself read DRAM
+    };
 
     /** Issue references until the window is full. */
     void pump();
     void beginRef();
-    /** Run one PTE fetch of a planned walk; recurses via events. */
-    void walkAsync(Addr vaddr, std::shared_ptr<WalkPlan> plan,
-                   std::size_t step, bool for_prefetch,
-                   std::function<void(Cycle, double, bool)> done);
-    void dataAccess(const RefPtr &ctx);
+    /** Plan a walk of @p vaddr into a new walk record. */
+    std::uint32_t newWalk(obs::WalkKind kind, std::uint32_t owner,
+                          Addr vaddr);
+    /** Run walk @p w's current PTE fetch through the caches, then on
+     * to the next fetch, an MSHR merge, or DRAM. */
+    void walkStep(std::uint32_t w);
+    /** Move walk @p w on to its next fetch. */
+    void walkNext(std::uint32_t w);
+    /** Send walk @p w's current fetch to the memory controller. */
+    void submitPtFetch(std::uint32_t w);
+    /** Walk @p w's DRAM fetch, submitted at @p submit_at, completed at
+     * @p complete. */
+    void ptFetchDone(std::uint32_t w, Cycle submit_at, Cycle complete);
+    /** Every fetch of walk @p w is done: fill the TLB and hand over to
+     * the walk's owner, by kind. */
+    void walkDone(std::uint32_t w);
+    void dataAccess(std::uint32_t r);
     /** Miss handling once the LLC lookup completes: late-prefetch hit
      * detection, MSHR merge, or a real memory-controller request. */
-    void memoryAccess(const RefPtr &ctx);
-    void finishRef(const RefPtr &ctx);
+    void memoryAccess(std::uint32_t r);
+    void finishRef(std::uint32_t r);
 
     /** Run every engine's observe+drain on @p ref and dispatch the
      * resulting actions (the registry replacement for the hard-wired
@@ -222,20 +268,8 @@ class SimCore
     /** Extension: prefetch the next page's translation into the TLB. */
     void maybeTlbPrefetch(Addr vaddr, PageSize size);
 
-    /** Allocation-free MSHR waiter: typical captures (this, a ref
-     * context, a submit time) stay inline; oversized walk-chain
-     * continuations fall back to the heap. */
-    using MshrWaiter = InlineFunction<void(Cycle), kCompletionInlineBytes>;
-
-    /** True when a fill of @p line is outstanding. */
-    bool mshrPending(Addr line) const { return mshr_.count(line) > 0; }
-    /** MSHR: if a fill of @p line is in flight, queue @p waiter for its
-     * completion and return true. */
-    bool mshrWait(Addr line, MshrWaiter waiter);
-    /** Register an outstanding fill of @p line. */
-    void mshrOpen(Addr line);
-    /** Complete the fill: release all waiters at @p when. */
-    void mshrClose(Addr line, Cycle when);
+    /** MSHR waiter, run with the fill's completion cycle. */
+    using MshrWaiter = InlineFunction<void(Cycle), kHotCaptureBytes>;
 
     Machine &machine_;
     const SystemConfig &cfg_;
@@ -251,8 +285,10 @@ class SimCore
     unsigned impInflight_ = 0;
     unsigned metadataInflight_ = 0;
 
+    RecordPool<RefRecord> refs_;   //!< in-flight references
+    RecordPool<WalkRecord> walks_; //!< in-flight page walks
     /** Outstanding line fills -> waiters (miss-status holding regs). */
-    std::unordered_map<Addr, std::vector<MshrWaiter>> mshr_;
+    WaiterTable<MshrWaiter> mshr_;
 
     /** One slot per registry engine, in dispatch order. */
     struct EngineSlot {

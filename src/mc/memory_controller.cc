@@ -52,24 +52,21 @@ MemoryController::MemoryController(EventQueue &eq, DramDevice &dram,
 }
 
 void
-MemoryController::submit(MemRequest req)
+MemoryController::submit(MemRequest &&req)
 {
     const DramCoord coord = dram_.map().decode(req.paddr);
     submitDecoded(std::move(req), coord);
 }
 
 void
-MemoryController::submitDecoded(MemRequest req, const DramCoord &coord)
+MemoryController::submitDecoded(MemRequest &&req, const DramCoord &coord)
 {
     prof::Scope prof_scope(prof::Component::Mc);
     const unsigned ch = coord.channel;
     Channel &channel = channels_[ch];
 
-    QueuedRequest entry;
-    entry.req = std::move(req);
-    entry.arrival = eq_.now();
-    entry.seq = seq_++;
-    const std::uint32_t id = txq_.enqueue(std::move(entry), coord);
+    const std::uint32_t id = txq_.enqueue(
+        QueuedRequest{std::move(req), eq_.now(), seq_++}, coord);
     const QueuedRequest &queued = txq_.entry(id);
 
     // A TEMPO-tagged PT request occupies two Tx Q slots (the paper splits
@@ -98,10 +95,10 @@ MemoryController::scheduleKick(unsigned ch, Cycle when)
     if (channel.kickPending)
         return;
     channel.kickPending = true;
-    eq_.schedule(when, [this, ch] {
-        channels_[ch].kickPending = false;
-        kick(ch);
-    });
+    eq_.schedule(when, hotCapture([this, ch] {
+                     channels_[ch].kickPending = false;
+                     kick(ch);
+                 }));
 }
 
 void
@@ -162,7 +159,8 @@ MemoryController::dispatch(unsigned ch, std::uint32_t id)
     channel.busFreeAt = now + dram_.config().tBurst;
 
     eq_.schedule(result.complete,
-                 [this, id, result] { completed(id, result); });
+                 hotCapture<EventQueue::kInlineBytes>(
+                     [this, id, result] { completed(id, result); }));
 }
 
 void
@@ -204,13 +202,7 @@ MemoryController::completed(std::uint32_t slot, const DramResult &result)
         if (onTempoPrefetchFill && cfg_.tempoLlcFill)
             onTempoPrefetchFill(entry.req.paddr, entry.req.app);
         // Release any replay that merged with this prefetch.
-        const auto it = pendingPrefetch_.find(entry.req.paddr);
-        if (it != pendingPrefetch_.end()) {
-            auto waiters = std::move(it->second);
-            pendingPrefetch_.erase(it);
-            for (auto &waiter : waiters)
-                waiter(result.complete);
-        }
+        pendingPrefetch_.close(entry.req.paddr, result.complete);
     }
 
     if (entry.req.onComplete) {
@@ -240,31 +232,28 @@ MemoryController::firePrefetch(const QueuedRequest &pt_entry, Cycle when)
         return;
     }
     ++pfIssued_;
-    pendingPrefetch_.try_emplace(line);
+    pendingPrefetch_.open(line);
     if (auto *o = obs::session())
         o->prefetchIssue(when, pt_entry.req.walkId, line);
 
     eq_.schedule(when + cfg_.prefetchEngineDelay,
-                 [this, line, coord, app = pt_entry.req.app,
-                  walk = pt_entry.req.walkId] {
-                     MemRequest pf;
-                     pf.paddr = line;
-                     pf.isWrite = false;
-                     pf.kind = ReqKind::TempoPrefetch;
-                     pf.app = app;
-                     pf.walkId = walk;
-                     submitDecoded(std::move(pf), coord);
-                 });
+                 hotCapture<EventQueue::kInlineBytes>(
+                     [this, line, coord, app = pt_entry.req.app,
+                      walk = pt_entry.req.walkId] {
+                         MemRequest pf;
+                         pf.paddr = line;
+                         pf.isWrite = false;
+                         pf.kind = ReqKind::TempoPrefetch;
+                         pf.app = app;
+                         pf.walkId = walk;
+                         submitDecoded(std::move(pf), coord);
+                     }));
 }
 
 bool
 MemoryController::mergeWithPendingPrefetch(Addr line, Waiter waiter)
 {
-    const auto it = pendingPrefetch_.find(lineAddr(line));
-    if (it == pendingPrefetch_.end())
-        return false;
-    it->second.push_back(std::move(waiter));
-    return true;
+    return pendingPrefetch_.wait(lineAddr(line), std::move(waiter));
 }
 
 std::size_t

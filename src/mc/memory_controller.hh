@@ -18,11 +18,11 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/event_queue.hh"
 #include "common/types.hh"
+#include "common/waiter_table.hh"
 #include "dram/dram.hh"
 #include "mc/bliss.hh"
 #include "mc/request.hh"
@@ -73,10 +73,11 @@ class MemoryController
                      const McConfig &cfg);
 
     /** Enqueue @p req now. The onComplete callback fires at completion. */
-    void submit(MemRequest req);
+    void submit(MemRequest &&req);
 
-    /** Allocation-free waiter for prefetch-merge completion. */
-    using Waiter = InlineFunction<void(Cycle), kCompletionInlineBytes>;
+    /** Waiter for prefetch-merge completion; a hot-path capture (see
+     * hotCapture()) is stored inline. */
+    using Waiter = InlineFunction<void(Cycle), kHotCaptureBytes>;
 
     /**
      * Hook invoked when a TEMPO prefetch's data arrives: the system
@@ -96,12 +97,6 @@ class MemoryController
      * (a mergeWithPendingPrefetch() call would succeed). Lets callers
      * avoid constructing a waiter speculatively: the merge consumes
      * the waiter even when it returns false. */
-    bool
-    hasPendingPrefetch(Addr line) const
-    {
-        return pendingPrefetch_.find(lineAddr(line))
-            != pendingPrefetch_.end();
-    }
 
     // --- Statistics ---
     std::uint64_t served(ReqKind kind) const;
@@ -143,7 +138,7 @@ class MemoryController
 
     /** Submit with the target's DRAM coordinates already decoded (the
      * prefetch engine decodes once for its drop check and reuses it). */
-    void submitDecoded(MemRequest req, const DramCoord &coord);
+    void submitDecoded(MemRequest &&req, const DramCoord &coord);
 
     void kick(unsigned ch);
     void scheduleKick(unsigned ch, Cycle when);
@@ -160,7 +155,7 @@ class MemoryController
     std::uint64_t seq_ = 0;
 
     /** In-flight TEMPO prefetch lines -> replays waiting on them. */
-    std::unordered_map<Addr, std::vector<Waiter>> pendingPrefetch_;
+    WaiterTable<Waiter> pendingPrefetch_;
 
     // Statistics, indexed by ReqKind.
     static constexpr std::size_t kKinds = 6;

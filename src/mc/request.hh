@@ -65,10 +65,11 @@ struct MemResult {
     std::uint8_t rowEvent; //!< RowEvent as integer (hit/miss/conflict)
 };
 
-/** Inline capture capacity for completion callbacks: fits the demand
- * path's (this, context, submit-time) captures without touching the
- * heap; larger captures (walk-chain continuations) fall back. */
-inline constexpr std::size_t kCompletionInlineBytes = 64;
+/** Inline capture capacity for completion callbacks: the simulator's
+ * (this, record index, submit cycle) captures need kHotCaptureBytes;
+ * the rest leaves room for a test or bench harness capturing four
+ * words. Larger captures fall back to the heap. */
+inline constexpr std::size_t kCompletionInlineBytes = 32;
 
 /** One request into the memory controller. Move-only: the completion
  * callback is an InlineFunction, so queuing and dispatching a request

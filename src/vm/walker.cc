@@ -22,7 +22,6 @@ Walker::plan(Addr vaddr)
 
     WalkPlan plan;
     plan.xlate = full.xlate;
-    plan.fetches.reserve(static_cast<std::size_t>(full.count));
     for (int i = 0; i < full.count; ++i) {
         const WalkStep &step = full.steps[i];
         if (step.level < deepest) {

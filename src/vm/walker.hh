@@ -12,8 +12,10 @@
 #ifndef TEMPO_VM_WALKER_HH
 #define TEMPO_VM_WALKER_HH
 
-#include <vector>
+#include <cstddef>
+#include <initializer_list>
 
+#include "common/log.hh"
 #include "common/types.hh"
 #include "vm/mmu_cache.hh"
 #include "vm/page_table.hh"
@@ -21,12 +23,40 @@
 
 namespace tempo {
 
+/** The PTE fetches of one walk: at most one per page-table level, so
+ * a fixed list that never touches the heap. */
+struct WalkFetches {
+    static constexpr std::size_t kMax = 4;
+
+    WalkStep steps[kMax] = {};
+    std::size_t count = 0;
+
+    WalkFetches() = default;
+    WalkFetches(std::initializer_list<WalkStep> list)
+    {
+        for (const WalkStep &step : list)
+            push_back(step);
+    }
+
+    std::size_t size() const { return count; }
+    bool empty() const { return count == 0; }
+    const WalkStep &operator[](std::size_t i) const { return steps[i]; }
+    const WalkStep &back() const { return steps[count - 1]; }
+
+    void
+    push_back(const WalkStep &step)
+    {
+        TEMPO_ASSERT(count < kMax, "walk deeper than the page table");
+        steps[count++] = step;
+    }
+};
+
 /** A planned page-table walk. */
 struct WalkPlan {
     /** PTE fetches to perform, top level first. Levels already covered
      * by MMU cache hits are skipped. The last fetch is the leaf PTE (or,
      * on a fault, the first non-present entry). */
-    std::vector<WalkStep> fetches;
+    WalkFetches fetches;
     /** Final translation; !valid means the walk faults. */
     Translation xlate;
     /** Levels the MMU caches satisfied (fetches skipped). */

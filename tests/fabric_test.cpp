@@ -541,5 +541,30 @@ TEST(FabricEndToEnd, RestartedWorkerReclaimsItsOwnStaleClaim)
         EXPECT_TRUE(result.status.ok());
 }
 
+// EXPERIMENTS.md "Fabric sweeps": setting TEMPO_FABRIC_DIR opts a
+// process in, and the role defaults to worker.
+TEST(FabricEnv, DirectoryAloneOptsInAsWorker)
+{
+    TempDir dir("env_only");
+    ::setenv("TEMPO_FABRIC_DIR", dir.path.c_str(), 1);
+    ExperimentOptions opts = ExperimentOptions::fromEnv();
+    ::unsetenv("TEMPO_FABRIC_DIR");
+    EXPECT_EQ(opts.fabricDir, dir.path);
+    EXPECT_TRUE(opts.fabricActive());
+
+    // With no role chosen the sweep runs as a fabric worker: it
+    // streams every point into the directory's shards.
+    std::vector<ExperimentPoint> points = sweepPoints();
+    points.resize(2);
+    opts.jobs = 1;
+    opts.fabricRole = ExperimentOptions::FabricRole::None;
+    opts.fabricHeartbeatSec = 0.1;
+    for (const RunResult &result : runExperiments(points, opts))
+        EXPECT_TRUE(result.status.ok());
+    ShardScanner scanner(dir.path);
+    scanner.poll();
+    EXPECT_EQ(scanner.done().size(), points.size());
+}
+
 } // namespace
 } // namespace tempo

@@ -179,6 +179,7 @@ TEST_F(WalkerFixture, FinishNeverCachesLeafLevel)
     WalkPlan crafted;
     crafted.xlate = full.xlate;
     crafted.fetches = {full.fetches[3], full.fetches[3]};
+    ASSERT_EQ(crafted.fetches.size(), 2u);
     walker.finish(0x1234000, crafted);
     EXPECT_EQ(mmu.deepestCached(0x1234000), 5); // still cold
 }
