@@ -27,7 +27,7 @@
 #include <string>
 
 #include "common/event_queue.hh"
-#include "common/heap_event_queue.hh"
+#include "oracles/heap_event_queue.hh"
 
 namespace {
 

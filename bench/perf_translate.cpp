@@ -1,8 +1,8 @@
 /**
  * @file
  * perf_translate: translations/sec of the memoized translation fast
- * path (vm/translator.hh) vs the retained unmemoized reference, over
- * the same page table and the same address streams.
+ * path (vm/translator.hh) vs the unmemoized PageTable lookups it
+ * fronts, over the same page table and the same address streams.
  *
  *   perf_translate [--ops N]
  *
@@ -148,8 +148,10 @@ fold(std::uint64_t check, std::uint64_t value)
     return (check ^ value) * 0x9e3779b97f4a7c15ULL;
 }
 
+/** Time @p translate (Addr -> Translation) over @p stream. */
+template <typename Translate>
 TrialResult
-runTranslate(Arena &arena, Translator &xlate,
+runTranslate(Arena &arena, Translate translate,
              const std::vector<Addr> &stream, std::uint64_t ops,
              bool mutate)
 {
@@ -168,7 +170,7 @@ runTranslate(Arena &arena, Translator &xlate,
         }
         const Addr vaddr = stream[pos];
         pos = (pos + 1 == stream.size()) ? 0 : pos + 1;
-        const Translation t = xlate.translate(vaddr);
+        const Translation t = translate(vaddr);
         result.check = fold(result.check,
                             t.physAddr(vaddr)
                                 + (t.writable ? 1 : 0)
@@ -181,9 +183,11 @@ runTranslate(Arena &arena, Translator &xlate,
     return result;
 }
 
+/** Time @p walk (Addr -> step count plus every PTE address) over
+ * @p stream. */
+template <typename Walk>
 TrialResult
-runWalks(Translator &xlate, const std::vector<Addr> &stream,
-         std::uint64_t ops)
+runWalks(Walk walk, const std::vector<Addr> &stream, std::uint64_t ops)
 {
     TrialResult result;
     const auto start = std::chrono::steady_clock::now();
@@ -191,25 +195,13 @@ runWalks(Translator &xlate, const std::vector<Addr> &stream,
     for (std::uint64_t i = 0; i < ops; ++i) {
         const Addr vaddr = stream[pos];
         pos = (pos + 1 == stream.size()) ? 0 : pos + 1;
-        const CachedWalk &walk = xlate.walk(vaddr);
-        std::uint64_t acc = static_cast<std::uint64_t>(walk.count);
-        for (int s = 0; s < walk.count; ++s)
-            acc += walk.steps[s].pteAddr;
-        result.check = fold(result.check, acc);
+        result.check = fold(result.check, walk(vaddr));
     }
     const auto stop = std::chrono::steady_clock::now();
     const double secs =
         std::chrono::duration<double>(stop - start).count();
     result.rate = static_cast<double>(ops) / secs;
     return result;
-}
-
-TranslatorConfig
-configFor(bool reference)
-{
-    TranslatorConfig cfg;
-    cfg.useReferenceTranslator = reference;
-    return cfg;
 }
 
 } // namespace
@@ -251,22 +243,25 @@ main(int argc, char **argv)
     double geomean = 1.0;
     std::size_t trials = 0;
 
-    std::printf("%-12s %16s %16s %9s\n", "pattern", "ref xlate/s",
+    std::printf("%-12s %16s %16s %9s\n", "pattern", "table xlate/s",
                 "memo xlate/s", "speedup");
+    const auto tableTranslate = [&](Addr vaddr) {
+        return arena.table.translate(vaddr);
+    };
     for (const Row &row : rows) {
         const std::vector<Addr> stream =
             makeStream(arena, row.pattern);
-        Translator ref(arena.table, configFor(true));
-        Translator memo(arena.table, configFor(false));
+        Translator memo(arena.table);
         const TrialResult a =
-            runTranslate(arena, ref, stream, ops, row.mutate);
-        const TrialResult b =
-            runTranslate(arena, memo, stream, ops, row.mutate);
+            runTranslate(arena, tableTranslate, stream, ops, row.mutate);
+        const TrialResult b = runTranslate(
+            arena, [&](Addr vaddr) { return memo.translate(vaddr); },
+            stream, ops, row.mutate);
         if (a.check != b.check) {
             std::fprintf(
                 stderr,
                 "FAIL: translate divergence on %s "
-                "(ref %016llx vs memo %016llx)\n", row.name,
+                "(table %016llx vs memo %016llx)\n", row.name,
                 static_cast<unsigned long long>(a.check),
                 static_cast<unsigned long long>(b.check));
             diverged = true;
@@ -282,15 +277,30 @@ main(int argc, char **argv)
         // Structural walks over the hot-set stream (the TLB-miss feed).
         const std::vector<Addr> stream =
             makeStream(arena, Pattern::HotSet);
-        Translator ref(arena.table, configFor(true));
-        Translator memo(arena.table, configFor(false));
-        const TrialResult a = runWalks(ref, stream, ops / 2);
-        const TrialResult b = runWalks(memo, stream, ops / 2);
+        Translator memo(arena.table);
+        const TrialResult a = runWalks(
+            [&](Addr vaddr) {
+                const WalkResult walk = arena.table.walk(vaddr);
+                std::uint64_t acc = walk.steps.size();
+                for (const WalkStep &step : walk.steps)
+                    acc += step.pteAddr;
+                return acc;
+            },
+            stream, ops / 2);
+        const TrialResult b = runWalks(
+            [&](Addr vaddr) {
+                const CachedWalk &walk = memo.walk(vaddr);
+                std::uint64_t acc = static_cast<std::uint64_t>(walk.count);
+                for (int s = 0; s < walk.count; ++s)
+                    acc += walk.steps[s].pteAddr;
+                return acc;
+            },
+            stream, ops / 2);
         if (a.check != b.check) {
             std::fprintf(
                 stderr,
                 "FAIL: walk divergence "
-                "(ref %016llx vs memo %016llx)\n",
+                "(table %016llx vs memo %016llx)\n",
                 static_cast<unsigned long long>(a.check),
                 static_cast<unsigned long long>(b.check));
             diverged = true;

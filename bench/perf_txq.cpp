@@ -1,7 +1,8 @@
 /**
  * @file
  * perf_txq: scheduler picks/sec of the indexed transaction queue vs the
- * retained flat-scan reference schedulers, at steady queue depths.
+ * flat-scan reference schedulers (tests/oracles/), at steady queue
+ * depths.
  *
  *   perf_txq [--picks N]
  *
@@ -30,8 +31,8 @@
 #include <cstring>
 
 #include "mc/bliss.hh"
-#include "mc/reference_scheduler.hh"
 #include "mc/tx_queue.hh"
+#include "oracles/reference_scheduler.hh"
 
 namespace {
 

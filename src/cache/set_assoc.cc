@@ -19,7 +19,7 @@ SetAssocCache::SetAssocCache(Addr size_bytes, unsigned assoc,
     TEMPO_ASSERT(error.empty(), error);
     numSets_ = static_cast<unsigned>(size_bytes / kLineBytes / assoc);
     setShift_ = log2Exact(numSets_);
-    useRef_ = impl.useReferenceCache || envReferenceCache()
+    useRef_ = impl.useReferenceCache
               || !TagArray::packable(numSets_, assoc_);
     if (useRef_) {
         lines_.resize(static_cast<std::size_t>(numSets_) * assoc_);

@@ -6,10 +6,12 @@
  * contents are never materialized. Timing is the caller's business.
  *
  * Two implementations share this interface (cache/tag_array.hh): the
- * packed tag-array fast path (default) and the retained linear-scan
- * reference oracle (CacheConfig::useReferenceCache or the
- * TEMPO_REFERENCE_CACHE env var). Hit/miss/victim sequences are
- * identical by construction; only the lookup cost differs.
+ * packed tag-array fast path and a linear scan. The geometry picks one
+ * per instance — the scan serves more than TagArray::kMaxWays ways —
+ * and code (never a user) can force the scan with
+ * CacheConfig::useReferenceCache to use it as a differential-testing
+ * oracle. Hit/miss/victim sequences are identical by construction;
+ * only the lookup cost differs.
  */
 
 #ifndef TEMPO_CACHE_SET_ASSOC_HH

@@ -30,12 +30,12 @@
  * reference's true-LRU sequence. Which *physical* way holds a tag is
  * unobservable through the public API (victims are reconstructed from
  * tag + set), so hit/miss/victim streams — and therefore every
- * simulator statistic — are byte-identical to the linear-scan
- * reference path retained in set_assoc.cc / assoc_array.hh.
+ * simulator statistic — are byte-identical to the linear-scan path in
+ * set_assoc.cc / assoc_array.hh.
  *
  * Geometry: power-of-two set counts and at most kMaxWays ways. Wider
- * arrays (and any future non-pow2 geometry) automatically fall back to
- * the reference implementation, per instance.
+ * arrays (and any future non-pow2 geometry) automatically take the
+ * linear-scan path, per instance.
  */
 
 #ifndef TEMPO_CACHE_TAG_ARRAY_HH
@@ -50,23 +50,18 @@
 namespace tempo {
 
 /**
- * Cache/TLB tag-array implementation selection. Hit/miss/victim
- * sequences are identical on both paths by construction (the packed
- * path is order-equivalent true LRU), so this knob is stats-neutral
- * and stays out of SystemConfig::digest(), like the scheduler and
- * translator reference switches.
+ * Cache/TLB tag-array implementation selection, settable only from
+ * code: no INI key, CLI flag or environment variable reaches it.
+ * Hit/miss/victim sequences are identical on both paths by
+ * construction (the packed path is order-equivalent true LRU), so this
+ * knob is stats-neutral and stays out of SystemConfig::digest().
  */
 struct CacheConfig {
-    /** Force every SetAssocCache and AssocArray in the system onto the
-     * retained linear-scan reference implementation (also forced by
-     * the TEMPO_REFERENCE_CACHE env var, or per-run by
-     * `tempo_sim --reference-cache`). */
+    /** Force every SetAssocCache and AssocArray built from this config
+     * onto the linear-scan path, as a differential-testing oracle
+     * (tag_array_test, CacheByteIdentity, bench/perf_cache). */
     bool useReferenceCache = false;
 };
-
-/** Test/CI knob: TEMPO_REFERENCE_CACHE set to a non-empty value other
- * than "0" forces the reference path everywhere. */
-bool envReferenceCache();
 
 class TagArray
 {

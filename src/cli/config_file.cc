@@ -136,8 +136,6 @@ applyKey(int line_no, SystemConfig &cfg, const std::string &section,
         else if (key == "llc_bytes") cfg.caches.llc.sizeBytes = u();
         else if (key == "llc_assoc") cfg.caches.llc.assoc = u();
         else if (key == "llc_latency") cfg.caches.llc.latency = u();
-        else if (key == "reference_cache")
-            cfg.cache.useReferenceCache = b();
         else bad(line_no, "unknown [caches] key '" + key + "'");
     } else if (section == "tlb") {
         if (key == "l1_entries_4k") cfg.tlb.l1Entries4K = u();
@@ -221,8 +219,6 @@ applyKey(int line_no, SystemConfig &cfg, const std::string &section,
             cfg.os.fragLevel = f();
         } else if (key == "thp_eligible") {
             cfg.vm.thpEligibleFrac = f();
-        } else if (key == "reference_translator") {
-            cfg.translator.useReferenceTranslator = b();
         } else if (key == "translator_slots") {
             cfg.translator.memoSlots = static_cast<unsigned>(u());
             if (!isPow2(cfg.translator.memoSlots))

@@ -72,14 +72,6 @@ usage()
         "  --profile           report per-component wall-clock "
         "attribution\n"
         "                      (profile.* keys; nondeterministic)\n"
-        "  --reference-translator  resolve translations through the\n"
-        "                      unmemoized functional walk (also via\n"
-        "                      TEMPO_REFERENCE_TRANSLATOR=1); results\n"
-        "                      are bit-identical, only slower\n"
-        "  --reference-cache   run cache/TLB tag arrays on the\n"
-        "                      linear-scan reference path (also via\n"
-        "                      TEMPO_REFERENCE_CACHE=1); results are\n"
-        "                      bit-identical, only slower\n"
         "  --help              this text\n";
 }
 
@@ -189,10 +181,6 @@ parse(const std::vector<std::string> &args)
             options.configPath = next("--config");
         } else if (arg == "--profile") {
             options.profile = true;
-        } else if (arg == "--reference-translator") {
-            options.referenceTranslator = true;
-        } else if (arg == "--reference-cache") {
-            options.referenceCache = true;
         } else {
             bad("unknown option '" + arg + "' (try --help)");
         }
@@ -238,9 +226,6 @@ toConfig(const Options &options)
         cfg.withSubRows(SubRowAlloc::FOA, options.subrowDedicated);
     else if (options.subrow == "poa")
         cfg.withSubRows(SubRowAlloc::POA, options.subrowDedicated);
-
-    cfg.translator.useReferenceTranslator = options.referenceTranslator;
-    cfg.cache.useReferenceCache = options.referenceCache;
 
     if (!options.prefetcher.empty()) {
         cfg.withPrefetchers(options.prefetcher);

@@ -60,14 +60,6 @@ struct Options {
     /** Collect wall-clock per-component attribution and report it under
      * the "profile." prefix (numbers are nondeterministic). */
     bool profile = false;
-    /** Bypass the memoized translation fast path and resolve every
-     * translation through the functional page-table walk (also forced
-     * by TEMPO_REFERENCE_TRANSLATOR). Results are bit-identical. */
-    bool referenceTranslator = false;
-    /** Run every cache/TLB tag array on the linear-scan reference
-     * implementation instead of the packed tag-array core (also forced
-     * by TEMPO_REFERENCE_CACHE). Results are bit-identical. */
-    bool referenceCache = false;
     bool help = false;
 };
 

@@ -2,5 +2,4 @@
 // so the build system has a home for them and to catch header
 // self-sufficiency problems.
 #include "common/event_queue.hh"
-#include "common/heap_event_queue.hh"
 #include "common/inline_function.hh"

@@ -130,11 +130,11 @@ SystemConfig::digest() const
     h.f64(vm.hugetlbfs1GFrac);
     h.u64(vm.seed);
 
-    // translator.* is deliberately not hashed: the memoized and
-    // reference translation paths produce bit-identical results (the
-    // TranslatorByteIdentity ctest pins this), so two configs differing
-    // only there describe the same experiment point — same rule as
-    // mc.scheduler.useReferenceScheduler.
+    // translator.* (memo sizes) and cache.useReferenceCache are
+    // deliberately not hashed: every memo size and both tag-array paths
+    // produce bit-identical results (the TranslatorByteIdentity and
+    // CacheByteIdentity ctests pin this), so two configs differing only
+    // there describe the same experiment point.
 
     h.e(imp.enabled);
     h.u64(imp.prefetchTableEntries);

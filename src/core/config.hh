@@ -49,14 +49,14 @@ struct SystemConfig {
     McConfig mc;
     OsMemoryConfig os;
     AddressSpaceConfig vm;
-    /** Memoized translation fast path (vm/translator.hh). Stats-neutral
-     * by construction, so its knobs stay out of digest() — like the
-     * scheduler's useReferenceScheduler. */
+    /** Memoized translation fast path (vm/translator.hh). Its memo
+     * sizes are stats-neutral by construction, so they stay out of
+     * digest(). */
     TranslatorConfig translator;
     /** Tag-array implementation selection (cache/tag_array.hh) for
-     * every SetAssocCache and TLB/MMU-cache array. Both paths produce
-     * identical hit/miss/victim sequences, so this too is
-     * stats-neutral and stays out of digest(). */
+     * every SetAssocCache and TLB/MMU-cache array, settable only from
+     * code. Both paths produce identical hit/miss/victim sequences, so
+     * this too is stats-neutral and stays out of digest(). */
     CacheConfig cache;
     ImpConfig imp;
     StrideConfig stride;

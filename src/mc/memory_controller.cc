@@ -1,53 +1,35 @@
 #include "mc/memory_controller.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/log.hh"
 #include "common/profiler.hh"
-#include "mc/reference_scheduler.hh"
 #include "obs/obs.hh"
 
 namespace tempo {
 
-namespace {
-
-/** Test/CI knob: force the retained flat-scan reference schedulers.
- * Results are bit-identical; only the pick cost differs. */
-bool
-envReferenceScheduler()
+std::unique_ptr<Scheduler>
+makeScheduler(SchedKind kind, const SchedulerConfig &cfg)
 {
-    const char *v = std::getenv("TEMPO_REFERENCE_SCHEDULER");
-    return v != nullptr && v[0] != '\0'
-        && !(v[0] == '0' && v[1] == '\0');
+    switch (kind) {
+      case SchedKind::FrFcfs:
+        return std::make_unique<FrFcfsScheduler>(cfg);
+      case SchedKind::Bliss:
+        return std::make_unique<BlissScheduler>(cfg);
+    }
+    TEMPO_PANIC("unknown scheduler kind");
 }
 
-} // namespace
-
 MemoryController::MemoryController(EventQueue &eq, DramDevice &dram,
-                                   const McConfig &cfg)
+                                   const McConfig &cfg,
+                                   SchedulerFactory make_scheduler)
     : eq_(eq), dram_(dram), cfg_(cfg),
       txq_(dram, /*per_app_index=*/cfg.sched == SchedKind::Bliss)
 {
     SchedulerConfig sched_cfg = cfg.scheduler;
     sched_cfg.tempoGrouping = cfg.tempoEnabled && cfg.tempoGrouping;
     sched_cfg.blissTempoAffinity = cfg.tempoEnabled;
-    const bool use_ref =
-        sched_cfg.useReferenceScheduler || envReferenceScheduler();
-    switch (cfg.sched) {
-      case SchedKind::FrFcfs:
-        if (use_ref)
-            sched_ = std::make_unique<RefFrFcfsScheduler>(sched_cfg);
-        else
-            sched_ = std::make_unique<FrFcfsScheduler>(sched_cfg);
-        break;
-      case SchedKind::Bliss:
-        if (use_ref)
-            sched_ = std::make_unique<RefBlissScheduler>(sched_cfg);
-        else
-            sched_ = std::make_unique<BlissScheduler>(sched_cfg);
-        break;
-    }
+    sched_ = make_scheduler(cfg.sched, sched_cfg);
     channels_.resize(dram.config().channels);
 }
 

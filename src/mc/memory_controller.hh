@@ -61,6 +61,17 @@ struct McConfig {
     SchedulerConfig scheduler;
 };
 
+/** Builds the scheduler for policy @p kind. The MemoryController
+ * constructor takes one so that a test can run an oracle scheduler in
+ * place of the production ones. */
+using SchedulerFactory = std::unique_ptr<Scheduler> (*)(
+    SchedKind kind, const SchedulerConfig &cfg);
+
+/** The production SchedulerFactory: FrFcfsScheduler or BlissScheduler
+ * over the indexed transaction queue. */
+std::unique_ptr<Scheduler> makeScheduler(SchedKind kind,
+                                         const SchedulerConfig &cfg);
+
 /**
  * The controller proper. All timing flows through the shared EventQueue:
  * submit() enqueues a request, the channel kick loop dispatches one
@@ -70,7 +81,8 @@ class MemoryController
 {
   public:
     MemoryController(EventQueue &eq, DramDevice &dram,
-                     const McConfig &cfg);
+                     const McConfig &cfg,
+                     SchedulerFactory make_scheduler = makeScheduler);
 
     /** Enqueue @p req now. The onComplete callback fires at completion. */
     void submit(MemRequest &&req);
@@ -92,11 +104,6 @@ class MemoryController
      * request. Returns false when no such prefetch is pending.
      */
     bool mergeWithPendingPrefetch(Addr line, Waiter waiter);
-
-    /** True when a TEMPO prefetch for @p line is currently in flight
-     * (a mergeWithPendingPrefetch() call would succeed). Lets callers
-     * avoid constructing a waiter speculatively: the merge consumes
-     * the waiter even when it returns false. */
 
     // --- Statistics ---
     std::uint64_t served(ReqKind kind) const;

@@ -11,8 +11,9 @@
  *
  * Both policies pick incrementally from the indexed TxQueue: they score
  * only the candidate heads the index exposes (O(banks) of them) rather
- * than rescanning every queued request. The original flat scans survive
- * in reference_scheduler.hh as the differential-testing oracle.
+ * than rescanning every queued request. The original flat scans live
+ * on with the tests (tests/oracles/reference_scheduler.hh) as the
+ * differential-testing oracle; the simulator never runs them.
  *
  * BlissScheduler (see bliss.hh) layers application blacklisting on top.
  */
@@ -35,11 +36,6 @@ struct SchedulerConfig {
     Cycle starvationLimit = 4000;
     /** Enable the paper's PT-group-first / prefetch-group-next order. */
     bool tempoGrouping = false;
-    /** Use the retained flat-scan reference schedulers instead of the
-     * indexed ones (test/CI byte-identity knob; results are identical,
-     * only pick cost differs). Also forced by the environment variable
-     * TEMPO_REFERENCE_SCHEDULER. */
-    bool useReferenceScheduler = false;
 
     // --- BLISS (Subramanian et al., ICCD 2014) ---
     unsigned blissThreshold = 8;      //!< blacklist at this count

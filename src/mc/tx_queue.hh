@@ -18,9 +18,9 @@
  *
  * A pick therefore inspects O(non-empty (bank, app, group) sub-FIFOs)
  * heads instead of O(N) entries, and provably selects the same argmax as
- * the
- * retained flat-scan reference scheduler (see reference_scheduler.hh
- * and the randomized differential test in tests/tx_queue_test.cpp):
+ * a flat scan of the channel (the oracle in
+ * tests/oracles/reference_scheduler.hh, checked pick by pick by the
+ * randomized differential test in tests/tx_queue_test.cpp):
  * heads are scored with their true key, non-head FIFO candidates are
  * dominated by their head, and a head that actually row-hits is also
  * enumerated through the lookaside with its higher row-hit class.
@@ -152,7 +152,8 @@ class TxQueue : public RowTransitionListener
      * seq lists and re-derives the tagged split from each entry. */
     std::size_t bruteForceOccupancy() const;
 
-    // --- Seq-ordered iteration (flat-scan reference path, tests) ---
+    // --- Seq-ordered iteration (depth-1 picks, the flat-scan oracle in
+    // tests/oracles/, tests) ---
     std::uint32_t seqHead(unsigned ch) const
     {
         return channels_[ch].seqHead;

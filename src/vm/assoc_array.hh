@@ -4,10 +4,11 @@
  * reused by the TLBs and MMU caches. Values are optional per-entry
  * payloads (e.g. the page size of a unified-TLB entry).
  *
- * Backed by the packed tag-array core (cache/tag_array.hh) by default;
- * the pre-packed linear-scan implementation is retained as the
- * differential-testing oracle behind CacheConfig::useReferenceCache /
- * the TEMPO_REFERENCE_CACHE env var. Hit/miss/victim sequences are
+ * Backed by the packed tag-array core (cache/tag_array.hh) when the
+ * geometry fits it. The linear-scan implementation serves geometries
+ * wider than TagArray::kMaxWays ways, chosen per instance, and doubles
+ * as the differential-testing oracle when code sets
+ * CacheConfig::useReferenceCache. Hit/miss/victim sequences are
  * identical on both paths.
  */
 
@@ -37,7 +38,7 @@ class AssocArray
         if (assoc_ > entries)
             assoc_ = entries;
         sets_ = entries / assoc_;
-        useRef_ = impl.useReferenceCache || envReferenceCache()
+        useRef_ = impl.useReferenceCache
                   || !TagArray::packable(sets_, assoc_);
         if (useRef_) {
             slots_.resize(static_cast<std::size_t>(sets_) * assoc_);

@@ -1,47 +1,18 @@
 #include "vm/translator.hh"
 
-#include <cstdlib>
-
 #include "common/log.hh"
 
 namespace tempo {
 
-namespace {
-
-/** Test/CI knob: force the retained unmemoized reference path.
- * Results are bit-identical; only the lookup cost differs. */
-bool
-envReferenceTranslator()
-{
-    const char *v = std::getenv("TEMPO_REFERENCE_TRANSLATOR");
-    return v != nullptr && v[0] != '\0'
-        && !(v[0] == '0' && v[1] == '\0');
-}
-
-void
-fillCachedWalk(CachedWalk &out, const WalkResult &full)
-{
-    out.xlate = full.xlate;
-    TEMPO_ASSERT(full.steps.size() <= 4, "walk deeper than 4 levels");
-    out.count = static_cast<int>(full.steps.size());
-    for (int i = 0; i < out.count; ++i)
-        out.steps[i] = full.steps[static_cast<std::size_t>(i)];
-}
-
-} // namespace
-
 Translator::Translator(const PageTable &table, const TranslatorConfig &cfg)
-    : table_(table), cfg_(cfg),
-      useRef_(cfg.useReferenceTranslator || envReferenceTranslator())
+    : table_(table), cfg_(cfg)
 {
     TEMPO_ASSERT(isPow2(cfg_.memoSlots), "memoSlots must be a power of 2");
     TEMPO_ASSERT(isPow2(cfg_.walkSlots), "walkSlots must be a power of 2");
-    if (!useRef_) {
-        slots_.resize(cfg_.memoSlots);
-        wslots_.resize(cfg_.walkSlots);
-    }
-    slotMask_ = useRef_ ? 0 : cfg_.memoSlots - 1;
-    wslotMask_ = useRef_ ? 0 : cfg_.walkSlots - 1;
+    slots_.resize(cfg_.memoSlots);
+    wslots_.resize(cfg_.walkSlots);
+    slotMask_ = cfg_.memoSlots - 1;
+    wslotMask_ = cfg_.walkSlots - 1;
 }
 
 void
@@ -74,9 +45,6 @@ Translator::translateMiss(Addr vaddr, Slot &slot, std::uint64_t stamp)
 Translation
 Translator::translate(Addr vaddr)
 {
-    if (useRef_)
-        return table_.translate(vaddr);
-
     const std::uint64_t stamp = currentStamp();
     // Hit checks use non-short-circuit `&`: one predictable branch to
     // the refill path, no data-dependent control flow on the way.
@@ -101,11 +69,6 @@ Translator::translate(Addr vaddr)
 const CachedWalk &
 Translator::walk(Addr vaddr)
 {
-    if (useRef_) {
-        fillCachedWalk(scratch_, table_.walk(vaddr));
-        return scratch_;
-    }
-
     const Addr vpn = vpn4K(vaddr);
     WalkSlot &slot = wslots_[vpn & wslotMask_];
     const std::uint64_t stamp = currentStamp();
@@ -133,8 +96,6 @@ Translator::walk(Addr vaddr)
 bool
 Translator::touchedFast(Addr vaddr)
 {
-    if (useRef_)
-        return false;
     const std::uint64_t stamp = currentStamp();
     const Addr vpn = vpn4K(vaddr);
     const Slot &slot = slotFor(vpn);
@@ -147,8 +108,6 @@ Translator::touchedFast(Addr vaddr)
 void
 Translator::noteTouched(Addr vaddr)
 {
-    if (useRef_)
-        return;
     const std::uint64_t stamp = currentStamp();
     const Addr vpn = vpn4K(vaddr);
     Slot &slot = slotFor(vpn);

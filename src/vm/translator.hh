@@ -37,11 +37,10 @@
  *    an explicit flush (context switch, tests).
  *
  * The timing model never sees this layer: MMU-cache probes, TLB fills,
- * walker fetch plans and all statistics are identical with the memo on
- * or off. The unmemoized path is retained behind
- * TranslatorConfig::useReferenceTranslator (or the
- * TEMPO_REFERENCE_TRANSLATOR env var) as the differential-testing
- * oracle, mirroring the PR-2 event-queue and PR-5 scheduler pattern.
+ * walker fetch plans and all statistics are identical at any memo
+ * size. There is no unmemoized mode: the PageTable itself is the
+ * oracle, and tests/translator_test.cpp checks the memo against
+ * PageTable::translate()/walk() on every operation.
  */
 
 #ifndef TEMPO_VM_TRANSLATOR_HH
@@ -56,10 +55,6 @@
 namespace tempo {
 
 struct TranslatorConfig {
-    /** Force every lookup down the unmemoized reference path (also
-     * forced by the TEMPO_REFERENCE_TRANSLATOR env var). Results are
-     * bit-identical; only the lookup cost differs. */
-    bool useReferenceTranslator = false;
     /** Direct-mapped translation memo slots (power of two). Sized to
      * keep the memo's host-cache footprint modest: bigger tables raise
      * the hit rate a little but evict the simulator's own hot state. */
@@ -92,8 +87,8 @@ class Translator
     /**
      * Structural walk for @p vaddr, memoized. Exactly equal to
      * PageTable::walk() at every instant. The reference stays valid
-     * until the next walk() call on this translator (the miss/reference
-     * path fills a scratch slot).
+     * until the next walk() call on this translator (a miss refills
+     * through a scratch slot).
      */
     const CachedWalk &walk(Addr vaddr);
 
@@ -112,7 +107,6 @@ class Translator
     /** Explicit bulk flush of every memo slot, O(1). */
     void invalidateAll();
 
-    bool usingReference() const { return useRef_; }
     const PageTable &table() const { return table_; }
 
     std::uint64_t hits() const { return hits_; }
@@ -157,7 +151,6 @@ class Translator
 
     const PageTable &table_;
     TranslatorConfig cfg_;
-    bool useRef_ = false;
     std::uint64_t gen_ = 1;
 
     LastSlot last_;
@@ -165,7 +158,8 @@ class Translator
     std::vector<WalkSlot> wslots_;
     Addr slotMask_ = 0;
     Addr wslotMask_ = 0;
-    CachedWalk scratch_;          //!< reference/faulting walk results
+    CachedWalk scratch_;          //!< walk() miss refill; returned
+                                  //!< as is for faulting walks
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -52,6 +52,16 @@ TEST(CliOptions, RejectsUnknownFlag)
     EXPECT_THROW((void)parse({"--bogus"}), std::invalid_argument);
 }
 
+// The code, never a flag, chooses the tag-array and translator
+// implementations: tempo_sim reports these as unknown options (exit 2).
+TEST(CliOptions, RejectsRemovedImplementationSwitches)
+{
+    EXPECT_THROW((void)parse({"--reference-cache"}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)parse({"--reference-translator"}),
+                 std::invalid_argument);
+}
+
 TEST(CliOptions, RejectsMissingValue)
 {
     EXPECT_THROW((void)parse({"--refs"}), std::invalid_argument);

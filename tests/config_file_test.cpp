@@ -143,6 +143,16 @@ TEST(ConfigFile, UnknownKeyIsAnError)
                  std::invalid_argument);
 }
 
+// The code, never an INI file, chooses the tag-array and translator
+// implementations.
+TEST(ConfigFile, ImplementationSwitchesAreUnknownKeys)
+{
+    EXPECT_THROW(apply("[caches]\nreference_cache = true\n"),
+                 std::invalid_argument);
+    EXPECT_THROW(apply("[vm]\nreference_translator = true\n"),
+                 std::invalid_argument);
+}
+
 TEST(ConfigFile, UnknownSectionIsAnError)
 {
     EXPECT_THROW(apply("[nonsense]\nx = 1\n"), std::invalid_argument);

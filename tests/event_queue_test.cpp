@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/event_queue.hh"
-#include "common/heap_event_queue.hh"
+#include "oracles/heap_event_queue.hh"
 
 namespace tempo {
 namespace {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "common/event_queue.hh"
+#include "common/rng.hh"
 #include "mc/memory_controller.hh"
+#include "oracles/reference_scheduler.hh"
 
 namespace tempo {
 namespace {
@@ -280,42 +284,124 @@ TEST_F(McFixture, QueueOccupancyCountsTaggedSplitsIncrementally)
 
 TEST_F(McFixture, ReferenceSchedulerMatchesIndexedTimings)
 {
-    // The retained flat-scan schedulers must schedule the exact same
-    // transactions at the exact same cycles as the indexed paths.
-    auto run = [](bool use_ref, SchedKind sched_kind) {
+    // The flat-scan oracle schedulers must serve the exact same
+    // transactions at the exact same cycles as the indexed ones over a
+    // long seeded stream: every request kind (TEMPO prefetches come
+    // from tagged walks), four applications in long same-app runs so
+    // BLISS blacklists, tagged walks with and without a valid PTE, a
+    // starvation limit and prefetch drop depth the bursts reach, and a
+    // BLISS clear interval short enough to fire many times.
+    struct Spec {
+        Cycle at;
+        Addr paddr;
+        ReqKind kind;
+        AppId app;
+        bool tagged;
+        bool pteValid;
+        Addr replay;
+    };
+    constexpr int kRequests = 6000;
+    std::vector<Spec> specs;
+    Rng rng(0x5c4edull);
+    Cycle at = 0;
+    AppId app = 0;
+    for (int i = 0; i < kRequests; ++i) {
+        // Mostly back-to-back bursts; now and then a lull that lets
+        // the queues drain.
+        at += rng.chance(0.03) ? 200 + rng.below(400) : rng.below(3);
+        if (rng.chance(0.08))
+            app = static_cast<AppId>(rng.below(4));
+        Spec s{at, 0, ReqKind::Regular, app, false, false, kInvalidAddr};
+        // A 64-row pool: frequent row hits and conflicts.
+        s.paddr = (rng.below(64) << 16) | (rng.below(1024) << 6);
+        const std::uint64_t roll = rng.below(100);
+        if (roll < 25) {
+            s.kind = ReqKind::PtWalk;
+            s.tagged = rng.chance(0.6);
+            s.pteValid = rng.chance(0.9);
+            s.replay = (rng.below(64) << 16) | (rng.below(1024) << 6);
+        } else if (roll < 40) {
+            s.kind = ReqKind::Replay;
+        } else if (roll < 50) {
+            s.kind = ReqKind::ImpPrefetch;
+        } else if (roll < 62) {
+            s.kind = ReqKind::Writeback;
+        }
+        specs.push_back(s);
+    }
+
+    struct Outcome {
+        /** (request, complete, queue delay, row event), in completion
+         * order. */
+        std::vector<std::uint64_t> completions;
+        stats::Report report;
+        std::uint64_t blacklists = 0;
+    };
+    auto run = [&specs](SchedKind kind, SchedulerFactory factory) {
         EventQueue local_eq;
         DramConfig local_dram_cfg;
         local_dram_cfg.rowPolicy = RowPolicyKind::Open;
         DramDevice local_dram(local_dram_cfg);
         McConfig cfg;
         cfg.tempoEnabled = true;
-        cfg.sched = sched_kind;
-        cfg.scheduler.useReferenceScheduler = use_ref;
-        MemoryController local_mc(local_eq, local_dram, cfg);
-        std::vector<Cycle> completions;
-        for (int i = 0; i < 48; ++i) {
-            MemRequest req;
-            req.paddr = (static_cast<Addr>(i % 5) << 16)
-                | (static_cast<Addr>(i % 7) << 13)
-                | (static_cast<Addr>(i) << 6);
-            req.app = static_cast<AppId>(i % 3);
-            if (i % 6 == 0) {
-                req.kind = ReqKind::PtWalk;
-                req.tempo.tagged = true;
-                req.tempo.pteValid = true;
-                req.tempo.replayPaddr = 0x200000 + (static_cast<Addr>(i) << 6);
-            }
-            const int idx = i;
-            req.onComplete = [&completions, idx](const MemResult &r) {
-                completions.push_back(r.complete ^ static_cast<Cycle>(idx));
-            };
-            local_mc.submit(std::move(req));
+        cfg.sched = kind;
+        cfg.prefetchDropDepth = 12;
+        cfg.scheduler.starvationLimit = 600;
+        cfg.scheduler.blissThreshold = 4;
+        cfg.scheduler.blissClearInterval = 500;
+        MemoryController local_mc(local_eq, local_dram, cfg, factory);
+        Outcome out;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            local_eq.schedule(specs[i].at, [&, i] {
+                const Spec &s = specs[i];
+                MemRequest req;
+                req.paddr = s.paddr;
+                req.kind = s.kind;
+                req.isWrite = s.kind == ReqKind::Writeback;
+                req.app = s.app;
+                req.tempo.tagged = s.tagged;
+                req.tempo.pteValid = s.pteValid;
+                req.tempo.replayPaddr = s.replay;
+                req.onComplete = [&out, i](const MemResult &r) {
+                    out.completions.insert(
+                        out.completions.end(),
+                        {i, r.complete, r.queueDelay, r.rowEvent});
+                };
+                local_mc.submit(std::move(req));
+            });
         }
         local_eq.runAll();
-        return completions;
+        local_mc.report(out.report);
+        if (auto *bliss =
+                dynamic_cast<BlissScheduler *>(&local_mc.scheduler()))
+            out.blacklists = bliss->blacklistEvents();
+        return out;
     };
-    EXPECT_EQ(run(false, SchedKind::FrFcfs), run(true, SchedKind::FrFcfs));
-    EXPECT_EQ(run(false, SchedKind::Bliss), run(true, SchedKind::Bliss));
+
+    for (const SchedKind kind : {SchedKind::FrFcfs, SchedKind::Bliss}) {
+        SCOPED_TRACE(kind == SchedKind::Bliss ? "bliss" : "fr-fcfs");
+        const Outcome indexed = run(kind, makeScheduler);
+        const Outcome ref = run(kind, makeReferenceScheduler);
+        ASSERT_EQ(indexed.completions.size(), 4u * kRequests);
+        EXPECT_EQ(indexed.completions, ref.completions);
+        EXPECT_EQ(indexed.report.entries(), ref.report.entries());
+        EXPECT_EQ(indexed.blacklists, ref.blacklists);
+
+        // The stream reached what it claims to cover.
+        for (const ReqKind k :
+             {ReqKind::Regular, ReqKind::Replay, ReqKind::PtWalk,
+              ReqKind::TempoPrefetch, ReqKind::ImpPrefetch,
+              ReqKind::Writeback}) {
+            const std::string served =
+                std::string(reqKindName(k)) + ".served";
+            EXPECT_GT(indexed.report.get(served), 0.0) << served;
+        }
+        EXPECT_GT(indexed.report.get("tempo.prefetches_dropped"), 0.0);
+        EXPECT_GT(indexed.report.get("tempo.fault_suppressed"), 0.0);
+        if (kind == SchedKind::Bliss) {
+            EXPECT_GT(indexed.blacklists, 0u);
+        }
+    }
 }
 
 TEST_F(McFixture, QueueDelayAccumulatesUnderLoad)

@@ -3,18 +3,24 @@
  * Tests for the packed tag-array core (cache/tag_array.hh): directed
  * LRU-order cases, the invalidate-dirty contract, and randomized
  * differential runs pitting the packed SetAssocCache / AssocArray
- * against the retained linear-scan reference implementation across
- * associativities 1/2/4/8/16.
+ * against the linear-scan implementation (forced on through
+ * CacheConfig::useReferenceCache) across associativities 1/2/4/8/16.
+ * CacheByteIdentity checks the same equivalence end to end.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cache/set_assoc.hh"
 #include "cache/tag_array.hh"
+#include "cli/config_file.hh"
 #include "common/rng.hh"
+#include "core/experiment.hh"
+#include "core/tempo_system.hh"
+#include "stats/json.hh"
 #include "vm/assoc_array.hh"
 
 namespace tempo {
@@ -267,8 +273,9 @@ diffAssocArray(unsigned entries, unsigned assoc, std::uint64_t seed,
             const std::uint32_t *p = packed.lookup(key);
             const std::uint32_t *r = ref.lookup(key);
             ASSERT_EQ(p != nullptr, r != nullptr) << i;
-            if (p)
+            if (p) {
                 ASSERT_EQ(*p, *r) << i;
+            }
             break;
           }
           case 3:
@@ -307,6 +314,40 @@ TEST(TagArrayDifferential, TlbLikeGeometry)
     // The STLB's 1536/12 geometry (128 sets, 12 ways — a non-pow2,
     // non-multiple-of-4 way count exercising the padded rank lanes).
     diffAssocArray(1536, 12, 0xd0c5, 40000);
+}
+
+// --- End-to-end byte identity ---
+
+/**
+ * Full simulations of two paper workloads under both committed
+ * presets, serialized through the bench JSON writer, must be
+ * byte-identical with every cache, TLB and MMU-cache array on the
+ * packed path and with all of them on the linear scan.
+ */
+TEST(CacheByteIdentity, BenchJsonIdenticalPackedVsLinearScan)
+{
+    constexpr std::uint64_t kRefs = 20000;
+    for (const char *preset : {"paper_baseline.ini", "tempo_full.ini"}) {
+        for (const char *workload : {"mcf", "astar.small"}) {
+            SystemConfig cfg = SystemConfig::skylakeScaled();
+            cli::applyConfigFile(
+                std::string(TEMPO_CONFIG_DIR) + "/" + preset, cfg);
+            SystemConfig scan_cfg = cfg;
+            scan_cfg.cache.useReferenceCache = true;
+
+            const auto dumpOf = [&](const SystemConfig &c) {
+                std::vector<stats::BenchPoint> points;
+                points.push_back(toBenchPoint(
+                    workload, {{"config_file", preset}},
+                    runWorkload(c, workload, kRefs)));
+                return stats::benchJson("cache_identity", kRefs, 42,
+                                        points)
+                    .dump();
+            };
+            EXPECT_EQ(dumpOf(cfg), dumpOf(scan_cfg))
+                << workload << " " << preset;
+        }
+    }
 }
 
 } // namespace

@@ -7,13 +7,13 @@
  * translations and page-table mutations (map/unmap/remap/protect/
  * superpage promotion), multiple address spaces, and all three page
  * sizes. TranslatorByteIdentity additionally pins the end-to-end
- * guarantee: full simulation results are byte-identical with the memo
- * on or off.
+ * guarantee: full simulation results are byte-identical with the
+ * default memo and with a one-slot memo that misses on every change of
+ * page.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -56,30 +56,19 @@ expectSameWalk(const CachedWalk &got, const WalkResult &want,
     }
 }
 
-TranslatorConfig
-referenceConfig()
-{
-    TranslatorConfig cfg;
-    cfg.useReferenceTranslator = true;
-    return cfg;
-}
-
 /**
- * One address space under differential test: the table, a memoized
- * translator, a reference-path translator over the same table, and a
- * model of the mapped leaves so the harness only generates legal
- * mutations (map() asserts on double mapping; promotion cannot split
- * an existing larger superpage).
+ * One address space under differential test: the table (the oracle), a
+ * memoized translator over it, and a model of the mapped leaves so the
+ * harness only generates legal mutations (map() asserts on double
+ * mapping; promotion cannot split an existing larger superpage).
  */
 struct DiffSpace {
     PageTable table;
     Translator memo;
-    Translator ref;
     std::map<Addr, PageSize> leaves; //!< leaf base -> page size
 
     DiffSpace(OsMemory &os, const TranslatorConfig &memo_cfg)
-        : table(os), memo(table, memo_cfg),
-          ref(table, referenceConfig())
+        : table(os), memo(table, memo_cfg)
     {
     }
 
@@ -166,9 +155,6 @@ TEST_P(TranslatorDifferential, MemoMatchesFunctionalWalkUnderMutation)
     DiffSpace space_b(os, memo_cfg);
     DiffSpace *spaces[] = {&space_a, &space_b};
 
-    ASSERT_FALSE(space_a.memo.usingReference());
-    ASSERT_TRUE(space_a.ref.usingReference());
-
     constexpr Addr kUniverse = Addr{8} << 30; // 8 x 1GB regions
     constexpr int kOps = 12000;
 
@@ -192,7 +178,6 @@ TEST_P(TranslatorDifferential, MemoMatchesFunctionalWalkUnderMutation)
     auto probe = [&](DiffSpace &s, Addr vaddr) {
         const Translation want = s.table.translate(vaddr);
         expectSameXlate(s.memo.translate(vaddr), want, "memo", vaddr);
-        expectSameXlate(s.ref.translate(vaddr), want, "ref", vaddr);
     };
 
     for (int op = 0; op < kOps; ++op) {
@@ -284,8 +269,9 @@ TEST_P(TranslatorDifferential, MemoMatchesFunctionalWalkUnderMutation)
             // touched-bit fast path: may only claim "touched" for a
             // live mapping.
             const Addr vaddr = pickVaddr(s);
-            if (s.memo.touchedFast(vaddr))
+            if (s.memo.touchedFast(vaddr)) {
                 EXPECT_TRUE(s.table.translate(vaddr).valid);
+            }
             if (s.table.translate(vaddr).valid) {
                 s.memo.noteTouched(vaddr);
                 EXPECT_TRUE(s.memo.touchedFast(vaddr));
@@ -312,7 +298,7 @@ TEST_P(TranslatorDifferential, MemoMatchesFunctionalWalkUnderMutation)
     }
 
     // The memo actually memoized (the harness would pass vacuously if
-    // every lookup took the reference path).
+    // every lookup missed through to the table).
     EXPECT_GT(space_a.memo.hits() + space_b.memo.hits(), 0u);
     EXPECT_GT(space_a.memo.misses() + space_b.memo.misses(), 0u);
 }
@@ -517,42 +503,11 @@ TEST_F(TranslatorFixture, TouchedBitTracksMappingLifetime)
     EXPECT_FALSE(memo.touchedFast(va)); // stale touched bit is dead
 }
 
-TEST_F(TranslatorFixture, ReferencePathMatchesTableExactly)
-{
-    TranslatorConfig cfg;
-    cfg.useReferenceTranslator = true;
-    Translator ref{table, cfg};
-    ASSERT_TRUE(ref.usingReference());
-
-    const Addr va = 0x1234000;
-    const Addr frame = map4K(va);
-    EXPECT_EQ(ref.translate(va).pframe, frame);
-    const WalkResult want = table.walk(va);
-    expectSameWalk(ref.walk(va), want, "ref walk", va);
-    EXPECT_EQ(ref.hits(), 0u); // the reference path never memoizes
-}
-
-TEST(TranslatorEnv, EnvVarForcesReferencePath)
-{
-    OsMemory os{OsMemoryConfig{}};
-    PageTable table{os};
-
-    ASSERT_EQ(setenv("TEMPO_REFERENCE_TRANSLATOR", "1", 1), 0);
-    Translator forced{table};
-    ASSERT_EQ(setenv("TEMPO_REFERENCE_TRANSLATOR", "0", 1), 0);
-    Translator off{table};
-    ASSERT_EQ(unsetenv("TEMPO_REFERENCE_TRANSLATOR"), 0);
-    Translator plain{table};
-
-    EXPECT_TRUE(forced.usingReference());
-    EXPECT_FALSE(off.usingReference());
-    EXPECT_FALSE(plain.usingReference());
-}
-
 // ---------------------------------------------------------------------
 // End-to-end byte identity: full simulations of two paper workloads,
 // serialized through the bench JSON writer, must be byte-identical
-// with the memo on and off — the memo is invisible to the timing
+// with the default memo and with the reference, a one-slot memo that
+// misses on every change of page — the memo is invisible to the timing
 // model, not merely statistically close.
 
 TEST(TranslatorByteIdentity, BenchJsonIdenticalMemoVsReference)
@@ -562,9 +517,9 @@ TEST(TranslatorByteIdentity, BenchJsonIdenticalMemoVsReference)
         for (const bool tempo_on : {false, true}) {
             SystemConfig cfg = SystemConfig::skylakeScaled();
             cfg.withTempo(tempo_on);
-            cfg.translator.useReferenceTranslator = false;
             SystemConfig ref_cfg = cfg;
-            ref_cfg.translator.useReferenceTranslator = true;
+            ref_cfg.translator.memoSlots = 1;
+            ref_cfg.translator.walkSlots = 1;
 
             const RunResult memo_run = runWorkload(cfg, workload, kRefs);
             const RunResult ref_run =

@@ -2,8 +2,8 @@
 
 #include "common/rng.hh"
 #include "mc/bliss.hh"
-#include "mc/reference_scheduler.hh"
 #include "mc/tx_queue.hh"
+#include "oracles/reference_scheduler.hh"
 
 namespace tempo {
 namespace {

@@ -197,9 +197,10 @@ TEST_F(WalkerFixture, StatsCountWalksAndRefs)
 
 // The memoized translator must be invisible at the counter level: two
 // walkers over identically mapped tables — one planning through the
-// memo, one through the reference path — produce the same fetch plans,
-// the same MMU-cache probe outcomes, and the same walker statistics
-// for an arbitrary interleaved plan/finish/mutate sequence.
+// default memo, the reference through a one-slot memo that misses on
+// every change of page — produce the same fetch plans, the same
+// MMU-cache probe outcomes, and the same walker statistics for an
+// arbitrary interleaved plan/finish/mutate sequence.
 TEST(WalkerNeutrality, MemoAndReferenceWalkersAgree)
 {
     struct Rig {
@@ -209,19 +210,16 @@ TEST(WalkerNeutrality, MemoAndReferenceWalkersAgree)
         Translator translator;
         Walker walker{translator, mmu};
 
-        explicit Rig(bool reference)
-            : translator(table, [&] {
-                  TranslatorConfig cfg;
-                  cfg.useReferenceTranslator = reference;
-                  return cfg;
-              }())
+        explicit Rig(const TranslatorConfig &cfg)
+            : translator(table, cfg)
         {
         }
     };
-    Rig memo(false);
-    Rig ref(true);
-    ASSERT_FALSE(memo.translator.usingReference());
-    ASSERT_TRUE(ref.translator.usingReference());
+    TranslatorConfig one_slot;
+    one_slot.memoSlots = 1;
+    one_slot.walkSlots = 1;
+    Rig memo(TranslatorConfig{});
+    Rig ref(one_slot);
 
     // Identical mutation + walk schedule on both rigs. Frame addresses
     // match because both OsMemory allocators see the same request
@@ -279,7 +277,10 @@ TEST(WalkerNeutrality, MemoAndReferenceWalkersAgree)
     EXPECT_EQ(memo.walker.ptRefsSkipped(), ref.walker.ptRefsSkipped());
     EXPECT_EQ(memo.mmu.hits(), ref.mmu.hits());
     EXPECT_EQ(memo.mmu.misses(), ref.mmu.misses());
-    EXPECT_GT(memo.translator.walkHits(), 0u); // memo actually engaged
+    // Both memos engaged, and the one-slot memo missed more often: the
+    // two rigs really took different memo paths to the same plans.
+    EXPECT_GT(memo.translator.walkHits(), 0u);
+    EXPECT_GT(ref.translator.walkMisses(), memo.translator.walkMisses());
 }
 
 } // namespace

@@ -50,8 +50,6 @@ struct SweepArgs {
     bool tempo = false;
     bool compare = false;
     bool profile = false;
-    bool referenceTranslator = false;
-    bool referenceCache = false;
     unsigned progressEvery = 0;
     std::string dashboardDir; //!< "" = no dashboard
 };
@@ -63,7 +61,6 @@ usage(int status)
         "usage: tempo_sweep --key SECTION.KEY --values V1,V2,...\n"
         "  [--workload NAME] [--refs N] [--warmup N]\n"
         "  [--jobs N] [--json PATH] [--profile]\n"
-        "  [--reference-translator] [--reference-cache]\n"
         "  [--retries N] [--point-timeout S] [--checkpoint PATH]\n"
         "  [--progress [N]] [--dashboard DIR]\n"
         "  [--tempo | --compare]\n"
@@ -140,10 +137,6 @@ parseArgs(int argc, char **argv)
                 args.progressEvery = 10;
         } else if (arg == "--dashboard")
             args.dashboardDir = next();
-        else if (arg == "--reference-translator")
-            args.referenceTranslator = true;
-        else if (arg == "--reference-cache")
-            args.referenceCache = true;
         else if (arg == "--help" || arg == "-h")
             usage(0);
         else
@@ -163,8 +156,6 @@ configFor(const SweepArgs &args, const std::string &value, bool tempo)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
     cfg.withTempo(tempo);
-    cfg.translator.useReferenceTranslator = args.referenceTranslator;
-    cfg.cache.useReferenceCache = args.referenceCache;
     const std::size_t dot = args.key.find('.');
     const std::string ini = "[" + args.key.substr(0, dot) + "]\n"
         + args.key.substr(dot + 1) + " = " + value + "\n";
