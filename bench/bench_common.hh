@@ -22,10 +22,12 @@
  * Fault isolation: a point that throws or exceeds TEMPO_POINT_TIMEOUT
  * seconds is reported on stderr and in the JSON failures array while
  * every other point completes (TEMPO_RETRIES re-runs failures with a
- * reseeded workload). With TEMPO_BENCH_CHECKPOINT_DIR set, single-app
- * batches journal completed points to CKPT_<name>.jsonl there and a
+ * reseeded workload). With TEMPO_BENCH_CHECKPOINT_DIR=DIR set (an
+ * existing directory), single-app batches checkpoint into DIR/<name>, a
+ * one-worker fabric directory (as `--checkpoint` in the tools), and a
  * re-run resumes, skipping what already finished; the resumed output
- * is byte-identical to an uninterrupted run.
+ * is byte-identical to an uninterrupted run. An unusable directory, or
+ * a changed sweep against an existing one, exits 2.
  *
  * Scale-out (src/fabric/): TEMPO_FABRIC_DIR plus TEMPO_FABRIC_ROLE
  * ("worker" | "coordinator") run a bench's single-app batches as one
@@ -42,11 +44,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/parse.hh"
 #include "common/thread_pool.hh"
 #include "core/experiment.hh"
 #include "core/multi_system.hh"
@@ -171,7 +175,7 @@ envOptions()
 }
 
 /** The bench name registered by the JsonRecorder constructor; names
- * the checkpoint journal. Benches run one batch at a time, so one
+ * the checkpoint directory. Benches run one batch at a time, so one
  * global is enough. */
 inline std::string &
 currentBenchName()
@@ -183,19 +187,24 @@ currentBenchName()
 /** Engine options for a bench batch: fault handling and the sweep
  * fabric from the environment (TEMPO_FABRIC_DIR turns any bench driver
  * into a fabric worker, or a coordinator with TEMPO_FABRIC_ROLE; see
- * EXPERIMENTS.md "Fabric sweeps"), plus a per-bench checkpoint
- * journal when TEMPO_BENCH_CHECKPOINT_DIR is set (ignored under the
- * fabric, whose shard files are the journal). */
+ * EXPERIMENTS.md "Fabric sweeps"), or else a per-bench checkpoint
+ * directory DIR/<bench> when TEMPO_BENCH_CHECKPOINT_DIR=DIR is set.
+ * @throws std::runtime_error when DIR is not a directory. */
 inline ExperimentOptions
 benchOptions()
 {
     ExperimentOptions opts = envOptions();
     if (!currentBenchName().empty())
         opts.progressLabel = currentBenchName();
-    const char *dir = std::getenv("TEMPO_BENCH_CHECKPOINT_DIR");
-    if (dir && !currentBenchName().empty())
-        opts.checkpointPath = std::string(dir) + "/CKPT_"
-            + currentBenchName() + ".jsonl";
+    const char *dir = envValue("TEMPO_BENCH_CHECKPOINT_DIR");
+    if (dir && !currentBenchName().empty() && !opts.fabricActive()) {
+        if (!std::filesystem::is_directory(dir))
+            throw std::runtime_error(
+                std::string("TEMPO_BENCH_CHECKPOINT_DIR: no directory ")
+                + dir);
+        useCheckpointDir(opts, std::string(dir) + "/"
+                                   + currentBenchName());
+    }
     return opts;
 }
 
@@ -225,19 +234,26 @@ rget(const RunResult &result, const std::string &key)
 
 /** Run all @p points concurrently; results come back in point order,
  * bit-identical to a serial run. Failures are captured per point
- * (reported on stderr and in the bench JSON), not thrown. */
+ * (reported on stderr and in the bench JSON), not thrown; an
+ * infrastructure error (an unusable fabric or checkpoint directory)
+ * prints `error: ...` and exits 2. */
 inline std::vector<RunResult>
 runAll(std::vector<ExperimentPoint> points)
 {
     configureObsFromEnv();
-    std::vector<RunResult> results =
-        runExperiments(points, benchOptions());
+    std::vector<RunResult> results;
+    try {
+        results = runExperiments(points, benchOptions());
+    } catch (const std::exception &error) {
+        std::fprintf(stderr, "error: %s\n", error.what());
+        std::exit(2);
+    }
     reportFailures(results);
 
     // Pipeline traces: one Chrome-trace JSON per point when
     // TEMPO_TRACE_DIR is set. The running index spans batches so a
     // bench with several runAll() calls never overwrites a file;
-    // checkpoint-restored points (cfg.trace unset) are skipped.
+    // points restored from a shard (cfg.trace unset) are skipped.
     if (!obs::config().traceDir.empty()) {
         static std::size_t trace_index = 0;
         for (const RunResult &result : results) {
@@ -259,8 +275,8 @@ runAll(std::vector<ExperimentPoint> points)
     return results;
 }
 
-/** Multiprogrammed counterpart of runAll() (no checkpointing — mixes
- * are few and cheap relative to single-app sweeps). */
+/** Multiprogrammed counterpart of runAll() (no checkpoint or fabric —
+ * mixes are few and cheap relative to single-app sweeps). */
 inline std::vector<MultiResult>
 runAllMix(const std::vector<MixPoint> &points)
 {
@@ -305,7 +321,7 @@ class JsonRecorder
         : bench_(std::move(bench))
     {
         // Register the bench name so runAll() can derive the
-        // checkpoint journal path; construct the recorder BEFORE the
+        // checkpoint directory; construct the recorder BEFORE the
         // first batch.
         currentBenchName() = bench_;
         configureObsFromEnv();

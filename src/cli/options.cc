@@ -50,8 +50,8 @@ usage()
         "                      a reseeded workload (default 0)\n"
         "  --point-timeout S   mark a point timed_out after S seconds\n"
         "                      of wall-clock time (default: none)\n"
-        "  --checkpoint PATH   journal completed points to PATH and\n"
-        "                      skip them when re-run after a crash\n"
+        "  --checkpoint DIR    record finished points in DIR and skip\n"
+        "                      them when re-run after a crash\n"
         "  --full-report       dump every statistic\n"
         "  --csv PATH          write the full report as CSV\n"
         "  --json PATH         write results as tempo-bench-1 JSON\n"
@@ -150,7 +150,7 @@ parse(const std::vector<std::string> &args)
             options.pointTimeout =
                 parseSeconds(arg, next("--point-timeout"));
         } else if (arg == "--checkpoint") {
-            options.checkpointPath = next("--checkpoint");
+            options.checkpointDir = next("--checkpoint");
         } else if (arg == "--full-report") {
             options.fullReport = true;
         } else if (arg == "--csv") {

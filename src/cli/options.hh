@@ -40,8 +40,9 @@ struct Options {
     unsigned retries = 0;
     /** Per-point wall-clock budget in seconds; 0 = no watchdog. */
     double pointTimeout = 0;
-    /** Completed-point journal for kill/resume; "" = off. */
-    std::string checkpointPath;
+    /** Checkpoint directory for kill/resume (a one-worker sweep
+     * fabric; see useCheckpointDir()); "" = off. */
+    std::string checkpointDir;
     bool fullReport = false;
     std::string csvPath;    //!< write the full report as CSV here
     std::string jsonPath;   //!< write results as tempo-bench-1 JSON

@@ -1,15 +1,16 @@
 #include "core/checkpoint.hh"
 
-#include <charconv>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 #include <fcntl.h>
 #include <unistd.h>
+
+#include "fabric/claim.hh"
 
 namespace tempo {
 
@@ -17,26 +18,6 @@ namespace {
 
 using stats::Json;
 using stats::JsonValue;
-
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-std::uint64_t
-parseHex16(const std::string &text)
-{
-    std::uint64_t out = 0;
-    const auto [p, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), out, 16);
-    if (ec != std::errc() || p != text.data() + text.size())
-        throw std::runtime_error("journal: bad digest " + text);
-    return out;
-}
 
 /**
  * One field-visitor enumerates CoreStats for both encode and decode so
@@ -143,7 +124,7 @@ encodeRunResult(const RunResult &result)
     doc.set("report", std::move(report));
 
     // Optional time-series payload: only present when the run sampled.
-    // Trace events are NOT journaled (a resumed point rereads counters
+    // Trace events are not recorded (a resumed point rereads counters
     // but cannot regenerate a trace file).
     if (result.obs && !result.obs->timeseries.empty()) {
         Json timeseries = Json::object();
@@ -218,7 +199,7 @@ encodeJournalLine(std::uint64_t digest, const RunResult &result)
 {
     Json doc = Json::object();
     doc.set("v", std::uint64_t(1));
-    doc.set("digest", hex16(digest));
+    doc.set("digest", fabric::digestHex(digest));
     if (!result.status.ok()) {
         doc.set("status", result.status.codeName());
         doc.set("error", result.status.error);
@@ -234,7 +215,7 @@ decodeJournalLine(const std::string &line)
 {
     const JsonValue doc = stats::parseJson(line);
     JournalRecord record;
-    record.digest = parseHex16(doc.at("digest").asString());
+    record.digest = fabric::parseDigestHex(doc.at("digest").asString());
     record.result = decodeRunResult(doc.at("result"));
     RunStatus &status = record.result.status;
     if (const JsonValue *code = doc.find("status")) {
@@ -287,60 +268,24 @@ AtomicAppendFile::appendLine(const std::string &line)
         throw std::runtime_error("short write to " + path_);
 }
 
-SweepJournal::SweepJournal(std::string path) : path_(std::move(path))
-{
-    // Load whatever is already there. Any malformed line — in practice
-    // only the truncated tail a kill leaves — ends the useful prefix.
-    std::ifstream in(path_, std::ios::binary);
-    bool clean = true;
-    std::uintmax_t good_end = 0;
-    if (in) {
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.empty()) {
-                good_end += 1;
-                continue;
-            }
-            try {
-                JournalRecord record = decodeJournalLine(line);
-                loaded_[record.digest] = std::move(record.result);
-            } catch (const std::exception &) {
-                clean = false;
-                break;
-            }
-            good_end += line.size() + 1;
-        }
-        in.close();
-        // Drop the broken tail before appending: a new record written
-        // right after a half line would corrupt BOTH on the next load.
-        if (!clean)
-            std::filesystem::resize_file(path_, good_end);
-    }
-    try {
-        out_ = std::make_unique<AtomicAppendFile>(path_);
-    } catch (const std::exception &error) {
-        throw std::runtime_error(
-            std::string("cannot open checkpoint journal ") + path_ +
-            ": " + error.what());
-    }
-}
-
-bool
-SweepJournal::restore(std::uint64_t digest, RunResult &out) const
-{
-    const auto it = loaded_.find(digest);
-    if (it == loaded_.end())
-        return false;
-    out = it->second;
-    return true;
-}
-
 void
-SweepJournal::record(std::uint64_t digest, const RunResult &result)
+cutUnterminatedTail(const std::string &path)
 {
-    const std::string line = encodeJournalLine(digest, result);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    out_->appendLine(line);
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return;
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    const std::string text = bytes.str();
+    const std::size_t nl = text.rfind('\n');
+    const std::size_t keep = nl == std::string::npos ? 0 : nl + 1;
+    if (keep == text.size())
+        return;
+    std::error_code error;
+    std::filesystem::resize_file(path, keep, error);
+    if (error)
+        throw std::runtime_error("cannot cut the unterminated tail of " +
+                                 path + ": " + error.message());
 }
 
 } // namespace tempo

@@ -1,33 +1,26 @@
 /**
  * @file
- * Sweep checkpointing: a JSONL journal of completed experiment points,
- * so an interrupted sweep resumes without re-simulating what already
- * finished.
+ * Sweep records: the JSONL line format of the fabric's per-worker shard
+ * files (`shard_<worker>.jsonl`, see fabric/coordinator.hh), which are
+ * also what `--checkpoint DIR` resumes from.
  *
- * Format: one line per completed point,
+ * Format: one line per finished point,
  *
- *   {"v": 1, "digest": "<16-hex pointDigest>", "attempts": <uint>,
- *    "seed": <uint>, "result": { <full RunResult encoding> }}
+ *   {"v": 1, "digest": "<16-hex pointDigest>",
+ *    ["status": "failed"|"timed_out", "error": "<text>",]
+ *    "attempts": <uint>, "seed": <uint>,
+ *    "result": { <full RunResult encoding> }}
  *
- * Only ok points are journaled. Failures are deliberately re-run on
- * resume: a deterministic failure reproduces (so the merged output —
- * including the failures array — is byte-identical to an uninterrupted
- * run), and a transient one gets another chance. The reader tolerates
- * a truncated final line, which is exactly what a kill mid-append
- * leaves behind; everything before it is still used.
- *
- * The journal stores the complete RunResult (every CoreStats counter
- * and every report entry), not just the flattened BenchPoint, so both
- * the bench text tables and the JSON reproduce exactly from a restore.
+ * A record stores the complete RunResult (every CoreStats counter, every
+ * report entry and any time series), not just the flattened BenchPoint,
+ * so both the bench text tables and the JSON reproduce exactly from a
+ * record. Trace events are not stored.
  */
 
 #ifndef TEMPO_CORE_CHECKPOINT_HH
 #define TEMPO_CORE_CHECKPOINT_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 
 #include "core/tempo_system.hh"
@@ -35,8 +28,9 @@
 
 namespace tempo {
 
-/** Encode a finished run for the journal (everything but the
- * exception_ptr, which cannot cross a process boundary). */
+/** Encode a finished run for a record (everything but the
+ * exception_ptr, which cannot cross a process boundary, and the trace
+ * events). */
 stats::Json encodeRunResult(const RunResult &result);
 
 /**
@@ -46,17 +40,15 @@ stats::Json encodeRunResult(const RunResult &result);
 RunResult decodeRunResult(const stats::JsonValue &value);
 
 /**
- * Encode one complete journal record as a single JSONL line (no
- * trailing newline). Ok points emit exactly the pre-fabric journal
- * format; failed/timed-out points — which the fabric's per-worker
- * shard files journal too, unlike the resume journal — additionally
- * carry "status" and "error" between "digest" and "attempts".
+ * Encode one complete record as a single JSONL line (no trailing
+ * newline). Failed and timed-out points additionally carry "status" and
+ * "error" between "digest" and "attempts".
  */
 std::string encodeJournalLine(std::uint64_t digest,
                               const RunResult &result);
 
 /**
- * Decode one journal/shard line back into (digest, result). The
+ * Decode one record line back into (digest, result). The
  * result's status fields (code, error, attempts, seedUsed, digest) are
  * fully restored; absent "status" reads ok.
  * @throws std::runtime_error on malformed input.
@@ -69,10 +61,9 @@ JournalRecord decodeJournalLine(const std::string &line);
 
 /**
  * Append-only file whose appendLine() issues one O_APPEND write(2) per
- * line. Concurrent writers — two processes sharing a resume journal,
- * or a fabric coordinator tailing a worker's shard mid-append — never
- * observe interleaved bytes within a line, only whole lines (plus at
- * most one truncated tail after a kill).
+ * line. Concurrent writers of one file (two processes under one worker
+ * id) never interleave bytes within a line, and a reader tailing the
+ * file mid-append sees whole lines plus at most one unterminated tail.
  */
 class AtomicAppendFile
 {
@@ -97,31 +88,12 @@ class AtomicAppendFile
 };
 
 /**
- * The append-only journal. Construction loads whatever complete lines
- * an existing file holds (ignoring a truncated tail), then reopens it
- * for appending. record() is thread-safe and writes each point as one
- * append, so a kill loses at most the line being written.
+ * Cut an unterminated last line off @p path: the half record a kill
+ * mid-append leaves behind. Without the cut, the next appended record
+ * would continue that line and both would be lost. A missing file is
+ * left alone. @throws std::runtime_error when the file cannot be cut.
  */
-class SweepJournal
-{
-  public:
-    explicit SweepJournal(std::string path);
-
-    /** Restore the journaled result for @p digest; false if absent. */
-    bool restore(std::uint64_t digest, RunResult &out) const;
-
-    /** Append one completed ok point. */
-    void record(std::uint64_t digest, const RunResult &result);
-
-    /** Points loaded from a pre-existing file. */
-    std::size_t loadedCount() const { return loaded_.size(); }
-
-  private:
-    std::string path_;
-    std::map<std::uint64_t, RunResult> loaded_;
-    std::unique_ptr<AtomicAppendFile> out_;
-    std::mutex mutex_;
-};
+void cutUnterminatedTail(const std::string &path);
 
 } // namespace tempo
 

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -10,7 +9,6 @@
 #include "common/parse.hh"
 #include "common/thread_pool.hh"
 #include "common/watchdog.hh"
-#include "core/checkpoint.hh"
 #include "fabric/coordinator.hh"
 #include "fabric/snapshot.hh"
 
@@ -226,6 +224,15 @@ ExperimentOptions::fromEnv()
     return opts;
 }
 
+void
+useCheckpointDir(ExperimentOptions &opts, const std::string &dir)
+{
+    opts.fabricDir = dir;
+    opts.fabricRole = ExperimentOptions::FabricRole::Worker;
+    if (opts.fabricWorkerId.empty())
+        opts.fabricWorkerId = kCheckpointWorker;
+}
+
 std::vector<RunResult>
 runExperiments(const std::vector<ExperimentPoint> &points,
                const ExperimentOptions &opts)
@@ -260,43 +267,20 @@ runExperiments(const std::vector<ExperimentPoint> &points,
         progress->configure(opts.progressLabel, points.size(),
                             opts.progressEvery);
 
-    // Fabric execution: claims, shard streaming, and the merge replace
-    // the in-process pool entirely (checkpointPath is ignored — the
-    // per-worker shard files are the journal; see src/fabric/).
+    // Fabric execution (also `--checkpoint DIR`): claims, shard
+    // streaming and the merge replace the in-process pool entirely.
     if (opts.fabricActive())
         return fabric::runFabric(opts, digests, run_one, progress);
 
     std::vector<RunResult> results(points.size());
-    std::vector<char> restored(points.size(), 0);
-
-    std::unique_ptr<SweepJournal> journal;
-    if (!opts.checkpointPath.empty())
-        journal = std::make_unique<SweepJournal>(opts.checkpointPath);
-
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (journal && journal->restore(digests[i], results[i]))
-            restored[i] = 1;
-    }
-
     std::mutex done_mutex;
     parallelFor(points.size(), opts.jobs, [&](std::size_t i) {
-        double wall_sec = 0;
-        if (!restored[i]) {
-            if (progress)
-                progress->start(i);
-            const auto t0 = std::chrono::steady_clock::now();
-            results[i] = run_one(i);
-            wall_sec = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-        }
-        const std::lock_guard<std::mutex> lock(done_mutex);
-        // Only ok points are journaled; see core/checkpoint.hh.
-        if (journal && !restored[i] && results[i].status.ok())
-            journal->record(digests[i], results[i]);
         if (progress)
-            progress->done(i, results[i], wall_sec,
-                           /*ran=*/restored[i] == 0);
+            progress->start(i);
+        results[i] = run_one(i);
+        const std::lock_guard<std::mutex> lock(done_mutex);
+        if (progress)
+            progress->done(i, results[i]);
         if (opts.onPointDone)
             opts.onPointDone(i, results[i]);
     });
@@ -318,7 +302,7 @@ runMixExperiments(const std::vector<MixPoint> &points,
                   const ExperimentOptions &opts)
 {
     // Mixes are fault-isolated like single-app points but neither
-    // checkpoint nor report onPointDone (the callback carries a
+    // join a fabric nor report onPointDone (the callback carries a
     // RunResult); see docs/MODEL.md.
     std::vector<MultiResult> results(points.size());
     parallelFor(points.size(), opts.jobs, [&](std::size_t i) {

@@ -15,8 +15,9 @@
  * throws — including a watchdog timeout — is captured into the
  * result's RunStatus, and every other point still completes. A bounded
  * retry policy can re-run a failed point with a decorrelated seed, and
- * a checkpoint journal lets an interrupted sweep resume without
- * re-simulating finished points (core/checkpoint.hh).
+ * a checkpoint directory (a one-worker sweep fabric, useCheckpointDir())
+ * lets an interrupted sweep resume without re-simulating finished
+ * points.
  */
 
 #ifndef TEMPO_CORE_EXPERIMENT_HH
@@ -93,10 +94,6 @@ struct ExperimentOptions {
     /** Per-point wall-clock budget in seconds; a point exceeding it is
      * marked timed_out and its worker freed. 0 = no watchdog. */
     double pointTimeoutSec = 0;
-    /** Completed-point journal path; "" disables checkpointing. On
-     * start, points whose digest is already journaled are restored
-     * instead of re-run; each newly finished ok point is appended. */
-    std::string checkpointPath;
     /** Test hook: injected faults (see FaultInjection). */
     std::vector<FaultInjection> inject;
     /** Progress callback, invoked under the engine lock as each point
@@ -116,9 +113,9 @@ struct ExperimentOptions {
 
     /** Shared fabric directory (claims, heartbeats, per-worker result
      * shards, status snapshots). Empty = fabric off; set, it opts the
-     * process in, as a worker unless fabricRole says otherwise. In the
-     * fabric, checkpointPath is ignored: the shard files ARE the
-     * journal, and a restarted sweep resumes from them. */
+     * process in, as a worker unless fabricRole says otherwise. The
+     * shard files are the sweep's journal: a restarted sweep resumes
+     * from them. */
     std::string fabricDir;
     FabricRole fabricRole = FabricRole::None;
     /** Stable worker identity (names the heartbeat/shard/status
@@ -161,10 +158,23 @@ struct ExperimentOptions {
     bool fabricActive() const { return !fabricDir.empty(); }
 };
 
+/** Worker id of a checkpoint run (useCheckpointDir()). */
+inline constexpr const char *kCheckpointWorker = "checkpoint";
+
+/**
+ * `--checkpoint DIR`: make @p opts a fabric worker in @p dir under the
+ * fixed id kCheckpointWorker, unless a worker id is already set
+ * (TEMPO_FABRIC_WORKER). The explicit Worker role keeps --dashboard from
+ * turning the run into a coordinator, and the fixed id lets a restarted
+ * run reclaim the claims its killed predecessor held at once.
+ */
+void useCheckpointDir(ExperimentOptions &opts, const std::string &dir);
+
 /**
  * A stable identity for a point within a sweep: hashes the workload
  * name, refs/warmup, seed override, the full config digest, and the
- * point's index. Keys checkpoint journals and failure reports.
+ * point's index. Keys fabric claims, shard records and failure
+ * reports.
  */
 std::uint64_t pointDigest(const ExperimentPoint &point, std::size_t index);
 
@@ -172,8 +182,10 @@ std::uint64_t pointDigest(const ExperimentPoint &point, std::size_t index);
  * Run all @p points and return results in point order, bit-identical
  * for any job count. Never throws for a point failure: each result's
  * status records how the point ended, and failed/timed-out results
- * have every measured field zero. A checkpoint-resumed sweep returns
- * exactly the bytes an uninterrupted one would.
+ * have every measured field zero. A resumed fabric or checkpoint sweep
+ * returns exactly the bytes an uninterrupted one would.
+ * @throws std::runtime_error on an infrastructure error (an unusable
+ *         fabric directory, a manifest for a different sweep).
  */
 std::vector<RunResult>
 runExperiments(const std::vector<ExperimentPoint> &points,
@@ -189,7 +201,7 @@ runExperiments(const std::vector<ExperimentPoint> &points,
                unsigned jobs = 0);
 
 /** Multiprogrammed counterpart of runExperiments(). Fault-isolated
- * the same way; mixes do not checkpoint (checkpointPath is ignored —
+ * the same way; mixes always run in process (fabricDir is ignored —
  * see docs/MODEL.md). */
 std::vector<MultiResult>
 runMixExperiments(const std::vector<MixPoint> &points,

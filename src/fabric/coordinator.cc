@@ -153,10 +153,11 @@ ShardScanner::poll()
                 continue;
             try {
                 JournalRecord record = decodeJournalLine(line);
-                const auto [it, inserted] = done_.emplace(
+                const auto [it, inserted] = done_.try_emplace(
                     record.digest, std::move(record.result));
-                if (inserted && !it->second.status.ok())
-                    ++failed_;
+                if (!inserted && !it->second.status.ok() &&
+                    record.result.status.ok())
+                    it->second = std::move(record.result);
             } catch (const std::exception &) {
                 // A complete-but-corrupt line cannot happen through
                 // AtomicAppendFile; skipping it leaves its point
@@ -170,18 +171,33 @@ ShardScanner::poll()
 
 namespace {
 
-/** Shared view of sweep completion, updated from shard polls. */
+/** Shared view of sweep completion, updated from shard polls and from
+ * the points this process ran. */
 struct DoneTracker {
     std::map<std::uint64_t, std::size_t> indexOf;
     std::vector<char> mask;
+    /** Points whose only record was a failure when this worker
+     * started: a failure record alone does not finish them. */
+    std::vector<char> rerun;
     std::size_t done = 0;
     std::size_t failed = 0;
 
     explicit DoneTracker(const std::vector<std::uint64_t> &digests)
-        : mask(digests.size(), 0)
+        : mask(digests.size(), 0), rerun(digests.size(), 0)
     {
         for (std::size_t i = 0; i < digests.size(); ++i)
             indexOf.emplace(digests[i], i);
+    }
+
+    void
+    mark(std::size_t i, const RunResult &result)
+    {
+        if (mask[i])
+            return;
+        mask[i] = 1;
+        ++done;
+        if (!result.status.ok())
+            ++failed;
     }
 
     void
@@ -190,12 +206,9 @@ struct DoneTracker {
         scanner.poll();
         for (const auto &[digest, result] : scanner.done()) {
             const auto it = indexOf.find(digest);
-            if (it == indexOf.end() || mask[it->second])
-                continue;
-            mask[it->second] = 1;
-            ++done;
-            if (!result.status.ok())
-                ++failed;
+            if (it != indexOf.end() &&
+                (result.status.ok() || !rerun[it->second]))
+                mark(it->second, result);
         }
     }
 };
@@ -205,16 +218,30 @@ workerLoop(const ExperimentOptions &opts,
            const std::vector<std::uint64_t> &digests,
            const std::function<RunResult(std::size_t)> &runPoint,
            SweepProgress *progress, ShardScanner &scanner,
-           const std::string &worker)
+           const std::string &worker, std::vector<RunResult> &results,
+           std::vector<char> &ran)
 {
     const std::string &dir = opts.fabricDir;
     const std::size_t total = digests.size();
     ClaimDir claims(dir, worker);
     Heartbeat heartbeat(dir, worker, opts.fabricHeartbeatSec);
-    AtomicAppendFile shard(dir + "/shard_" + worker + ".jsonl");
+    const std::string shardPath = dir + "/shard_" + worker + ".jsonl";
+    cutUnterminatedTail(shardPath);
+    AtomicAppendFile shard(shardPath);
 
     std::mutex mutex; // scanner, tracker, tally, shard appends
     DoneTracker tracker(digests);
+    // A point whose only record is a failure runs again: a transient
+    // failure gets another chance, a deterministic one reproduces. Its
+    // claim is the finished failed run's, so it is re-contested.
+    scanner.poll();
+    for (const auto &[digest, result] : scanner.done()) {
+        const auto it = tracker.indexOf.find(digest);
+        if (it != tracker.indexOf.end() && !result.status.ok()) {
+            tracker.rerun[it->second] = 1;
+            claims.remove(digest);
+        }
+    }
     WorkerTally tally;
     tally.worker = worker;
     tally.sweep = opts.progressLabel;
@@ -231,6 +258,7 @@ workerLoop(const ExperimentOptions &opts,
     auto body = [&] {
         while (!abort.load(std::memory_order_relaxed)) {
             std::size_t pick = std::numeric_limits<std::size_t>::max();
+            std::size_t waiting = 0; // unfinished, not run by us
             {
                 const std::lock_guard<std::mutex> lock(mutex);
                 tracker.refresh(scanner);
@@ -250,6 +278,7 @@ workerLoop(const ExperimentOptions &opts,
                     const std::uint64_t digest = digests[i];
                     if (tally.inFlight.count(digest))
                         continue; // this process is running it
+                    ++waiting;
                     const std::string owner = claims.owner(digest);
                     if (owner.empty()) {
                         if (!claims.tryClaim(digest))
@@ -283,13 +312,17 @@ workerLoop(const ExperimentOptions &opts,
                 }
             }
             if (pick == std::numeric_limits<std::size_t>::max()) {
+                // Everything left runs on this process's other threads,
+                // which finish the sweep without this one.
+                if (waiting == 0)
+                    return;
                 std::this_thread::sleep_for(kPollPeriod);
                 continue;
             }
             if (progress)
                 progress->start(pick);
             const auto t0 = std::chrono::steady_clock::now();
-            const RunResult result = runPoint(pick);
+            RunResult result = runPoint(pick);
             const double wall = std::chrono::duration<double>(
                                     std::chrono::steady_clock::now() -
                                     t0)
@@ -300,8 +333,14 @@ workerLoop(const ExperimentOptions &opts,
             tally.inFlight.erase(digests[pick]);
             tally.add(result, wall);
             writeWorkerStatus(dir, tally);
+            tracker.mark(pick, result);
+            // Keep the in-memory result: a shard record has no trace.
+            results[pick] = std::move(result);
+            ran[pick] = 1;
             if (progress)
-                progress->done(pick, result, wall, /*ran=*/true);
+                progress->done(pick, results[pick]);
+            if (opts.onPointDone)
+                opts.onPointDone(pick, results[pick]);
         }
     };
 
@@ -387,6 +426,8 @@ runFabric(const ExperimentOptions &opts,
     writeManifest(dir, opts.progressLabel, digests);
 
     ShardScanner scanner(dir);
+    std::vector<RunResult> results(digests.size());
+    std::vector<char> ran(digests.size(), 0);
     if (opts.fabricRole == ExperimentOptions::FabricRole::Coordinator)
         coordinatorLoop(opts, digests, progress, scanner);
     else {
@@ -394,14 +435,16 @@ runFabric(const ExperimentOptions &opts,
             opts.fabricWorkerId.empty()
                 ? "w" + std::to_string(::getpid())
                 : opts.fabricWorkerId;
-        workerLoop(opts, digests, runPoint, progress, scanner, worker);
+        workerLoop(opts, digests, runPoint, progress, scanner, worker,
+                   results, ran);
     }
 
     // Merge: every participant leaves with the complete result set,
     // so any of them can emit the canonical single-process bytes.
     scanner.poll();
-    std::vector<RunResult> results(digests.size());
     for (std::size_t i = 0; i < digests.size(); ++i) {
+        if (ran[i])
+            continue;
         const auto it = scanner.done().find(digests[i]);
         if (it == scanner.done().end())
             throw std::runtime_error(

@@ -10,17 +10,24 @@
  *    the same CLI invocation; the manifest file pins its digest list
  *    so mismatched invocations fail fast instead of corrupting state.
  *  - Workers claim points by digest (claim.hh), run them behind the
- *    usual exception barrier, and append the full journal record —
- *    failures included, unlike the single-process resume journal — to
- *    their own `shard_<workerId>.jsonl`.
- *  - A record in any shard marks its digest done, permanently. Claims
- *    whose owner stopped heartbeating are erased and re-contested;
- *    the benign worst case is a double-run whose records are
- *    byte-identical (every point is deterministic), so the
- *    first-record-wins merge is order-independent.
+ *    usual exception barrier, and append the full record (failures
+ *    included; core/checkpoint.hh) to their own
+ *    `shard_<workerId>.jsonl`. A worker opening its shard first cuts
+ *    the unterminated line a kill mid-append left behind.
+ *  - A record in any shard marks its digest done. The one exception: a
+ *    point whose only record is a failure when a worker starts runs
+ *    again in that worker, and in the merge an ok record supersedes a
+ *    failed one. Claims whose owner stopped heartbeating are erased
+ *    and re-contested; the benign worst case is a double-run whose
+ *    records are byte-identical (every point is deterministic).
  *  - When every digest has a record, each participant merges all
  *    shards and returns the complete result vector, so any of them
  *    emits the same bytes a single-process `--jobs N` run would.
+ *    Points a worker ran itself keep their in-memory results, trace
+ *    events included.
+ *  - `--checkpoint DIR` is the same protocol with one worker under a
+ *    fixed id (useCheckpointDir()), so a restarted run reclaims its
+ *    predecessor's claims at once.
  */
 
 #ifndef TEMPO_FABRIC_COORDINATOR_HH
@@ -68,7 +75,8 @@ bool readManifest(const std::string &dir, Manifest &out,
  * directory. poll() consumes only complete newline-terminated lines —
  * a worker killed (or merely buffered) mid-append leaves a tail that
  * is simply not consumed yet — and folds records into a digest-keyed
- * map where the first record for a digest wins. Not thread-safe.
+ * map where an ok record supersedes a failed one and otherwise the
+ * first record for a digest wins. Not thread-safe.
  */
 class ShardScanner
 {
@@ -83,21 +91,18 @@ class ShardScanner
         return done_;
     }
 
-    /** Non-ok records seen so far (status carries digest/error). */
-    std::size_t failedCount() const { return failed_; }
-
   private:
     std::string dir_;
     std::map<std::string, std::uint64_t> offsets_; //!< consumed bytes
     std::map<std::uint64_t, RunResult> done_;
-    std::size_t failed_ = 0;
 };
 
 /**
  * Fabric-mode runExperiments() body: run @p runPoint for claimed
  * points (worker role) or just supervise (coordinator role), then
  * merge every shard and return all results in point order. Both roles
- * return the complete, identical result vector.
+ * return the complete, identical result vector. A worker calls the
+ * progress tracker and opts.onPointDone for the points it runs.
  * @throws std::runtime_error when the coordinator detects a stalled
  *         sweep (points remain but no worker has heartbeat recently).
  */

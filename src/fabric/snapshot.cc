@@ -183,11 +183,10 @@ SweepProgress::start(std::size_t)
 }
 
 void
-SweepProgress::done(std::size_t, const RunResult &result,
-                    double wallSec, bool ran)
+SweepProgress::done(std::size_t, const RunResult &result)
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (ran && inFlight_ > 0)
+    if (inFlight_ > 0)
         --inFlight_;
     ++done_;
     switch (result.status.code) {
@@ -197,15 +196,13 @@ SweepProgress::done(std::size_t, const RunResult &result,
     }
     retries_ +=
         result.status.attempts > 0 ? result.status.attempts - 1 : 0;
-    if (ran)
-        refsDone_ += result.core.refs;
+    refsDone_ += result.core.refs;
     if (!result.status.ok() && failures_.size() < kMaxSnapshotFailures) {
         RunStatus status = result.status;
         status.exception = nullptr; // snapshots never rethrow
         failures_.push_back(std::move(status));
     }
     rollupTimeseries(timeseries_, result);
-    (void)wallSec;
     if (!haveGlobal_)
         maybePrint(done_, failed_ + timedOut_, total_,
                    done_ == total_);

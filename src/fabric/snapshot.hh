@@ -98,11 +98,8 @@ class SweepProgress
     /** A point began executing in this process. */
     void start(std::size_t index);
 
-    /** A point finished. @p ran is false for checkpoint-restored
-     * points, which never started and must not touch in-flight or
-     * throughput accounting. */
-    void done(std::size_t index, const RunResult &result,
-              double wallSec, bool ran);
+    /** A point this process started finished. */
+    void done(std::size_t index, const RunResult &result);
 
     /** Directory-wide completion counts (fabric mode); also prints the
      * progress line on period boundaries. */

@@ -1,38 +1,53 @@
 /**
- * @file
- * Sweep checkpointing tests: the RunResult JSON encoding must round-trip
- * byte-exactly, the journal must restore by digest and tolerate the
- * truncated tail a mid-append kill leaves behind, and a resumed sweep
- * must reproduce an uninterrupted run's output byte for byte without
- * re-simulating journaled points.
+ * Sweep checkpointing tests (`--checkpoint DIR`, a one-worker sweep
+ * fabric): the RunResult JSON encoding must round-trip byte-exactly, a
+ * shard record must restore by digest, a worker must cut the truncated
+ * tail a mid-append kill leaves in its shard, and a resumed sweep must
+ * reproduce an uninterrupted run's output byte for byte without
+ * re-simulating recorded points, re-running only failures.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
+#include <chrono>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <thread>
 
 #include "core/checkpoint.hh"
 #include "core/experiment.hh"
+#include "fabric/claim.hh"
+#include "fabric/coordinator.hh"
+#include "fabric/heartbeat.hh"
 
 namespace tempo {
 namespace {
 
 constexpr std::uint64_t kRefs = 4000;
 
-/** A scratch file removed on scope exit. */
-struct TempFile {
+namespace fs = std::filesystem;
+
+/** A scratch checkpoint directory removed on scope exit, and the shard
+ * its one worker writes. */
+struct TempDir {
     std::string path;
-    explicit TempFile(const std::string &name)
-        : path("checkpoint_test_" + name + ".jsonl")
+    std::string shard;
+    explicit TempDir(const std::string &name)
+        : path("checkpoint_test_" + name),
+          shard(path + "/shard_" + kCheckpointWorker + ".jsonl")
     {
-        std::remove(path.c_str());
+        fs::remove_all(path);
+        fs::create_directories(path);
     }
-    ~TempFile() { std::remove(path.c_str()); }
+    ~TempDir()
+    {
+        std::error_code ignore;
+        fs::remove_all(path, ignore);
+    }
 };
 
 std::string
@@ -64,6 +79,73 @@ sweepPoints()
         points.push_back(std::move(p));
     }
     return points;
+}
+
+/** Keep the first @p lines lines of @p path, plus @p tail bytes of the
+ * next one: the shape a kill after (or during) an append leaves. */
+void
+keepLines(const std::string &path, int lines, std::size_t tail = 0)
+{
+    const std::string bytes = slurp(path);
+    std::size_t cut = 0;
+    for (int i = 0; i < lines; ++i) {
+        cut = bytes.find('\n', cut);
+        ASSERT_NE(cut, std::string::npos);
+        ++cut;
+    }
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << bytes.substr(0, cut + tail);
+}
+
+/** Records in a checkpoint directory's shards, by digest. */
+std::map<std::uint64_t, RunResult>
+records(const std::string &dir)
+{
+    fabric::ShardScanner scanner(dir);
+    scanner.poll();
+    return scanner.done();
+}
+
+/** Every line of @p path decodes as a whole record. */
+bool
+everyLineDecodes(const std::string &path)
+{
+    std::istringstream in(slurp(path));
+    std::string line;
+    while (std::getline(in, line)) {
+        try {
+            decodeJournalLine(line);
+        } catch (const std::exception &) {
+            return false;
+        }
+    }
+    return in.eof();
+}
+
+/** Count workload constructions, i.e. actual simulations, through the
+ * factory hook (it does not enter the point digest, so restores still
+ * match). */
+std::shared_ptr<std::atomic<int>>
+countSimulations(std::vector<ExperimentPoint> &points)
+{
+    auto calls = std::make_shared<std::atomic<int>>(0);
+    for (ExperimentPoint &p : points) {
+        const std::string name = p.workload;
+        p.makeWorkloadFn = [calls, name] {
+            calls->fetch_add(1);
+            return makeWorkload(name, 42);
+        };
+    }
+    return calls;
+}
+
+ExperimentOptions
+checkpointOptions(const TempDir &dir, unsigned jobs)
+{
+    ExperimentOptions opts;
+    opts.jobs = jobs;
+    useCheckpointDir(opts, dir.path);
+    return opts;
 }
 
 /** Flatten a sweep to the full tempo-bench-1 document for byte
@@ -107,18 +189,14 @@ TEST(Checkpoint, DecodeRejectsForeignSchema)
 
 TEST(Checkpoint, JournalRestoresByDigest)
 {
-    TempFile file("restore");
+    TempDir dir("restore");
     const RunResult result = sampleResult();
-    {
-        SweepJournal journal(file.path);
-        EXPECT_EQ(journal.loadedCount(), 0u);
-        journal.record(0xabcdef12u, result);
-    }
-    SweepJournal reopened(file.path);
-    EXPECT_EQ(reopened.loadedCount(), 1u);
-    RunResult out;
-    EXPECT_FALSE(reopened.restore(0x999u, out));
-    ASSERT_TRUE(reopened.restore(0xabcdef12u, out));
+    AtomicAppendFile(dir.shard).appendLine(
+        encodeJournalLine(0xabcdef12u, result));
+    const std::map<std::uint64_t, RunResult> restored = records(dir.path);
+    ASSERT_EQ(restored.size(), 1u);
+    ASSERT_TRUE(restored.count(0xabcdef12u));
+    const RunResult &out = restored.at(0xabcdef12u);
     EXPECT_EQ(encodeRunResult(out).dumpCompact(),
               encodeRunResult(result).dumpCompact());
     EXPECT_EQ(out.status.digest, 0xabcdef12u);
@@ -127,62 +205,43 @@ TEST(Checkpoint, JournalRestoresByDigest)
 
 TEST(Checkpoint, TruncatedTailIsTolerated)
 {
-    TempFile file("truncated");
+    TempDir dir("truncated");
     const RunResult result = sampleResult();
     {
-        SweepJournal journal(file.path);
-        journal.record(1, result);
-        journal.record(2, result);
+        AtomicAppendFile shard(dir.shard);
+        shard.appendLine(encodeJournalLine(1, result));
+        shard.appendLine(encodeJournalLine(2, result));
     }
-    // Chop into the middle of the second line — the shape a kill
-    // mid-append leaves behind.
-    std::string bytes = slurp(file.path);
-    const std::size_t first_end = bytes.find('\n');
-    ASSERT_NE(first_end, std::string::npos);
-    bytes.resize(first_end + 1 + (bytes.size() - first_end) / 2);
-    std::ofstream(file.path, std::ios::binary | std::ios::trunc)
-        << bytes;
+    // Chop into the middle of the second line: the shape a kill
+    // mid-append leaves behind. Readers skip the unterminated tail...
+    keepLines(dir.shard, 1, slurp(dir.shard).size() / 4);
+    EXPECT_EQ(records(dir.path).size(), 1u);
 
-    SweepJournal journal(file.path);
-    EXPECT_EQ(journal.loadedCount(), 1u);
-    RunResult out;
-    EXPECT_TRUE(journal.restore(1, out));
-    EXPECT_FALSE(journal.restore(2, out));
-    // The journal stays appendable after the repair.
-    journal.record(3, result);
-    SweepJournal after(file.path);
-    EXPECT_EQ(after.loadedCount(), 2u);
+    // ...and the worker that owns the shard cuts it before appending,
+    // so its next record starts a line of its own.
+    cutUnterminatedTail(dir.shard);
+    AtomicAppendFile(dir.shard).appendLine(encodeJournalLine(3, result));
+    const std::map<std::uint64_t, RunResult> after = records(dir.path);
+    EXPECT_EQ(after.size(), 2u);
+    EXPECT_TRUE(after.count(1));
+    EXPECT_TRUE(after.count(3));
+    EXPECT_TRUE(everyLineDecodes(dir.shard));
 }
 
 TEST(Checkpoint, ResumedSweepIsByteIdenticalAndSkipsJournaledPoints)
 {
-    TempFile file("resume");
+    TempDir dir("resume");
     std::vector<ExperimentPoint> points = sweepPoints();
-    // Count actual simulations via the factory hook (it does not enter
-    // the point digest, so restores still match).
-    auto calls = std::make_shared<std::atomic<int>>(0);
-    for (ExperimentPoint &p : points) {
-        const std::string name = p.workload;
-        p.makeWorkloadFn = [calls, name] {
-            calls->fetch_add(1);
-            return makeWorkload(name, 42);
-        };
-    }
+    const auto calls = countSimulations(points);
 
-    ExperimentOptions opts;
-    opts.jobs = 1; // deterministic journal line order
-    opts.checkpointPath = file.path;
+    // jobs = 1: deterministic shard line order.
+    const ExperimentOptions opts = checkpointOptions(dir, 1);
     const std::vector<RunResult> full = runExperiments(points, opts);
     EXPECT_EQ(calls->load(), 4);
     const std::string full_json = emitJson(full);
 
     // Interrupt after two completed points: keep the first two lines.
-    std::string bytes = slurp(file.path);
-    std::size_t cut = bytes.find('\n');
-    cut = bytes.find('\n', cut + 1);
-    ASSERT_NE(cut, std::string::npos);
-    std::ofstream(file.path, std::ios::binary | std::ios::trunc)
-        << bytes.substr(0, cut + 1);
+    keepLines(dir.shard, 2);
 
     calls->store(0);
     const std::vector<RunResult> resumed = runExperiments(points, opts);
@@ -190,129 +249,179 @@ TEST(Checkpoint, ResumedSweepIsByteIdenticalAndSkipsJournaledPoints)
     EXPECT_EQ(calls->load(), 2);
     // ...and the merged output is exactly the uninterrupted bytes.
     EXPECT_EQ(emitJson(resumed), full_json);
-    // The journal is whole again: a third run simulates nothing.
+    // The shard is whole again: a third run simulates nothing.
     calls->store(0);
-    runExperiments(points, opts);
+    EXPECT_EQ(emitJson(runExperiments(points, opts)), full_json);
     EXPECT_EQ(calls->load(), 0);
 }
 
 TEST(Checkpoint, FailuresAreNotJournaledAndReproduceOnResume)
 {
-    TempFile file("failures");
+    // A failure is recorded, but a failure record alone does not
+    // finish a point for a later run: it runs again on resume.
+    TempDir dir("failures");
     std::vector<ExperimentPoint> points = sweepPoints();
+    const auto calls = countSimulations(points);
+    auto okRecords = [&] {
+        std::size_t ok = 0;
+        for (const auto &[digest, result] : records(dir.path))
+            ok += result.status.ok() ? 1 : 0;
+        return ok;
+    };
 
-    ExperimentOptions opts;
-    opts.jobs = 2;
-    opts.checkpointPath = file.path;
+    ExperimentOptions opts = checkpointOptions(dir, 2);
     opts.inject = {{2, FaultInjection::Kind::Throw}};
     const std::vector<RunResult> first = runExperiments(points, opts);
     EXPECT_EQ(first[2].status.code, RunStatus::Code::Failed);
-    EXPECT_EQ(SweepJournal(file.path).loadedCount(), 3u);
+    EXPECT_EQ(okRecords(), 3u);
 
     // Resume with the fault still present: the failure reproduces and
     // the document matches byte for byte (the resume guarantee covers
-    // the failures array too).
+    // the failures array too). The fault fires before the workload is
+    // built, so no point simulates.
+    calls->store(0);
     const std::vector<RunResult> resumed = runExperiments(points, opts);
+    EXPECT_EQ(calls->load(), 0);
     EXPECT_EQ(resumed[2].status.code, RunStatus::Code::Failed);
     EXPECT_EQ(emitJson(resumed), emitJson(first));
 
     // Resume with the fault gone (a transient): the point finally
-    // completes and joins the journal.
+    // completes, and its ok record supersedes the failed ones.
     opts.inject.clear();
     const std::vector<RunResult> healed = runExperiments(points, opts);
+    EXPECT_EQ(calls->load(), 1);
     EXPECT_TRUE(healed[2].status.ok());
-    EXPECT_EQ(SweepJournal(file.path).loadedCount(), 4u);
+    EXPECT_EQ(okRecords(), 4u);
+    ExperimentOptions reference;
+    reference.jobs = 2;
+    EXPECT_EQ(emitJson(healed), emitJson(runExperiments(points, reference)));
 }
 
-TEST(Checkpoint, ConfigChangeInvalidatesRestore)
+TEST(Checkpoint, ConfigChangeIsRefused)
 {
-    TempFile file("invalidate");
+    // One directory serves one sweep: a changed sweep is refused with
+    // the manifest error instead of piling stale records beside the
+    // old ones (the tools print it and exit 2).
+    TempDir dir("invalidate");
     std::vector<ExperimentPoint> points = sweepPoints();
-    ExperimentOptions opts;
-    opts.jobs = 2;
-    opts.checkpointPath = file.path;
+    const ExperimentOptions opts = checkpointOptions(dir, 2);
     runExperiments(points, opts);
 
-    // A different config digests differently: nothing restores and the
-    // sweep re-runs (results land under the new digests).
     for (ExperimentPoint &p : points)
         p.config.withTempo(true);
-    const std::vector<RunResult> rerun = runExperiments(points, opts);
-    for (const RunResult &result : rerun)
-        EXPECT_TRUE(result.status.ok());
-    EXPECT_EQ(SweepJournal(file.path).loadedCount(), 8u);
+    try {
+        runExperiments(points, opts);
+        ADD_FAILURE() << "a changed sweep was accepted";
+    } catch (const std::runtime_error &error) {
+        EXPECT_NE(std::string(error.what()).find("different sweep"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_EQ(records(dir.path).size(), 4u);
 }
 
 TEST(Checkpoint, ConcurrentWritersNeverInterleaveLines)
 {
-    // Two journal instances on one path (the fabric: two processes
-    // appending to a shared file) write from two threads at once.
-    // AtomicAppendFile's single-write O_APPEND appends must keep every
-    // line whole: a reload parses all of them.
-    TempFile file("concurrent");
+    // Two appenders on one shard (two threads of one worker, or two
+    // processes under one worker id) write at once. AtomicAppendFile's
+    // single-write O_APPEND appends must keep every line whole: a
+    // reload parses all of them.
+    TempDir dir("concurrent");
     const RunResult result = sampleResult();
     constexpr int kPerWriter = 50;
     {
-        SweepJournal a(file.path);
-        SweepJournal b(file.path);
+        AtomicAppendFile a(dir.shard);
+        AtomicAppendFile b(dir.shard);
         std::thread ta([&] {
             for (int i = 0; i < kPerWriter; ++i)
-                a.record(0x1000u + i, result);
+                a.appendLine(encodeJournalLine(0x1000u + i, result));
         });
         std::thread tb([&] {
             for (int i = 0; i < kPerWriter; ++i)
-                b.record(0x2000u + i, result);
+                b.appendLine(encodeJournalLine(0x2000u + i, result));
         });
         ta.join();
         tb.join();
     }
-    SweepJournal reopened(file.path);
-    EXPECT_EQ(reopened.loadedCount(), 2u * kPerWriter);
-    RunResult out;
+    const std::map<std::uint64_t, RunResult> reloaded = records(dir.path);
+    EXPECT_EQ(reloaded.size(), 2u * kPerWriter);
     for (int i = 0; i < kPerWriter; ++i) {
-        EXPECT_TRUE(reopened.restore(0x1000u + i, out));
-        EXPECT_TRUE(reopened.restore(0x2000u + i, out));
+        EXPECT_TRUE(reloaded.count(0x1000u + i));
+        EXPECT_TRUE(reloaded.count(0x2000u + i));
     }
+    EXPECT_TRUE(everyLineDecodes(dir.shard));
 }
 
 TEST(Checkpoint, TruncatedTailRepairSurvivesConcurrentAppends)
 {
-    // A kill mid-append leaves a truncated tail; the next TWO journals
-    // to open the file concurrently both tolerate it (the first
-    // repairs, the second sees a clean file) and their interleaved
-    // appends still reload completely.
-    TempFile file("torn_concurrent");
-    const RunResult result = sampleResult();
-    {
-        SweepJournal journal(file.path);
-        journal.record(1, result);
-        journal.record(2, result);
+    // A kill mid-append leaves a truncated tail; the restarted worker
+    // cuts it, and its two threads' concurrent appends of the six
+    // missing points still reload completely.
+    TempDir dir("torn_concurrent");
+    std::vector<ExperimentPoint> points = sweepPoints();
+    for (std::size_t i = 0; i < 4; ++i) {
+        ExperimentPoint p = points[i];
+        p.config.withTempo(true);
+        points.push_back(std::move(p));
     }
-    // Chop the final line in half.
-    std::string bytes = slurp(file.path);
-    bytes.resize(bytes.size() - bytes.size() / 4);
-    {
-        std::ofstream out(file.path,
-                          std::ios::binary | std::ios::trunc);
-        out << bytes;
-    }
-    {
-        SweepJournal a(file.path); // repairs the tail
-        EXPECT_EQ(a.loadedCount(), 1u);
-        SweepJournal b(file.path); // already clean
-        EXPECT_EQ(b.loadedCount(), 1u);
-        std::thread ta([&] {
-            for (int i = 0; i < 20; ++i)
-                a.record(0x100u + i, result);
-        });
-        std::thread tb([&] {
-            for (int i = 0; i < 20; ++i)
-                b.record(0x200u + i, result);
-        });
-        ta.join();
-        tb.join();
-    }
-    EXPECT_EQ(SweepJournal(file.path).loadedCount(), 41u);
+    const auto calls = countSimulations(points);
+    const std::string full_json =
+        emitJson(runExperiments(points, checkpointOptions(dir, 1)));
+
+    keepLines(dir.shard, 2, 100); // two records and a torn third
+    calls->store(0);
+    const std::vector<RunResult> resumed =
+        runExperiments(points, checkpointOptions(dir, 2));
+    EXPECT_EQ(calls->load(), 6);
+    EXPECT_EQ(emitJson(resumed), full_json);
+    EXPECT_TRUE(everyLineDecodes(dir.shard));
+    EXPECT_EQ(records(dir.path).size(), points.size());
+}
+
+TEST(Checkpoint, KilledRunResumesWithoutWaitingForStaleness)
+{
+    // A run killed mid-sweep leaves claims under the fixed checkpoint
+    // worker id and a fresh heartbeat. Its restart reclaims them at
+    // once instead of waiting fabricStaleSec (30 s) for the heartbeat
+    // to age, and finishes with the uninterrupted bytes.
+    TempDir dir("killed");
+    const std::vector<ExperimentPoint> points = sweepPoints();
+    std::vector<std::uint64_t> digests;
+    for (std::size_t i = 0; i < points.size(); ++i)
+        digests.push_back(pointDigest(points[i], i));
+    fabric::writeManifest(dir.path, "sweep", digests);
+    const fabric::ClaimDir claims(dir.path, kCheckpointWorker);
+    ASSERT_TRUE(claims.tryClaim(digests[0]));
+    ASSERT_TRUE(claims.tryClaim(digests[2]));
+    fabric::writeFileAtomic(
+        fabric::Heartbeat::path(dir.path, kCheckpointWorker), "1\n");
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::vector<RunResult> resumed =
+        runExperiments(points, checkpointOptions(dir, 2));
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    EXPECT_LT(seconds, 10.0);
+    ExperimentOptions reference;
+    reference.jobs = 2;
+    EXPECT_EQ(emitJson(resumed), emitJson(runExperiments(points, reference)));
+}
+
+TEST(Checkpoint, FabricWorkerEnvOverridesTheFixedId)
+{
+    ::setenv("TEMPO_FABRIC_WORKER", "w7", 1);
+    ExperimentOptions opts = ExperimentOptions::fromEnv();
+    ::unsetenv("TEMPO_FABRIC_WORKER");
+    opts.fabricRole = ExperimentOptions::FabricRole::Coordinator;
+    useCheckpointDir(opts, "ck");
+    EXPECT_EQ(opts.fabricDir, "ck");
+    EXPECT_EQ(opts.fabricWorkerId, "w7");
+    EXPECT_EQ(opts.fabricRole, ExperimentOptions::FabricRole::Worker);
+
+    ExperimentOptions plain;
+    useCheckpointDir(plain, "ck");
+    EXPECT_EQ(plain.fabricWorkerId, kCheckpointWorker);
 }
 
 } // namespace

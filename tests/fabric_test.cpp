@@ -26,6 +26,7 @@
 #include "fabric/coordinator.hh"
 #include "fabric/heartbeat.hh"
 #include "fabric/snapshot.hh"
+#include "obs/obs.hh"
 
 namespace tempo {
 namespace {
@@ -267,9 +268,9 @@ TEST(FabricSnapshot, RoundTripsAndSumsExactly)
     bad.status.error = "injected";
     bad.status.digest = 0x77;
     progress.start(0);
-    progress.done(0, ok, 0.1, true);
+    progress.done(0, ok);
     progress.start(1);
-    progress.done(1, bad, 0.1, true);
+    progress.done(1, bad);
     progress.start(2); // still in flight
 
     const std::string text = progress.snapshotJson();
@@ -539,6 +540,72 @@ TEST(FabricEndToEnd, RestartedWorkerReclaimsItsOwnStaleClaim)
         runExperiments(points, opts);
     for (const RunResult &result : results)
         EXPECT_TRUE(result.status.ok());
+}
+
+ExperimentOptions
+soloWorker(const std::string &dir, const char *id, unsigned jobs)
+{
+    ExperimentOptions opts;
+    opts.jobs = jobs;
+    opts.fabricDir = dir;
+    opts.fabricRole = ExperimentOptions::FabricRole::Worker;
+    opts.fabricWorkerId = id;
+    opts.fabricHeartbeatSec = 0.1;
+    return opts;
+}
+
+TEST(FabricWorker, OnPointDoneFiresForThePointsItRan)
+{
+    const std::vector<ExperimentPoint> points = sweepPoints();
+    TempDir dir("on_point_done");
+    std::mutex mutex;
+    std::set<std::size_t> seen;
+    std::size_t calls = 0;
+    auto collect = [&](std::size_t index, const RunResult &result) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        EXPECT_TRUE(result.status.ok());
+        seen.insert(index);
+        ++calls;
+    };
+    ExperimentOptions first = soloWorker(dir.path, "wA", 2);
+    first.onPointDone = collect;
+    runExperiments(points, first);
+    EXPECT_EQ(calls, points.size());
+    EXPECT_EQ(seen, (std::set<std::size_t>{0, 1, 2, 3}));
+
+    // A worker joining the finished sweep runs nothing, so it reports
+    // nothing.
+    calls = 0;
+    ExperimentOptions late = soloWorker(dir.path, "wB", 2);
+    late.onPointDone = collect;
+    runExperiments(points, late);
+    EXPECT_EQ(calls, 0u);
+}
+
+TEST(FabricWorker, KeepsTracesOfThePointsItRan)
+{
+    std::vector<ExperimentPoint> points = sweepPoints();
+    points.resize(2);
+    TempDir dir("traces");
+    obs::Config traced;
+    traced.trace = true;
+    traced.traceCapacity = 4096;
+    obs::configure(traced);
+    const std::vector<RunResult> ran =
+        runExperiments(points, soloWorker(dir.path, "wA", 2));
+    // A second run restores every point from the shard, which holds
+    // no trace events.
+    const std::vector<RunResult> restored =
+        runExperiments(points, soloWorker(dir.path, "wA", 2));
+    obs::configure(obs::Config{});
+    for (const RunResult &result : ran) {
+        ASSERT_TRUE(result.obs);
+        EXPECT_TRUE(result.obs->cfg.trace);
+        EXPECT_FALSE(result.obs->events.empty());
+    }
+    for (const RunResult &result : restored)
+        EXPECT_TRUE(!result.obs || !result.obs->cfg.trace);
+    EXPECT_EQ(emitJson(ran), emitJson(restored));
 }
 
 // EXPERIMENTS.md "Fabric sweeps": setting TEMPO_FABRIC_DIR opts a

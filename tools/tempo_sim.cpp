@@ -157,8 +157,8 @@ main(int argc, char **argv)
         engine_opts.retries = options.retries;
     if (options.pointTimeout > 0)
         engine_opts.pointTimeoutSec = options.pointTimeout;
-    if (!options.checkpointPath.empty())
-        engine_opts.checkpointPath = options.checkpointPath;
+    if (!options.checkpointDir.empty())
+        useCheckpointDir(engine_opts, options.checkpointDir);
 
     std::vector<RunResult> results;
     try {

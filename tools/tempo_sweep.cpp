@@ -45,7 +45,7 @@ struct SweepArgs {
     unsigned jobs = 0;
     unsigned retries = 0;
     double pointTimeout = 0;
-    std::string checkpointPath;
+    std::string checkpointDir;
     std::string jsonPath;
     bool tempo = false;
     bool compare = false;
@@ -61,7 +61,7 @@ usage(int status)
         "usage: tempo_sweep --key SECTION.KEY --values V1,V2,...\n"
         "  [--workload NAME] [--refs N] [--warmup N]\n"
         "  [--jobs N] [--json PATH] [--profile]\n"
-        "  [--retries N] [--point-timeout S] [--checkpoint PATH]\n"
+        "  [--retries N] [--point-timeout S] [--checkpoint DIR]\n"
         "  [--progress [N]] [--dashboard DIR]\n"
         "  [--tempo | --compare]\n"
         "Keys are the INI config keys (src/cli/config_file.hh),\n"
@@ -70,8 +70,9 @@ usage(int status)
         "TEMPO_JOBS env var); results are identical at any job count.\n"
         "A failing or timed-out point does not kill the sweep: its row\n"
         "shows the status, details go to stderr and the JSON failures\n"
-        "array, and --checkpoint lets a killed sweep resume without\n"
-        "re-running finished points.\n"
+        "array, and --checkpoint DIR lets a killed sweep resume without\n"
+        "re-running finished points (DIR serves one sweep; a changed\n"
+        "sweep against it exits 2).\n"
         "--progress [N] prints a stderr line (done/failed/total,\n"
         "elapsed, ETA) every N completed points (default 10).\n"
         "--dashboard DIR rewrites DIR/snapshot.json (the machine-\n"
@@ -117,7 +118,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--point-timeout")
             args.pointTimeout = parseSeconds(arg, next());
         else if (arg == "--checkpoint")
-            args.checkpointPath = next();
+            args.checkpointDir = next();
         else if (arg == "--json")
             args.jsonPath = next();
         else if (arg == "--tempo")
@@ -218,8 +219,8 @@ main(int argc, char **argv)
         opts.retries = args.retries;
     if (args.pointTimeout > 0)
         opts.pointTimeoutSec = args.pointTimeout;
-    if (!args.checkpointPath.empty())
-        opts.checkpointPath = args.checkpointPath;
+    if (!args.checkpointDir.empty())
+        useCheckpointDir(opts, args.checkpointDir);
 
     if (args.progressEvery)
         opts.progressEvery = args.progressEvery;
@@ -266,9 +267,9 @@ main(int argc, char **argv)
         if (dashboard)
             dashboard->stop();
     } catch (const std::exception &error) {
-        // Only infrastructure errors (bad TEMPO_FAULT_INJECT spec, an
-        // unwritable journal) reach here; point failures are captured
-        // in the results.
+        // Only infrastructure errors (an unusable fabric or checkpoint
+        // directory, a changed sweep against one) reach here; point
+        // failures are captured in the results.
         std::fprintf(stderr, "error: %s\n", error.what());
         return 2;
     }
