@@ -60,15 +60,30 @@
 
 namespace tempo::bench {
 
+/** A malformed TEMPO_* variable is a usage error, as in the tools:
+ * print it and exit 2 rather than die on an uncaught exception. */
+[[noreturn]] inline void
+badEnv(const std::invalid_argument &error)
+{
+    std::fprintf(stderr, "error: %s\n", error.what());
+    std::exit(2);
+}
+
+/** A positive reference count from @p name, or @p fallback when the
+ * variable is unset or empty; anything else exits 2. */
 inline std::uint64_t
 envRefs(const char *name, std::uint64_t fallback)
 {
-    if (const char *value = std::getenv(name)) {
-        const std::uint64_t parsed = std::strtoull(value, nullptr, 10);
-        if (parsed > 0)
-            return parsed;
+    try {
+        const char *value = envValue(name);
+        const std::uint64_t refs = value ? parseU64(name, value) : fallback;
+        if (refs == 0)
+            throw std::invalid_argument(std::string(name)
+                                        + " must be positive");
+        return refs;
+    } catch (const std::invalid_argument &error) {
+        badEnv(error);
     }
-    return fallback;
 }
 
 /** Single-app trace length. */
@@ -133,15 +148,6 @@ point(const SystemConfig &cfg, const std::string &workload,
     p.refs = num_refs;
     p.warmup = warmup;
     return p;
-}
-
-/** A malformed TEMPO_* variable is a usage error, as in the tools:
- * print it and exit 2 rather than die on an uncaught exception. */
-[[noreturn]] inline void
-badEnv(const std::invalid_argument &error)
-{
-    std::fprintf(stderr, "error: %s\n", error.what());
-    std::exit(2);
 }
 
 /** One-time, environment-driven observability setup (TEMPO_TRACE_DIR,
@@ -377,7 +383,7 @@ class JsonRecorder
     write(std::uint64_t num_refs) const
     {
         std::string dir;
-        if (const char *env = std::getenv("TEMPO_BENCH_JSON_DIR"))
+        if (const char *env = envValue("TEMPO_BENCH_JSON_DIR"))
             dir = std::string(env) + "/";
         const std::string path = dir + "BENCH_" + bench_ + ".json";
         try {

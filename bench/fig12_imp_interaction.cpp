@@ -37,7 +37,7 @@ main()
     SystemConfig plain_tempo_cfg = plain_cfg;
     plain_tempo_cfg.withTempo(true);
     SystemConfig imp_cfg = SystemConfig::skylakeScaled();
-    imp_cfg.withImp(true);
+    imp_cfg.withPrefetchers("imp");
     SystemConfig imp_tempo_cfg = imp_cfg;
     imp_tempo_cfg.withTempo(true);
 

@@ -47,7 +47,8 @@ main()
     for (const std::string &name : names) {
         for (const Config13 &config : configs) {
             SystemConfig cfg = SystemConfig::skylakeScaled();
-            cfg.withPagePolicy(config.policy, config.frag);
+            cfg.vm.policy = config.policy;
+            cfg.os.fragLevel = config.frag;
             SystemConfig tempo_cfg = cfg;
             tempo_cfg.withTempo(true);
             points.push_back(point(cfg, name, refs()));

@@ -30,7 +30,7 @@ main()
     for (const std::string &name : names) {
         for (const RowPolicyKind kind : kinds) {
             SystemConfig cfg = SystemConfig::skylakeScaled();
-            cfg.withRowPolicy(kind);
+            cfg.dram.rowPolicy = kind;
             SystemConfig tempo_cfg = cfg;
             tempo_cfg.withTempo(true);
             points.push_back(point(cfg, name, refs()));

@@ -35,7 +35,7 @@ main()
         // Baseline: same sub-row organization, no TEMPO.
         SystemConfig base_cfg =
             multiprogMachine(SystemConfig::skylakeScaled(), 8);
-        base_cfg.withSubRows(alloc, 0);
+        base_cfg.dram.subRowAlloc = alloc;
 
         std::vector<std::vector<Cycle>> alone;
         for (const auto &mix : mixes)
@@ -68,7 +68,8 @@ main()
         std::vector<MixPoint> points;
         for (const unsigned dedicated : dedications) {
             SystemConfig cfg = base_cfg;
-            cfg.withSubRows(alloc, dedicated).withTempo(true);
+            cfg.dram.subRowsForPrefetch = dedicated;
+            cfg.withTempo(true);
             for (const auto &mix : mixes)
                 points.push_back(MixPoint{mix, cfg, per_app, 0});
         }

@@ -39,19 +39,14 @@ main()
         "none", "stride", "imp", "tskid", "misb", "temporal",
     };
 
-    // 2 * |engines| configs; "none" still goes through withPrefetchers
-    // so every cell uses explicit-registry resolution (and the engine
-    // cells report the prefetch.<name>.* taxonomy).
+    // 2 * |engines| configs; the engine cells report the
+    // prefetch.<name>.* taxonomy.
     std::vector<ExperimentPoint> points;
     for (const std::string &name : names) {
         for (const char *engine : kEngines) {
             for (const bool tempo : {false, true}) {
                 SystemConfig cfg = SystemConfig::skylakeScaled();
                 cfg.withPrefetchers(engine);
-                if (cfg.prefetch.engines.empty()) {
-                    cfg.imp.enabled = false;
-                    cfg.stride.enabled = false;
-                }
                 cfg.withTempo(tempo);
                 points.push_back(point(cfg, name, n));
             }

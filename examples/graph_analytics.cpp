@@ -27,7 +27,8 @@ study(const char *label, tempo::PagePolicy policy, double frag,
     using namespace tempo;
 
     SystemConfig base_cfg = SystemConfig::skylakeScaled();
-    base_cfg.withPagePolicy(policy, frag);
+    base_cfg.vm.policy = policy;
+    base_cfg.os.fragLevel = frag;
     SystemConfig tempo_cfg = base_cfg;
     tempo_cfg.withTempo(true);
 

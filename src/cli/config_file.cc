@@ -1,18 +1,253 @@
 #include "cli/config_file.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 #include "cache/set_assoc.hh"
 #include "common/parse.hh"
+#include "dram/address_map.hh"
+#include "dram/bank.hh"
 #include "prefetch/registry.hh"
 #include "vm/assoc_array.hh"
 
 namespace tempo::cli {
 namespace {
+
+using Names = std::span<const char *const>;
+
+constexpr Names spellings(auto) { return {}; }
+constexpr Names spellings(RowPolicyKind) { return kRowPolicyNames; }
+constexpr Names spellings(SubRowAlloc) { return kSubRowAllocNames; }
+constexpr Names spellings(SchedKind) { return kSchedNames; }
+constexpr Names spellings(PagePolicy) { return kPagePolicyNames; }
+
+std::string
+join(const auto &names, const char *separator)
+{
+    std::string out;
+    for (const auto &name : names)
+        out += (out.empty() ? "" : separator) + std::string(name);
+    return out;
+}
+
+/** The values a field of type T takes, as ConfigKey::values. */
+template <typename T>
+std::string
+valuesOf()
+{
+    if constexpr (std::is_same_v<T, bool>)
+        return "true|false";
+    else if constexpr (std::is_enum_v<T>)
+        return join(spellings(T{}), "|");
+    else if constexpr (std::is_integral_v<T>)
+        return "0.." + std::to_string(std::numeric_limits<T>::max());
+    else
+        return "0..1";
+}
+
+[[noreturn]] void
+reject(const char *key, const std::string &expected,
+       const std::string &value)
+{
+    throw std::invalid_argument(std::string(key) + " must be " + expected
+                                + ", got '" + value + "'");
+}
+
+bool
+parseBool(const char *key, const std::string &value)
+{
+    if (value == "true" || value == "1")
+        return true;
+    if (value != "false" && value != "0")
+        reject(key, "true or false", value);
+    return false;
+}
+
+/** The field type a path lambda `[](auto &c) -> auto & {...}` names. */
+template <typename Path>
+using FieldType = std::remove_cvref_t<decltype(Path{}(
+    std::declval<SystemConfig &>()))>;
+
+/** ConfigKey::set for the plain field a path lambda names: a bool, an
+ * enum spelled by spellings(), an unsigned or a fraction in [0,1]. */
+template <typename Path>
+void
+setField(const char *key, SystemConfig &cfg, const std::string &value)
+{
+    using T = FieldType<Path>;
+    static_assert(std::is_unsigned_v<T> || std::is_enum_v<T>
+                  || std::is_same_v<T, double>);
+    T &field = Path{}(cfg);
+    if constexpr (std::is_same_v<T, bool>) {
+        field = parseBool(key, value);
+    } else if constexpr (std::is_enum_v<T>) {
+        const Names names = spellings(T{});
+        const auto it = std::find(names.begin(), names.end(), value);
+        if (it == names.end())
+            reject(key, "one of " + valuesOf<T>(), value);
+        field = static_cast<T>(it - names.begin());
+    } else if constexpr (std::is_integral_v<T>) {
+        field = static_cast<T>(
+            parseU64(key, value, std::numeric_limits<T>::max()));
+    } else {
+        const double parsed = parseDouble(key, value);
+        if (parsed < 0.0 || parsed > 1.0)
+            reject(key, "in [0,1]", value);
+        field = parsed;
+    }
+}
+
+template <typename Path>
+constexpr ConfigKey
+field(const char *name, Path)
+{
+    return {name, &valuesOf<FieldType<Path>>, &setField<Path>};
+}
+
+// The row of the plain field cfg.<path>.
+#define KEY(name, path) field(name, [](auto &c) -> auto & { return c.path; })
+
+/** "<engine>.enabled" is sugar for prefetch.engines: true appends the
+ * engine when absent, false removes it. */
+void
+setEngineEnabled(const char *key, SystemConfig &cfg,
+                 const std::string &value)
+{
+    const bool on = parseBool(key, value);
+    const std::string_view name = key;
+    const std::string_view engine = name.substr(0, name.find('.'));
+    auto &engines = cfg.prefetch.engines;
+    const auto it = std::find(engines.begin(), engines.end(), engine);
+    if (on && it == engines.end())
+        engines.emplace_back(engine);
+    else if (!on && it != engines.end())
+        engines.erase(it);
+}
+
+constexpr ConfigKey kKeys[] = {
+    KEY("caches.l1_bytes", caches.l1.sizeBytes),
+    KEY("caches.l1_assoc", caches.l1.assoc),
+    KEY("caches.l1_latency", caches.l1.latency),
+    KEY("caches.l2_bytes", caches.l2.sizeBytes),
+    KEY("caches.l2_assoc", caches.l2.assoc),
+    KEY("caches.l2_latency", caches.l2.latency),
+    KEY("caches.llc_bytes", caches.llc.sizeBytes),
+    KEY("caches.llc_assoc", caches.llc.assoc),
+    KEY("caches.llc_latency", caches.llc.latency),
+
+    KEY("tlb.l1_entries_4k", tlb.l1Entries4K),
+    KEY("tlb.l1_entries_2m", tlb.l1Entries2M),
+    KEY("tlb.l1_entries_1g", tlb.l1Entries1G),
+    KEY("tlb.l2_entries", tlb.l2Entries),
+    KEY("tlb.l2_assoc", tlb.l2Assoc),
+    KEY("tlb.l1_latency", tlb.l1Latency),
+    KEY("tlb.l2_latency", tlb.l2Latency),
+
+    KEY("mmu.entries_per_level", mmu.entriesPerLevel),
+    KEY("mmu.assoc", mmu.assoc),
+
+    KEY("dram.channels", dram.channels),
+    KEY("dram.ranks", dram.ranksPerChannel),
+    KEY("dram.banks", dram.banksPerRank),
+    KEY("dram.row_bytes", dram.rowBufferBytes),
+    KEY("dram.trcd", dram.tRCD),
+    KEY("dram.trp", dram.tRP),
+    KEY("dram.tcas", dram.tCAS),
+    KEY("dram.tburst", dram.tBurst),
+    KEY("dram.tras", dram.tRAS),
+    KEY("dram.refresh", dram.refreshEnabled),
+    KEY("dram.trefi", dram.tREFI),
+    KEY("dram.trfc", dram.tRFC),
+    KEY("dram.row_policy", dram.rowPolicy),
+    KEY("dram.subrow_alloc", dram.subRowAlloc),
+    KEY("dram.subrow_count", dram.subRowCount),
+    KEY("dram.subrows_for_prefetch", dram.subRowsForPrefetch),
+
+    KEY("mc.tempo", mc.tempoEnabled),
+    KEY("mc.llc_fill", mc.tempoLlcFill),
+    KEY("mc.pt_row_hold", mc.tempoPtRowHold),
+    KEY("mc.grace_period", mc.tempoGracePeriod),
+    KEY("mc.grouping", mc.tempoGrouping),
+    KEY("mc.engine_delay", mc.prefetchEngineDelay),
+    KEY("mc.drop_depth", mc.prefetchDropDepth),
+    KEY("mc.sched", mc.sched),
+    KEY("mc.bliss_threshold", mc.scheduler.blissThreshold),
+    KEY("mc.bliss_prefetch_weight", mc.scheduler.blissPrefetchWeight),
+
+    KEY("vm.page_policy", vm.policy),
+    // OsMemory::configError() holds the range; checkConfig() applies it.
+    {"vm.frag", [] { return std::string("0..1, 1 excluded"); },
+     [](const char *key, SystemConfig &cfg, const std::string &value) {
+         cfg.os.fragLevel = parseDouble(key, value);
+     }},
+    KEY("vm.thp_eligible", vm.thpEligibleFrac),
+    KEY("vm.translator_slots", translator.memoSlots),
+
+    {"prefetch.engines",
+     [] {
+         return "none or a list of "
+             + join(registeredPrefetcherNames(), ",");
+     },
+     [](const char *key, SystemConfig &cfg, const std::string &value) {
+         try {
+             cfg.prefetch.engines = parsePrefetcherList(value);
+         } catch (const std::invalid_argument &error) {
+             throw std::invalid_argument(std::string(key) + ": "
+                                         + error.what());
+         }
+     }},
+
+    {"imp.enabled", &valuesOf<bool>, &setEngineEnabled},
+    KEY("imp.coverage", imp.coverage),
+    KEY("imp.accuracy", imp.accuracy),
+    KEY("imp.distance", imp.prefetchDistance),
+    KEY("imp.table_entries", imp.prefetchTableEntries),
+
+    {"stride.enabled", &valuesOf<bool>, &setEngineEnabled},
+    KEY("stride.table_entries", stride.tableEntries),
+    KEY("stride.confidence_threshold", stride.confidenceThreshold),
+    KEY("stride.degree", stride.degree),
+    KEY("stride.distance", stride.distance),
+
+    KEY("tskid.table_entries", tskid.tableEntries),
+    KEY("tskid.confidence_threshold", tskid.confidenceThreshold),
+    KEY("tskid.degree", tskid.degree),
+    KEY("tskid.distance", tskid.distance),
+    KEY("tskid.lead_cycles", tskid.leadCycles),
+    KEY("tskid.max_pending", tskid.maxPending),
+
+    KEY("misb.pair_entries", misb.pairEntries),
+    KEY("misb.metadata_cache_entries", misb.metadataCacheEntries),
+    KEY("misb.degree", misb.degree),
+    KEY("misb.train_threshold", misb.trainThreshold),
+    KEY("misb.max_metadata_inflight", misb.maxMetadataInflight),
+
+    KEY("temporal.table_entries", temporal.tableEntries),
+    KEY("temporal.confidence_threshold", temporal.confidenceThreshold),
+    KEY("temporal.degree", temporal.degree),
+    KEY("temporal.train_threshold", temporal.trainThreshold),
+
+    // An explicit window overrides each workload's own MLP hint.
+    {"core.mlp_window", &valuesOf<unsigned>,
+     [](const char *key, SystemConfig &cfg, const std::string &value) {
+         cfg.mlpWindow = parseUnsigned(key, value);
+         cfg.useWorkloadMlpHint = false;
+     }},
+    KEY("core.issue_gap", issueGap),
+    KEY("core.tlb_fill_latency", tlbFillLatency),
+    // The seed also reseeds the OS and address-space models.
+    {"core.seed", &valuesOf<std::uint64_t>,
+     [](const char *key, SystemConfig &cfg, const std::string &value) {
+         cfg.withSeed(parseU64(key, value));
+     }},
+};
+
+#undef KEY
 
 [[noreturn]] void
 bad(int line_no, const std::string &message)
@@ -22,287 +257,79 @@ bad(int line_no, const std::string &message)
                                 + message);
 }
 
-std::string
-trim(const std::string &s)
+} // namespace
+
+std::span<const ConfigKey>
+configKeys()
 {
-    const auto begin = s.find_first_not_of(" \t\r");
-    if (begin == std::string::npos)
-        return {};
-    const auto end = s.find_last_not_of(" \t\r");
-    return s.substr(begin, end - begin + 1);
+    return kKeys;
 }
 
-bool
-parseBool(int line_no, const std::string &value)
+const ConfigKey &
+configKey(std::string_view name)
 {
-    if (value == "true" || value == "1")
-        return true;
-    if (value == "false" || value == "0")
-        return false;
-    bad(line_no, "expected a boolean, got '" + value + "'");
-}
-
-/** An INI integer that converts to the integer field it is assigned
- * to, rejecting a value that field cannot hold instead of truncating
- * it. */
-struct Integer {
-    int lineNo;
-    const std::string &key;
-    std::uint64_t value;
-
-    template <typename T>
-        requires std::is_integral_v<T>
-    operator T() const
-    {
-        constexpr auto max = std::numeric_limits<T>::max();
-        if (value > static_cast<std::uint64_t>(max))
-            bad(lineNo, key + " must be at most " + std::to_string(max)
-                            + ", got " + std::to_string(value));
-        return static_cast<T>(value);
+    for (const ConfigKey &key : kKeys) {
+        if (name == key.name)
+            return key;
     }
-};
+    throw std::invalid_argument("unknown config key '" + std::string(name)
+                                + "'");
+}
 
-/** The cache, TLB and MMU geometry rules of the constructors that
- * will build them. Checked once the whole text is applied, since a
- * later line may fix what an earlier one set. */
 void
-checkGeometry(const SystemConfig &cfg)
+setConfigKey(SystemConfig &cfg, std::string_view name,
+             const std::string &value)
+{
+    const ConfigKey &key = configKey(name);
+    key.set(key.name, cfg, value);
+}
+
+void
+checkConfig(const SystemConfig &cfg)
 {
     auto check = [](const char *keys, const std::string &error) {
         if (!error.empty())
-            throw std::invalid_argument("config " + std::string(keys)
-                                        + ": " + error);
+            throw std::invalid_argument(std::string(keys) + ": " + error);
     };
     const CacheHierarchyConfig &caches = cfg.caches;
-    check("[caches] l1_bytes/l1_assoc",
+    check("caches.l1_bytes/l1_assoc",
           SetAssocCache::geometryError(caches.l1.sizeBytes,
                                        caches.l1.assoc));
-    check("[caches] l2_bytes/l2_assoc",
+    check("caches.l2_bytes/l2_assoc",
           SetAssocCache::geometryError(caches.l2.sizeBytes,
                                        caches.l2.assoc));
-    check("[caches] llc_bytes/llc_assoc",
+    check("caches.llc_bytes/llc_assoc",
           SetAssocCache::geometryError(caches.llc.sizeBytes,
                                        caches.llc.assoc));
     const TlbConfig &tlb = cfg.tlb;
-    check("[tlb] l1_entries_4k",
+    check("tlb.l1_entries_4k",
           AssocArray<>::geometryError(tlb.l1Entries4K, tlb.l1Assoc4K));
-    check("[tlb] l1_entries_2m",
+    check("tlb.l1_entries_2m",
           AssocArray<>::geometryError(tlb.l1Entries2M, tlb.l1Assoc2M));
-    check("[tlb] l1_entries_1g",
+    check("tlb.l1_entries_1g",
           AssocArray<>::geometryError(tlb.l1Entries1G, tlb.l1Assoc1G));
-    check("[tlb] l2_entries/l2_assoc",
+    check("tlb.l2_entries/l2_assoc",
           AssocArray<>::geometryError(tlb.l2Entries, tlb.l2Assoc));
-    check("[mmu] entries_per_level/assoc",
+    check("mmu.entries_per_level/assoc",
           AssocArray<>::geometryError(cfg.mmu.entriesPerLevel,
                                       cfg.mmu.assoc));
+    check("dram.channels/ranks/banks/row_bytes",
+          AddressMap::geometryError(cfg.dram));
+    check("dram.refresh/trefi/subrow_alloc/subrow_count/"
+          "subrows_for_prefetch",
+          Bank::configError(cfg.dram));
+    check("vm.frag", OsMemory::configError(cfg.os));
+    check("vm.translator_slots", Translator::configError(cfg.translator));
+    // An engine's table must work only when the engine is built.
+    auto selected = [&](std::string_view engine) {
+        return std::ranges::count(cfg.prefetch.engines, engine) > 0;
+    };
+    if (selected("imp"))
+        check("imp.table_entries", ImpPrefetcher::configError(cfg.imp));
+    if (selected("stride"))
+        check("stride.table_entries",
+              StridePrefetcher::configError(cfg.stride));
 }
-
-void
-applyKey(int line_no, SystemConfig &cfg, const std::string &section,
-         const std::string &key, const std::string &value)
-{
-    auto u = [&] {
-        try {
-            return Integer{line_no, key, parseU64(key, value)};
-        } catch (const std::invalid_argument &error) {
-            bad(line_no, error.what());
-        }
-    };
-    // DRAM geometry feeds the address map's bit slicing, so each field
-    // must be a power of two that fits its unsigned field.
-    auto pow2 = [&] {
-        const unsigned v = u();
-        if (!isPow2(v))
-            bad(line_no, key + " must be a power of 2, got '" + value
-                             + "'");
-        return v;
-    };
-    auto f = [&] {
-        try {
-            return parseDouble(key, value);
-        } catch (const std::invalid_argument &error) {
-            bad(line_no, error.what());
-        }
-    };
-    auto b = [&] { return parseBool(line_no, value); };
-
-    if (section == "caches") {
-        if (key == "l1_bytes") cfg.caches.l1.sizeBytes = u();
-        else if (key == "l1_assoc") cfg.caches.l1.assoc = u();
-        else if (key == "l1_latency") cfg.caches.l1.latency = u();
-        else if (key == "l2_bytes") cfg.caches.l2.sizeBytes = u();
-        else if (key == "l2_assoc") cfg.caches.l2.assoc = u();
-        else if (key == "l2_latency") cfg.caches.l2.latency = u();
-        else if (key == "llc_bytes") cfg.caches.llc.sizeBytes = u();
-        else if (key == "llc_assoc") cfg.caches.llc.assoc = u();
-        else if (key == "llc_latency") cfg.caches.llc.latency = u();
-        else bad(line_no, "unknown [caches] key '" + key + "'");
-    } else if (section == "tlb") {
-        if (key == "l1_entries_4k") cfg.tlb.l1Entries4K = u();
-        else if (key == "l1_entries_2m") cfg.tlb.l1Entries2M = u();
-        else if (key == "l1_entries_1g") cfg.tlb.l1Entries1G = u();
-        else if (key == "l2_entries") cfg.tlb.l2Entries = u();
-        else if (key == "l2_assoc") cfg.tlb.l2Assoc = u();
-        else if (key == "l1_latency") cfg.tlb.l1Latency = u();
-        else if (key == "l2_latency") cfg.tlb.l2Latency = u();
-        else bad(line_no, "unknown [tlb] key '" + key + "'");
-    } else if (section == "mmu") {
-        if (key == "entries_per_level") cfg.mmu.entriesPerLevel = u();
-        else if (key == "assoc") cfg.mmu.assoc = u();
-        else bad(line_no, "unknown [mmu] key '" + key + "'");
-    } else if (section == "dram") {
-        if (key == "channels") cfg.dram.channels = pow2();
-        else if (key == "ranks") cfg.dram.ranksPerChannel = pow2();
-        else if (key == "banks") cfg.dram.banksPerRank = pow2();
-        else if (key == "row_bytes") {
-            cfg.dram.rowBufferBytes = pow2();
-            if (cfg.dram.rowBufferBytes < kLineBytes)
-                bad(line_no, "row_bytes must be at least one line ("
-                                 + std::to_string(kLineBytes) + ")");
-        }
-        else if (key == "trcd") cfg.dram.tRCD = u();
-        else if (key == "trp") cfg.dram.tRP = u();
-        else if (key == "tcas") cfg.dram.tCAS = u();
-        else if (key == "tburst") cfg.dram.tBurst = u();
-        else if (key == "tras") cfg.dram.tRAS = u();
-        else if (key == "refresh") cfg.dram.refreshEnabled = b();
-        else if (key == "trefi") cfg.dram.tREFI = u();
-        else if (key == "trfc") cfg.dram.tRFC = u();
-        else if (key == "row_policy") {
-            if (value == "open") cfg.dram.rowPolicy = RowPolicyKind::Open;
-            else if (value == "closed")
-                cfg.dram.rowPolicy = RowPolicyKind::Closed;
-            else if (value == "adaptive")
-                cfg.dram.rowPolicy = RowPolicyKind::Adaptive;
-            else bad(line_no, "unknown row_policy '" + value + "'");
-        } else if (key == "subrow_alloc") {
-            if (value == "none") cfg.dram.subRowAlloc = SubRowAlloc::None;
-            else if (value == "foa") cfg.dram.subRowAlloc = SubRowAlloc::FOA;
-            else if (value == "poa") cfg.dram.subRowAlloc = SubRowAlloc::POA;
-            else bad(line_no, "unknown subrow_alloc '" + value + "'");
-        } else if (key == "subrow_count") {
-            cfg.dram.subRowCount = u();
-        } else if (key == "subrows_for_prefetch") {
-            cfg.dram.subRowsForPrefetch = u();
-        } else {
-            bad(line_no, "unknown [dram] key '" + key + "'");
-        }
-    } else if (section == "mc") {
-        if (key == "tempo") cfg.mc.tempoEnabled = b();
-        else if (key == "llc_fill") cfg.mc.tempoLlcFill = b();
-        else if (key == "pt_row_hold") cfg.mc.tempoPtRowHold = u();
-        else if (key == "grace_period") cfg.mc.tempoGracePeriod = u();
-        else if (key == "grouping") cfg.mc.tempoGrouping = b();
-        else if (key == "engine_delay") cfg.mc.prefetchEngineDelay = u();
-        else if (key == "drop_depth") cfg.mc.prefetchDropDepth = u();
-        else if (key == "sched") {
-            if (value == "frfcfs") cfg.mc.sched = SchedKind::FrFcfs;
-            else if (value == "bliss") cfg.mc.sched = SchedKind::Bliss;
-            else bad(line_no, "unknown sched '" + value + "'");
-        } else if (key == "bliss_threshold") {
-            cfg.mc.scheduler.blissThreshold = u();
-        } else if (key == "bliss_prefetch_weight") {
-            cfg.mc.scheduler.blissPrefetchWeight = u();
-        } else {
-            bad(line_no, "unknown [mc] key '" + key + "'");
-        }
-    } else if (section == "vm") {
-        if (key == "page_policy") {
-            if (value == "4k") cfg.vm.policy = PagePolicy::Base4K;
-            else if (value == "thp") cfg.vm.policy = PagePolicy::Thp;
-            else if (value == "hugetlbfs2m")
-                cfg.vm.policy = PagePolicy::Hugetlbfs2M;
-            else if (value == "hugetlbfs1g")
-                cfg.vm.policy = PagePolicy::Hugetlbfs1G;
-            else bad(line_no, "unknown page_policy '" + value + "'");
-        } else if (key == "frag") {
-            cfg.os.fragLevel = f();
-        } else if (key == "thp_eligible") {
-            cfg.vm.thpEligibleFrac = f();
-        } else if (key == "translator_slots") {
-            cfg.translator.memoSlots = static_cast<unsigned>(u());
-            if (!isPow2(cfg.translator.memoSlots))
-                bad(line_no, "translator_slots must be a power of 2");
-        } else {
-            bad(line_no, "unknown [vm] key '" + key + "'");
-        }
-    } else if (section == "imp") {
-        if (key == "enabled") cfg.imp.enabled = b();
-        else if (key == "coverage") cfg.imp.coverage = f();
-        else if (key == "accuracy") cfg.imp.accuracy = f();
-        else if (key == "distance") cfg.imp.prefetchDistance = u();
-        else if (key == "table_entries")
-            cfg.imp.prefetchTableEntries = u();
-        else bad(line_no, "unknown [imp] key '" + key + "'");
-    } else if (section == "prefetch") {
-        if (key == "engines") {
-            try {
-                cfg.prefetch.engines = parsePrefetcherList(value);
-            } catch (const std::invalid_argument &e) {
-                bad(line_no, e.what());
-            }
-            if (cfg.prefetch.engines.empty()) {
-                // "engines = none": explicitly no core prefetchers,
-                // overriding any imp/stride enable flags.
-                cfg.imp.enabled = false;
-                cfg.stride.enabled = false;
-            }
-        } else {
-            bad(line_no, "unknown [prefetch] key '" + key + "'");
-        }
-    } else if (section == "stride") {
-        if (key == "enabled") cfg.stride.enabled = b();
-        else if (key == "table_entries") cfg.stride.tableEntries = u();
-        else if (key == "confidence_threshold")
-            cfg.stride.confidenceThreshold = u();
-        else if (key == "degree") cfg.stride.degree = u();
-        else if (key == "distance") cfg.stride.distance = u();
-        else bad(line_no, "unknown [stride] key '" + key + "'");
-    } else if (section == "tskid") {
-        if (key == "table_entries") cfg.tskid.tableEntries = u();
-        else if (key == "confidence_threshold")
-            cfg.tskid.confidenceThreshold = u();
-        else if (key == "degree") cfg.tskid.degree = u();
-        else if (key == "distance") cfg.tskid.distance = u();
-        else if (key == "lead_cycles") cfg.tskid.leadCycles = u();
-        else if (key == "max_pending") cfg.tskid.maxPending = u();
-        else bad(line_no, "unknown [tskid] key '" + key + "'");
-    } else if (section == "misb") {
-        if (key == "pair_entries") cfg.misb.pairEntries = u();
-        else if (key == "metadata_cache_entries")
-            cfg.misb.metadataCacheEntries = u();
-        else if (key == "degree") cfg.misb.degree = u();
-        else if (key == "train_threshold") cfg.misb.trainThreshold = u();
-        else if (key == "max_metadata_inflight")
-            cfg.misb.maxMetadataInflight = u();
-        else bad(line_no, "unknown [misb] key '" + key + "'");
-    } else if (section == "temporal") {
-        if (key == "table_entries") cfg.temporal.tableEntries = u();
-        else if (key == "confidence_threshold")
-            cfg.temporal.confidenceThreshold = u();
-        else if (key == "degree") cfg.temporal.degree = u();
-        else if (key == "train_threshold")
-            cfg.temporal.trainThreshold = u();
-        else bad(line_no, "unknown [temporal] key '" + key + "'");
-    } else if (section == "core") {
-        if (key == "mlp_window") {
-            cfg.mlpWindow = u();
-            cfg.useWorkloadMlpHint = false;
-        } else if (key == "issue_gap") {
-            cfg.issueGap = u();
-        } else if (key == "tlb_fill_latency") {
-            cfg.tlbFillLatency = u();
-        } else if (key == "seed") {
-            cfg.withSeed(u());
-        } else {
-            bad(line_no, "unknown [core] key '" + key + "'");
-        }
-    } else {
-        bad(line_no, "unknown section [" + section + "]");
-    }
-}
-
-} // namespace
 
 void
 applyConfigText(const std::string &ini_text, SystemConfig &cfg)
@@ -335,9 +362,13 @@ applyConfigText(const std::string &ini_text, SystemConfig &cfg)
             bad(line_no, "expected 'key = value'");
         if (section.empty())
             bad(line_no, "key before any [section]");
-        applyKey(line_no, cfg, section, key, value);
+        try {
+            setConfigKey(cfg, section + "." + key, value);
+        } catch (const std::invalid_argument &error) {
+            bad(line_no, error.what());
+        }
     }
-    checkGeometry(cfg);
+    checkConfig(cfg);
 }
 
 void

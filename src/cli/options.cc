@@ -3,9 +3,9 @@
 #include "cli/config_file.hh"
 #include "common/parse.hh"
 #include "obs/obs.hh"
-#include "prefetch/registry.hh"
 
 #include <stdexcept>
+#include <string_view>
 
 namespace tempo::cli {
 namespace {
@@ -16,34 +16,73 @@ bad(const std::string &message)
     throw std::invalid_argument(message);
 }
 
+/** A config flag: an alias that sets one config key, to the flag's
+ * argument or, for a flag that takes none, to @c fixed. */
+struct KeyFlag {
+    std::string_view flag;
+    const char *key;
+    const char *fixed = nullptr;
+};
+
+constexpr KeyFlag kKeyFlags[] = {
+    {"--tempo", "mc.tempo", "true"},
+    {"--imp", "imp.enabled", "true"},
+    {"--prefetcher", "prefetch.engines"},
+    {"--sched", "mc.sched"},
+    {"--row-policy", "dram.row_policy"},
+    {"--page-policy", "vm.page_policy"},
+    {"--frag", "vm.frag"},
+    {"--subrow", "dram.subrow_alloc"},
+    {"--subrow-dedicated", "dram.subrows_for_prefetch"},
+    {"--seed", "core.seed"},
+};
+
+/** The config flag @p arg names ("--sched" or "--sched=V"), or null. */
+const KeyFlag *
+keyFlag(std::string_view arg)
+{
+    for (const KeyFlag &alias : kKeyFlags) {
+        const std::size_t n = alias.flag.size();
+        if (arg == alias.flag
+            || (!alias.fixed && arg.size() > n && arg.starts_with(alias.flag)
+                && arg[n] == '=')) {
+            return &alias;
+        }
+    }
+    return nullptr;
+}
+
+/** The kKeyFlags lines of usage(), with each key's values read from
+ * the key table. */
+std::string
+keyFlagUsage()
+{
+    std::string out;
+    for (const KeyFlag &alias : kKeyFlags) {
+        std::string line = "  " + std::string(alias.flag)
+            + (alias.fixed ? "" : " V");
+        line.resize(std::max<std::size_t>(line.size() + 1, 22), ' ');
+        line += std::string(alias.key)
+            + (alias.fixed ? std::string(" = ") + alias.fixed
+                           : ": " + configKey(alias.key).values());
+        out += line + "\n";
+    }
+    return out;
+}
+
 } // namespace
 
 std::string
 usage()
 {
-    return
+    return std::string(
         "tempo_sim — run the TEMPO simulator on one workload\n"
         "\n"
         "usage: tempo_sim [options]\n"
         "  --workload NAME     workload generator (default xsbench);\n"
         "                      see README for the full list\n"
         "  --refs N            references to simulate (default 300000)\n"
-        "  --tempo             enable TEMPO\n"
         "  --compare           run baseline AND TEMPO, print the delta\n"
-        "  --imp               enable the IMP indirect prefetcher\n"
-        "  --prefetcher LIST   comma-separated core prefetch engines\n"
-        "                      (stride,imp,tskid,misb,temporal; \"none\"\n"
-        "                      disables all); selecting engines this way\n"
-        "                      also reports the per-engine\n"
-        "                      prefetch.<name>.* taxonomy\n"
-        "  --sched S           frfcfs | bliss (default frfcfs)\n"
-        "  --row-policy P      open | closed | adaptive (default "
-        "adaptive)\n"
-        "  --page-policy P     4k | thp | hugetlbfs2m | hugetlbfs1g\n"
-        "  --frag F            memhog fragmentation level in [0,1)\n"
-        "  --subrow A          none | foa | poa sub-row buffers\n"
-        "  --subrow-dedicated N  sub-rows reserved for prefetches\n"
-        "  --seed N            RNG seed (default 42)\n"
         "  --jobs N            worker threads for --compare runs\n"
         "                      (default: all cores, or TEMPO_JOBS)\n"
         "  --retries N         re-run a failed point up to N times with\n"
@@ -67,21 +106,28 @@ usage()
         "  --timeseries-window N  sample time-series metrics every N\n"
         "                      cycles into the bench JSON (default "
         "off)\n"
-        "  --config PATH       apply an INI config file (see "
-        "src/cli/config_file.hh)\n"
+        "  --config PATH       apply an INI config file (every key and\n"
+        "                      its values: tempo_sweep --help)\n"
         "  --profile           report per-component wall-clock "
         "attribution\n"
         "                      (profile.* keys; nondeterministic)\n"
-        "  --help              this text\n";
+        "  --help              this text\n"
+        "\n"
+        "Config flags: each sets one config key, in command-line order,\n"
+        "and --config PATH applies on top. --imp (like \"[imp] enabled =\n"
+        "true\" in a config file) appends imp to prefetch.engines; the list\n"
+        "order is the engines' dispatch order.\n")
+        + keyFlagUsage();
 }
 
 Options
 parse(const std::vector<std::string> &args)
 {
     Options options;
+    bool tempo_flag = false;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
-        auto next = [&](const char *flag) -> const std::string & {
+        auto next = [&](std::string_view flag) -> const std::string & {
             if (i + 1 >= args.size())
                 bad(std::string(flag) + " needs a value");
             return args[++i];
@@ -95,53 +141,21 @@ parse(const std::vector<std::string> &args)
             options.refs = parseU64(arg, next("--refs"));
             if (options.refs == 0)
                 bad("--refs must be positive");
-        } else if (arg == "--tempo") {
-            options.tempo = true;
         } else if (arg == "--compare") {
             options.compare = true;
-        } else if (arg == "--imp") {
-            options.imp = true;
-        } else if (arg == "--prefetcher") {
-            options.prefetcher = next("--prefetcher");
-        } else if (arg.rfind("--prefetcher=", 0) == 0) {
-            options.prefetcher = arg.substr(13);
-            if (options.prefetcher.empty())
-                bad("--prefetcher needs a value");
-        } else if (arg == "--sched") {
-            options.sched = next("--sched");
-            if (options.sched != "frfcfs" && options.sched != "bliss")
-                bad("--sched must be frfcfs or bliss");
-        } else if (arg == "--row-policy") {
-            options.rowPolicy = next("--row-policy");
-            if (options.rowPolicy != "open"
-                && options.rowPolicy != "closed"
-                && options.rowPolicy != "adaptive") {
-                bad("--row-policy must be open, closed, or adaptive");
+        } else if (const KeyFlag *alias = keyFlag(arg)) {
+            const std::string value = alias->fixed ? alias->fixed
+                : arg.size() > alias->flag.size()
+                ? arg.substr(alias->flag.size() + 1)
+                : next(alias->flag);
+            if (value.empty())
+                bad(std::string(alias->flag) + " needs a value");
+            try {
+                setConfigKey(options.config, alias->key, value);
+            } catch (const std::invalid_argument &error) {
+                bad(std::string(alias->flag) + ": " + error.what());
             }
-        } else if (arg == "--page-policy") {
-            options.pagePolicy = next("--page-policy");
-            if (options.pagePolicy != "4k"
-                && options.pagePolicy != "thp"
-                && options.pagePolicy != "hugetlbfs2m"
-                && options.pagePolicy != "hugetlbfs1g") {
-                bad("--page-policy must be 4k, thp, hugetlbfs2m, or "
-                    "hugetlbfs1g");
-            }
-        } else if (arg == "--frag") {
-            options.frag = parseDouble(arg, next("--frag"));
-            if (options.frag < 0.0 || options.frag >= 1.0)
-                bad("--frag must be in [0,1)");
-        } else if (arg == "--subrow") {
-            options.subrow = next("--subrow");
-            if (options.subrow != "none" && options.subrow != "foa"
-                && options.subrow != "poa") {
-                bad("--subrow must be none, foa, or poa");
-            }
-        } else if (arg == "--subrow-dedicated") {
-            options.subrowDedicated =
-                parseUnsigned(arg, next("--subrow-dedicated"));
-        } else if (arg == "--seed") {
-            options.seed = parseU64(arg, next("--seed"));
+            tempo_flag = tempo_flag || arg == "--tempo";
         } else if (arg == "--jobs") {
             options.jobs = parseUnsigned(arg, next("--jobs"));
         } else if (arg == "--retries") {
@@ -185,62 +199,24 @@ parse(const std::vector<std::string> &args)
             bad("unknown option '" + arg + "' (try --help)");
         }
     }
-    if (options.tempo && options.compare)
+    if (tempo_flag && options.compare)
         bad("--tempo and --compare are mutually exclusive "
             "(--compare runs both)");
+    checkConfig(options.config);
     // Validate the filter at parse time so typos fail before a long run
     // (throws std::invalid_argument, the same contract as bad()).
     if (!options.traceFilter.empty())
         obs::parseCategories(options.traceFilter);
-    if (!options.prefetcher.empty())
-        parsePrefetcherList(options.prefetcher);
     return options;
 }
 
 SystemConfig
 toConfig(const Options &options)
 {
-    SystemConfig cfg = SystemConfig::skylakeScaled();
-    cfg.withSeed(options.seed);
-    cfg.withTempo(options.tempo);
-    cfg.withImp(options.imp);
-    cfg.withSched(options.sched == "bliss" ? SchedKind::Bliss
-                                           : SchedKind::FrFcfs);
-    if (options.rowPolicy == "open")
-        cfg.withRowPolicy(RowPolicyKind::Open);
-    else if (options.rowPolicy == "closed")
-        cfg.withRowPolicy(RowPolicyKind::Closed);
-    else
-        cfg.withRowPolicy(RowPolicyKind::Adaptive);
-
-    PagePolicy policy = PagePolicy::Thp;
-    if (options.pagePolicy == "4k")
-        policy = PagePolicy::Base4K;
-    else if (options.pagePolicy == "hugetlbfs2m")
-        policy = PagePolicy::Hugetlbfs2M;
-    else if (options.pagePolicy == "hugetlbfs1g")
-        policy = PagePolicy::Hugetlbfs1G;
-    cfg.withPagePolicy(policy, options.frag);
-
-    if (options.subrow == "foa")
-        cfg.withSubRows(SubRowAlloc::FOA, options.subrowDedicated);
-    else if (options.subrow == "poa")
-        cfg.withSubRows(SubRowAlloc::POA, options.subrowDedicated);
-
-    if (!options.prefetcher.empty()) {
-        cfg.withPrefetchers(options.prefetcher);
-        if (cfg.prefetch.engines.empty()) {
-            // "--prefetcher none" means explicitly no engines — it
-            // overrides --imp rather than falling back to the flags.
-            cfg.imp.enabled = false;
-            cfg.stride.enabled = false;
-        }
-    }
-
-    // Config files layer on top of (and can override) the flags.
+    SystemConfig cfg = options.config;
     if (!options.configPath.empty())
         applyConfigFile(options.configPath, cfg);
-
+    checkConfig(cfg);
     return cfg;
 }
 

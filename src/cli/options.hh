@@ -18,21 +18,13 @@ namespace tempo::cli {
 struct Options {
     std::string workload = "xsbench";
     std::uint64_t refs = 300000;
-    bool tempo = false;
     /** Run baseline and TEMPO back-to-back and print the comparison. */
     bool compare = false;
-    bool imp = false;
-    /** Explicit registry engine list ("stride,tskid"; "none" = no
-     * engines; "" = legacy --imp / [stride] flag resolution). */
-    std::string prefetcher;
-    std::string sched = "frfcfs";      //!< frfcfs | bliss
-    std::string rowPolicy = "adaptive"; //!< open | closed | adaptive
-    std::string pagePolicy = "thp";    //!< 4k | thp | hugetlbfs2m |
-                                       //!< hugetlbfs1g
-    double frag = 0.0;                 //!< memhog fragmentation level
-    std::string subrow = "none";       //!< none | foa | poa
-    unsigned subrowDedicated = 0;
-    std::uint64_t seed = 42;
+    /** The machine: the baseline preset at seed 42 with the config
+     * flags (--tempo, --sched, ...; see usage()) applied in
+     * command-line order and checkConfig()ed. toConfig() adds --config
+     * on top. */
+    SystemConfig config = SystemConfig::skylakeScaled().withSeed(42);
     /** Worker threads for parallel runs (--compare); 0 = all cores
      * (or the TEMPO_JOBS env var). */
     unsigned jobs = 0;
@@ -74,7 +66,9 @@ Options parse(const std::vector<std::string> &args);
 /** The --help text. */
 std::string usage();
 
-/** Build the SystemConfig an Options selection describes. */
+/** The machine @p options describes: its config with the --config file
+ * applied, checked by checkConfig().
+ * @throws std::invalid_argument naming the file line or keys. */
 SystemConfig toConfig(const Options &options);
 
 } // namespace tempo::cli

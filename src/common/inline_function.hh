@@ -39,7 +39,10 @@ class InlineFunction<R(Args...), Capacity>
                   "capacity must hold at least the heap-fallback pointer");
 
   public:
-    InlineFunction() noexcept = default;
+    // Zeroed so that moveFrom()'s fixed-size copy never reads an
+    // uninitialized buffer, also where the compiler cannot see that an
+    // empty function copies nothing.
+    InlineFunction() noexcept : buf_{} {}
 
     template <typename F,
               typename = std::enable_if_t<

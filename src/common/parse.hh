@@ -1,6 +1,6 @@
 /**
  * @file
- * Strict number parsing for command-line flags and environment
+ * Strict parsing of command-line flags, config values and environment
  * variables. std::strtoul accepts a sign, blanks and trailing junk
  * ("-1" wraps to 2^64-1, "1x" reads as 1); std::from_chars with a
  * full-length check accepts none of them. Errors are
@@ -11,6 +11,7 @@
 #ifndef TEMPO_COMMON_PARSE_HH
 #define TEMPO_COMMON_PARSE_HH
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace tempo {
 
@@ -70,6 +72,35 @@ parseSeconds(const std::string &name, const std::string &value)
         throw std::invalid_argument(name + " must be >= 0, got '" + value
                                     + "'");
     return seconds;
+}
+
+/** @p s without leading and trailing ASCII whitespace. */
+inline std::string
+trim(const std::string &s)
+{
+    const char *ws = " \t\r\n";
+    const std::size_t begin = s.find_first_not_of(ws);
+    if (begin == std::string::npos)
+        return {};
+    return s.substr(begin, s.find_last_not_of(ws) - begin + 1);
+}
+
+/** A comma-separated list as trimmed values.
+ * @throws std::invalid_argument when the list is empty or any value
+ *         is empty ("a,,b", trailing comma, lone whitespace). */
+inline std::vector<std::string>
+splitCommas(const std::string &s)
+{
+    std::vector<std::string> out;
+    for (std::size_t begin = 0; begin <= s.size();) {
+        const std::size_t comma = std::min(s.find(',', begin), s.size());
+        out.push_back(trim(s.substr(begin, comma - begin)));
+        if (out.back().empty())
+            throw std::invalid_argument(
+                "empty value in comma-separated list '" + s + "'");
+        begin = comma + 1;
+    }
+    return out;
 }
 
 /** Environment variable @p name, or nullptr when unset or empty (an

@@ -136,7 +136,6 @@ SystemConfig::digest() const
     // CacheByteIdentity ctests pin this), so two configs differing only
     // there describe the same experiment point.
 
-    h.e(imp.enabled);
     h.u64(imp.prefetchTableEntries);
     h.u64(imp.ipdEntries);
     h.u64(imp.maxIndirectLevels);
@@ -146,7 +145,6 @@ SystemConfig::digest() const
     h.f64(imp.accuracy);
     h.u64(imp.seed);
 
-    h.e(stride.enabled);
     h.u64(stride.tableEntries);
     h.u64(stride.confidenceThreshold);
     h.u64(stride.degree);
@@ -229,13 +227,6 @@ SystemConfig::withTempo(bool on)
 }
 
 SystemConfig &
-SystemConfig::withRowPolicy(RowPolicyKind kind)
-{
-    dram.rowPolicy = kind;
-    return *this;
-}
-
-SystemConfig &
 SystemConfig::withSched(SchedKind kind)
 {
     mc.sched = kind;
@@ -243,32 +234,9 @@ SystemConfig::withSched(SchedKind kind)
 }
 
 SystemConfig &
-SystemConfig::withPagePolicy(PagePolicy policy, double frag)
-{
-    vm.policy = policy;
-    os.fragLevel = frag;
-    return *this;
-}
-
-SystemConfig &
-SystemConfig::withImp(bool on)
-{
-    imp.enabled = on;
-    return *this;
-}
-
-SystemConfig &
 SystemConfig::withPrefetchers(const std::string &csv)
 {
     prefetch.engines = parsePrefetcherList(csv);
-    return *this;
-}
-
-SystemConfig &
-SystemConfig::withSubRows(SubRowAlloc alloc, unsigned dedicated)
-{
-    dram.subRowAlloc = alloc;
-    dram.subRowsForPrefetch = dedicated;
     return *this;
 }
 

@@ -60,11 +60,8 @@ struct SystemConfig {
     CacheConfig cache;
     ImpConfig imp;
     StrideConfig stride;
-    /** Registry engine selection (prefetch/registry.hh). Empty list =
-     * legacy resolution from imp.enabled / stride.enabled with runs
-     * byte-identical to the pre-registry simulator; a non-empty list
-     * builds the named engines in order and switches on the per-engine
-     * useful/late/useless/dropped taxonomy keys. */
+    /** The core prefetchers, by name, in dispatch order
+     * (prefetch/registry.hh); the only engine selector. */
     PrefetchConfig prefetch;
     TskidConfig tskid;
     MisbConfig misb;
@@ -111,13 +108,9 @@ struct SystemConfig {
 
     /** Fluent helpers for the benches. */
     SystemConfig &withTempo(bool on);
-    SystemConfig &withRowPolicy(RowPolicyKind kind);
     SystemConfig &withSched(SchedKind kind);
-    SystemConfig &withPagePolicy(PagePolicy policy, double frag = 0.0);
-    SystemConfig &withImp(bool on);
-    /** Select registry engines by name ("" or "none" = legacy flags). */
+    /** Select registry engines by name ("" or "none" = no engines). */
     SystemConfig &withPrefetchers(const std::string &csv);
-    SystemConfig &withSubRows(SubRowAlloc alloc, unsigned dedicated);
     SystemConfig &withSeed(std::uint64_t seed);
     /** Stub for the frozen perf ledger: 0 is a no-op, else throws. */
     SystemConfig &withShards(unsigned shards);

@@ -1,7 +1,6 @@
 #include "core/experiment.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -170,20 +169,20 @@ ExperimentOptions::fromEnv()
         opts.retries = parseUnsigned("TEMPO_RETRIES", env);
     if (const char *env = envValue("TEMPO_POINT_TIMEOUT"))
         opts.pointTimeoutSec = parseSeconds("TEMPO_POINT_TIMEOUT", env);
-    if (const char *env = std::getenv("TEMPO_FABRIC_DIR"))
+    if (const char *env = envValue("TEMPO_FABRIC_DIR"))
         opts.fabricDir = env;
-    if (const char *env = std::getenv("TEMPO_FABRIC_ROLE")) {
+    if (const char *env = envValue("TEMPO_FABRIC_ROLE")) {
         const std::string role = env;
         if (role == "worker")
             opts.fabricRole = FabricRole::Worker;
         else if (role == "coordinator")
             opts.fabricRole = FabricRole::Coordinator;
-        else if (!role.empty())
+        else
             throw std::invalid_argument(
                 "TEMPO_FABRIC_ROLE: expected worker or coordinator, "
                 "got " + role);
     }
-    if (const char *env = std::getenv("TEMPO_FABRIC_WORKER"))
+    if (const char *env = envValue("TEMPO_FABRIC_WORKER"))
         opts.fabricWorkerId = env;
     if (const char *env = envValue("TEMPO_FABRIC_STALE_SEC"))
         opts.fabricStaleSec = parseSeconds("TEMPO_FABRIC_STALE_SEC", env);
@@ -192,7 +191,7 @@ ExperimentOptions::fromEnv()
             parseSeconds("TEMPO_FABRIC_HEARTBEAT_SEC", env);
     if (const char *env = envValue("TEMPO_PROGRESS"))
         opts.progressEvery = parseUnsigned("TEMPO_PROGRESS", env);
-    if (const char *env = std::getenv("TEMPO_FAULT_INJECT")) {
+    if (const char *env = envValue("TEMPO_FAULT_INJECT")) {
         // "<index>:throw,<index>:hang" — a test hook, so malformed
         // specs fail fast rather than silently injecting nothing.
         const std::string spec = env;

@@ -53,20 +53,17 @@ CoreStats::report(stats::Report &out) const
     out.add("cycles_total", cyclesTotal);
     out.add("last_finish", lastFinish);
 
-    // Per-engine taxonomy, emitted only for explicit engine lists so
-    // legacy-config output stays byte-identical. useless is derived, so
-    // useful + late + useless == issued by construction.
-    if (prefetchEngineKeys) {
-        for (const auto &e : prefetchEngines) {
-            const std::string prefix = "prefetch." + e.name + ".";
-            out.add(prefix + "issued", e.issued);
-            out.add(prefix + "useful", e.useful);
-            out.add(prefix + "late", e.late);
-            out.add(prefix + "useless", e.useless());
-            out.add(prefix + "dropped", e.dropped);
-            out.add(prefix + "faults", e.faults);
-            out.add(prefix + "metadata_fetches", e.metadataFetches);
-        }
+    // Per-engine taxonomy. useless is derived, so useful + late +
+    // useless == issued by construction.
+    for (const auto &e : prefetchEngines) {
+        const std::string prefix = "prefetch." + e.name + ".";
+        out.add(prefix + "issued", e.issued);
+        out.add(prefix + "useful", e.useful);
+        out.add(prefix + "late", e.late);
+        out.add(prefix + "useless", e.useless());
+        out.add(prefix + "dropped", e.dropped);
+        out.add(prefix + "faults", e.faults);
+        out.add(prefix + "metadata_fetches", e.metadataFetches);
     }
 }
 
@@ -107,7 +104,6 @@ SimCore::SimCore(Machine &machine, AppId app,
         slot.engine = std::move(engine);
         engines_.push_back(std::move(slot));
     }
-    stats_.prefetchEngineKeys = !cfg_.prefetch.engines.empty();
     for (const auto &slot : engines_)
         stats_.prefetchEngines.push_back({slot.engine->name()});
     if (!engines_.empty())
@@ -604,7 +600,6 @@ void
 SimCore::resetStats()
 {
     stats_ = CoreStats{};
-    stats_.prefetchEngineKeys = !cfg_.prefetch.engines.empty();
     for (const auto &slot : engines_)
         stats_.prefetchEngines.push_back({slot.engine->name()});
     // Usefulness tracking restarts with the counters: prefetches issued

@@ -116,11 +116,8 @@ struct CoreStats {
     std::uint64_t tlbPrefetches = 0; //!< next-page TLB prefetch chains
 
     // Per-engine taxonomy, one slot per registry engine in dispatch
-    // order. Tracked unconditionally (it is timing-neutral); the
-    // prefetch.<name>.* report keys are emitted only when the engine
-    // list was explicit, so legacy-config output stays byte-identical.
+    // order (timing-neutral).
     std::vector<PrefetchEngineStats> prefetchEngines;
-    bool prefetchEngineKeys = false;
 
     // Runtime attribution (cycles summed over references).
     double cyclesPtwDram = 0;

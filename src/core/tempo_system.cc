@@ -121,14 +121,11 @@ TempoSystem::run(std::uint64_t num_refs, std::uint64_t warmup_refs)
     // Engine-internal model stats (table hit rates, pending queues...)
     // ride under "prefetch.<name>.model." so they can never collide
     // with the core's "prefetch.<name>.issued"-style taxonomy keys.
-    // Like those, they appear only for explicit engine lists.
-    if (result.core.prefetchEngineKeys) {
-        for (const Prefetcher *engine : core_.prefetchEngines()) {
-            stats::Report engine_report;
-            engine->report(engine_report);
-            result.report.merge(
-                "prefetch." + engine->name() + ".model.", engine_report);
-        }
+    for (const Prefetcher *engine : core_.prefetchEngines()) {
+        stats::Report engine_report;
+        engine->report(engine_report);
+        result.report.merge("prefetch." + engine->name() + ".model.",
+                            engine_report);
     }
     stats::Report dram_report;
     machine_.dram.report(dram_report);
@@ -161,15 +158,13 @@ TempoSystem::run(std::uint64_t num_refs, std::uint64_t warmup_refs)
         // Per-engine lifecycle taxonomy in the audit namespace. The
         // TEMPO engine's obs.prefetch_* counters are untouched — they
         // keep summing to mc.tempo.prefetches_issued.
-        if (result.core.prefetchEngineKeys) {
-            for (const auto &e : result.core.prefetchEngines) {
-                const std::string prefix = "prefetch." + e.name + ".";
-                obs_report.add(prefix + "issued", e.issued);
-                obs_report.add(prefix + "useful", e.useful);
-                obs_report.add(prefix + "late", e.late);
-                obs_report.add(prefix + "useless", e.useless());
-                obs_report.add(prefix + "dropped", e.dropped);
-            }
+        for (const auto &e : result.core.prefetchEngines) {
+            const std::string prefix = "prefetch." + e.name + ".";
+            obs_report.add(prefix + "issued", e.issued);
+            obs_report.add(prefix + "useful", e.useful);
+            obs_report.add(prefix + "late", e.late);
+            obs_report.add(prefix + "useless", e.useless());
+            obs_report.add(prefix + "dropped", e.dropped);
         }
         result.report.merge("obs.", obs_report);
     }

@@ -10,14 +10,27 @@ AddressMap::AddressMap(const DramConfig &cfg)
       ranks_(cfg.ranksPerChannel),
       rowBytes_(cfg.rowBufferBytes)
 {
-    TEMPO_ASSERT(isPow2(cfg.rowBufferBytes), "row size must be 2^n");
-    TEMPO_ASSERT(isPow2(cfg.channels) && isPow2(cfg.banksPerRank)
-                 && isPow2(cfg.ranksPerChannel),
-                 "DRAM geometry must be powers of two");
+    const std::string error = geometryError(cfg);
+    TEMPO_ASSERT(error.empty(), error);
     colBits_ = log2Exact(cfg.rowBufferBytes / kLineBytes);
     channelBits_ = log2Exact(cfg.channels);
     bankBits_ = log2Exact(cfg.banksPerRank);
     rankBits_ = log2Exact(cfg.ranksPerChannel);
+}
+
+std::string
+AddressMap::geometryError(const DramConfig &cfg)
+{
+    if (!isPow2(cfg.channels) || !isPow2(cfg.ranksPerChannel)
+        || !isPow2(cfg.banksPerRank))
+        return "channels, ranks and banks must be powers of 2, got "
+            + std::to_string(cfg.channels) + ", "
+            + std::to_string(cfg.ranksPerChannel) + " and "
+            + std::to_string(cfg.banksPerRank);
+    if (!isPow2(cfg.rowBufferBytes) || cfg.rowBufferBytes < kLineBytes)
+        return "row_bytes must be a power of 2 of at least one line, got "
+            + std::to_string(cfg.rowBufferBytes);
+    return {};
 }
 
 DramCoord

@@ -12,6 +12,8 @@
 #ifndef TEMPO_DRAM_ADDRESS_MAP_HH
 #define TEMPO_DRAM_ADDRESS_MAP_HH
 
+#include <string>
+
 #include "common/types.hh"
 #include "dram/config.hh"
 
@@ -46,6 +48,11 @@ class AddressMap
 {
   public:
     explicit AddressMap(const DramConfig &cfg);
+
+    /** Why @p cfg's geometry cannot be bit-sliced, or "" when it can.
+     * The constructor asserts this; config loading reports it as an
+     * input error. */
+    static std::string geometryError(const DramConfig &cfg);
 
     /** Decode a physical (byte) address. */
     DramCoord decode(Addr paddr) const;

@@ -15,15 +15,31 @@ Bank::Bank(const DramConfig &cfg, unsigned bank_id, RowPolicy *policy)
     if (cfg.refreshEnabled)
         nextRefreshAt_ = cfg.tREFI + bank_id * (cfg.tREFI
                                                 / cfg.totalBanks());
-    const unsigned slots =
-        cfg.subRowAlloc == SubRowAlloc::None ? 1u : cfg.subRowCount;
-    TEMPO_ASSERT(slots >= 1, "bank needs at least one row buffer slot");
-    TEMPO_ASSERT(cfg.subRowsForPrefetch < slots
-                     || cfg.subRowAlloc == SubRowAlloc::None
-                     || cfg.subRowsForPrefetch == 0
-                     || cfg.subRowsForPrefetch < cfg.subRowCount,
-                 "cannot dedicate every sub-row to prefetches");
-    slots_.resize(slots);
+    const std::string error = configError(cfg);
+    TEMPO_ASSERT(error.empty(), error);
+    slots_.resize(cfg.subRowAlloc == SubRowAlloc::None ? 1u
+                                                       : cfg.subRowCount);
+}
+
+std::string
+Bank::configError(const DramConfig &cfg)
+{
+    // applyRefresh() steps through refresh deadlines tREFI apart.
+    if (cfg.refreshEnabled && cfg.tREFI == 0)
+        return "trefi must be positive while refresh is on";
+    if (cfg.subRowAlloc == SubRowAlloc::None)
+        return {};
+    // Each sub-row buffer latches an equal, whole-line slice of a row.
+    const Addr lines = cfg.rowBufferBytes / kLineBytes;
+    if (!isPow2(cfg.subRowCount) || cfg.subRowCount > lines)
+        return "subrow_count must be a power of 2 of at most "
+            + std::to_string(lines) + " (lines per row), got "
+            + std::to_string(cfg.subRowCount);
+    if (cfg.subRowsForPrefetch >= cfg.subRowCount)
+        return "subrows_for_prefetch must be below subrow_count ("
+            + std::to_string(cfg.subRowCount) + "), got "
+            + std::to_string(cfg.subRowsForPrefetch);
+    return {};
 }
 
 Addr

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -95,6 +96,11 @@ class Bank
      * @param policy shared row policy/predictor (owned by the device)
      */
     Bank(const DramConfig &cfg, unsigned bank_id, RowPolicy *policy);
+
+    /** Why @p cfg's refresh or sub-row buffers cannot work, or "" when
+     * they can. The constructor asserts this; config loading reports it
+     * as an input error. */
+    static std::string configError(const DramConfig &cfg);
 
     /** Would an access to (row, segment) be a row-buffer hit now? */
     bool wouldHit(Addr row, unsigned segment) const;

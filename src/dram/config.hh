@@ -22,15 +22,17 @@ enum class RowPolicyKind : std::uint8_t {
     Adaptive, //!< prediction-cache driven (Awasthi et al., PACT 2011)
 };
 
+/** The spelling of each RowPolicyKind, in enum order: config keys,
+ * reports and benches all use these names. */
+inline constexpr const char *kRowPolicyNames[] = {"open", "closed",
+                                                  "adaptive"};
+static_assert(std::size(kRowPolicyNames)
+              == static_cast<std::size_t>(RowPolicyKind::Adaptive) + 1);
+
 inline const char *
 rowPolicyName(RowPolicyKind kind)
 {
-    switch (kind) {
-      case RowPolicyKind::Open: return "open";
-      case RowPolicyKind::Closed: return "closed";
-      case RowPolicyKind::Adaptive: return "adaptive";
-    }
-    return "?";
+    return kRowPolicyNames[static_cast<unsigned>(kind)];
 }
 
 /** Sub-row buffer allocation policy (Gulur et al., ICS 2012). */
@@ -40,15 +42,15 @@ enum class SubRowAlloc : std::uint8_t {
     POA,  //!< Performance Oriented Allocation: demand-proportional
 };
 
+/** The spelling of each SubRowAlloc, in enum order. */
+inline constexpr const char *kSubRowAllocNames[] = {"none", "foa", "poa"};
+static_assert(std::size(kSubRowAllocNames)
+              == static_cast<std::size_t>(SubRowAlloc::POA) + 1);
+
 inline const char *
 subRowAllocName(SubRowAlloc alloc)
 {
-    switch (alloc) {
-      case SubRowAlloc::None: return "none";
-      case SubRowAlloc::FOA: return "foa";
-      case SubRowAlloc::POA: return "poa";
-    }
-    return "?";
+    return kSubRowAllocNames[static_cast<unsigned>(alloc)];
 }
 
 /** Full DRAM configuration. */

@@ -35,6 +35,11 @@ namespace tempo {
 /** Which scheduling policy the controller uses. */
 enum class SchedKind : std::uint8_t { FrFcfs, Bliss };
 
+/** The spelling of each SchedKind, in enum order. */
+inline constexpr const char *kSchedNames[] = {"frfcfs", "bliss"};
+static_assert(std::size(kSchedNames)
+              == static_cast<std::size_t>(SchedKind::Bliss) + 1);
+
 /** Memory controller configuration, including all TEMPO knobs. */
 struct McConfig {
     SchedKind sched = SchedKind::FrFcfs;

@@ -1,8 +1,9 @@
 #include "obs/obs.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "common/parse.hh"
 
@@ -42,36 +43,21 @@ replayClassName(ReplayClass cls)
 std::uint32_t
 parseCategories(const std::string &csv)
 {
+    using Category = std::pair<std::string_view, std::uint32_t>;
+    constexpr Category kNames[] = {
+        {"walk", kWalk},     {"pt", kPt},         {"txq", kTxq},
+        {"prefetch", kPrefetch}, {"replay", kReplay}, {"row", kRow},
+        {"bliss", kBliss},   {"all", kAllCategories},
+    };
     std::uint32_t mask = 0;
-    std::size_t start = 0;
-    while (start <= csv.size()) {
-        std::size_t end = csv.find(',', start);
-        if (end == std::string::npos)
-            end = csv.size();
-        const std::string name = csv.substr(start, end - start);
-        if (name == "walk")
-            mask |= kWalk;
-        else if (name == "pt")
-            mask |= kPt;
-        else if (name == "txq")
-            mask |= kTxq;
-        else if (name == "prefetch")
-            mask |= kPrefetch;
-        else if (name == "replay")
-            mask |= kReplay;
-        else if (name == "row")
-            mask |= kRow;
-        else if (name == "bliss")
-            mask |= kBliss;
-        else if (name == "all")
-            mask |= kAllCategories;
-        else
+    for (const std::string &name : splitCommas(csv)) {
+        const Category *it =
+            std::ranges::find(kNames, name, &Category::first);
+        if (it == std::end(kNames))
             throw std::invalid_argument(
                 "unknown trace category '" + name
                 + "' (walk, pt, txq, prefetch, replay, row, bliss, all)");
-        start = end + 1;
-        if (end == csv.size())
-            break;
+        mask |= it->second;
     }
     return mask;
 }
@@ -94,16 +80,12 @@ Config
 configFromEnv()
 {
     Config cfg = globalConfig();
-    if (const char *dir = std::getenv("TEMPO_TRACE_DIR")) {
-        if (dir[0] != '\0') {
-            cfg.trace = true;
-            cfg.traceDir = dir;
-        }
+    if (const char *dir = envValue("TEMPO_TRACE_DIR")) {
+        cfg.trace = true;
+        cfg.traceDir = dir;
     }
-    if (const char *filter = std::getenv("TEMPO_TRACE_FILTER")) {
-        if (filter[0] != '\0')
-            cfg.categories = parseCategories(filter);
-    }
+    if (const char *filter = envValue("TEMPO_TRACE_FILTER"))
+        cfg.categories = parseCategories(filter);
     if (const char *window = envValue("TEMPO_TIMESERIES_WINDOW"))
         cfg.timeseriesWindow = parseU64("TEMPO_TIMESERIES_WINDOW", window);
     if (const char *cap = envValue("TEMPO_TRACE_CAPACITY")) {

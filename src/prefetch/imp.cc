@@ -1,10 +1,21 @@
 #include "prefetch/imp.hh"
 
+#include "common/log.hh"
+
 namespace tempo {
 
 ImpPrefetcher::ImpPrefetcher(const ImpConfig &cfg)
     : cfg_(cfg), table_(cfg.prefetchTableEntries), rng_(cfg.seed)
 {
+    const std::string error = configError(cfg);
+    TEMPO_ASSERT(error.empty(), error);
+}
+
+std::string
+ImpPrefetcher::configError(const ImpConfig &cfg)
+{
+    // findOrAllocate() always needs a victim entry.
+    return cfg.prefetchTableEntries ? "" : "table_entries must be positive";
 }
 
 const std::string &
@@ -36,7 +47,7 @@ Addr
 ImpPrefetcher::observe(std::uint32_t stream, bool indirect,
                        Addr future_target)
 {
-    if (!cfg_.enabled || !indirect)
+    if (!indirect)
         return kInvalidAddr;
 
     Entry *entry = findOrAllocate(stream);

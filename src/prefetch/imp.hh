@@ -33,7 +33,6 @@
 namespace tempo {
 
 struct ImpConfig {
-    bool enabled = false;
     unsigned prefetchTableEntries = 16; //!< concurrent streams tracked
     unsigned ipdEntries = 4;            //!< indirect pattern detector
     unsigned maxIndirectLevels = 2;
@@ -54,6 +53,11 @@ class ImpPrefetcher : public Prefetcher
 {
   public:
     explicit ImpPrefetcher(const ImpConfig &cfg);
+
+    /** Why @p cfg cannot build an engine, or "" when it can. The
+     * constructor asserts this; config loading reports it as an input
+     * error. */
+    static std::string configError(const ImpConfig &cfg);
 
     /**
      * Observe one demand reference.

@@ -94,13 +94,10 @@ class Prefetcher
 };
 
 /**
- * Engine selection. An empty list means legacy resolution: the
- * imp.enabled / stride.enabled flags pick the engines (in that order),
- * and the run's report carries only the legacy imp_- and stride_-
- * prefixed keys — byte-identical to the pre-registry simulator. A
- * non-empty list builds
- * the named engines in order (each forced enabled) and switches on the
- * per-engine "prefetch.<name>.*" taxonomy keys.
+ * Engine selection: the registry builds the named engines in list
+ * order, which is also their dispatch order, and the report carries
+ * each engine's "prefetch.<name>.*" taxonomy keys. Empty means no core
+ * prefetcher.
  */
 struct PrefetchConfig {
     std::vector<std::string> engines;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/parse.hh"
 #include "core/config.hh"
 #include "prefetch/imp.hh"
 #include "prefetch/misb.hh"
@@ -17,16 +18,10 @@ namespace {
 std::unique_ptr<Prefetcher>
 buildOne(const std::string &name, const SystemConfig &cfg)
 {
-    if (name == "stride") {
-        StrideConfig engine_cfg = cfg.stride;
-        engine_cfg.enabled = true;
-        return std::make_unique<StridePrefetcher>(engine_cfg);
-    }
-    if (name == "imp") {
-        ImpConfig engine_cfg = cfg.imp;
-        engine_cfg.enabled = true;
-        return std::make_unique<ImpPrefetcher>(engine_cfg);
-    }
+    if (name == "stride")
+        return std::make_unique<StridePrefetcher>(cfg.stride);
+    if (name == "imp")
+        return std::make_unique<ImpPrefetcher>(cfg.imp);
     if (name == "tskid")
         return std::make_unique<TskidPrefetcher>(cfg.tskid);
     if (name == "misb")
@@ -62,28 +57,15 @@ parsePrefetcherList(const std::string &csv)
     std::vector<std::string> engines;
     if (csv.empty() || csv == "none")
         return engines;
-    std::size_t begin = 0;
-    while (begin <= csv.size()) {
-        const std::size_t comma = csv.find(',', begin);
-        const std::string name = csv.substr(
-            begin, comma == std::string::npos ? std::string::npos
-                                              : comma - begin);
-        if (name.empty())
-            throw std::invalid_argument(
-                "empty engine name in prefetcher list '" + csv + "'");
+    for (const std::string &name : splitCommas(csv)) {
         if (!isRegisteredPrefetcher(name))
             throw std::invalid_argument(
                 "unknown prefetcher '" + name
                 + "' (known: stride, imp, tskid, misb, temporal)");
-        if (std::find(engines.begin(), engines.end(), name)
-            != engines.end()) {
+        if (std::ranges::count(engines, name))
             throw std::invalid_argument("duplicate prefetcher '" + name
                                         + "'");
-        }
         engines.push_back(name);
-        if (comma == std::string::npos)
-            break;
-        begin = comma + 1;
     }
     return engines;
 }
@@ -92,23 +74,14 @@ std::vector<std::unique_ptr<Prefetcher>>
 buildPrefetchers(const SystemConfig &cfg)
 {
     std::vector<std::unique_ptr<Prefetcher>> engines;
-    if (!cfg.prefetch.engines.empty()) {
-        for (const std::string &name : cfg.prefetch.engines) {
-            for (const auto &built : engines) {
-                if (built->name() == name)
-                    throw std::invalid_argument(
-                        "duplicate prefetcher '" + name + "'");
-            }
-            engines.push_back(buildOne(name, cfg));
+    for (const std::string &name : cfg.prefetch.engines) {
+        for (const auto &built : engines) {
+            if (built->name() == name)
+                throw std::invalid_argument("duplicate prefetcher '" + name
+                                            + "'");
         }
-        return engines;
+        engines.push_back(buildOne(name, cfg));
     }
-    // Legacy resolution: flags, imp before stride — the pre-registry
-    // SimCore dispatch order, which the byte-identity goldens pin.
-    if (cfg.imp.enabled)
-        engines.push_back(std::make_unique<ImpPrefetcher>(cfg.imp));
-    if (cfg.stride.enabled)
-        engines.push_back(std::make_unique<StridePrefetcher>(cfg.stride));
     return engines;
 }
 

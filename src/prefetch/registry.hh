@@ -1,16 +1,9 @@
 /**
  * @file
  * The prefetcher registry: maps engine names to constructors and
- * resolves a SystemConfig's engine selection into live Prefetcher
- * instances. Two resolution modes (see PrefetchConfig in
- * prefetcher.hh):
- *
- *  - legacy: prefetch.engines empty — the imp.enabled / stride.enabled
- *    flags select engines, imp first (matching the pre-registry
- *    dispatch order in SimCore), and runs stay byte-identical to the
- *    hard-wired simulator;
- *  - explicit: prefetch.engines lists names — built in list order,
- *    each forced enabled, per-engine taxonomy keys switched on.
+ * resolves a SystemConfig's engine list (prefetch.engines, see
+ * PrefetchConfig in prefetcher.hh) into live Prefetcher instances,
+ * built in list order.
  */
 
 #ifndef TEMPO_PREFETCH_REGISTRY_HH
@@ -33,15 +26,14 @@ bool isRegisteredPrefetcher(const std::string &name);
 
 /**
  * Parse a CLI-style comma-separated engine list ("stride,tskid";
- * "none" or "" yields an empty list = legacy resolution).
+ * "none" or "" yields an empty list: no core prefetcher).
  * @throws std::invalid_argument on unknown or duplicate names.
  */
 std::vector<std::string> parsePrefetcherList(const std::string &csv);
 
 /**
  * Build the engines @p cfg selects, in dispatch order.
- * @throws std::invalid_argument on unknown or duplicate names in an
- *         explicit engine list.
+ * @throws std::invalid_argument on unknown or duplicate names.
  */
 std::vector<std::unique_ptr<Prefetcher>>
 buildPrefetchers(const SystemConfig &cfg);

@@ -1,10 +1,21 @@
 #include "prefetch/stride.hh"
 
+#include "common/log.hh"
+
 namespace tempo {
 
 StridePrefetcher::StridePrefetcher(const StrideConfig &cfg)
     : cfg_(cfg), table_(cfg.tableEntries)
 {
+    const std::string error = configError(cfg);
+    TEMPO_ASSERT(error.empty(), error);
+}
+
+std::string
+StridePrefetcher::configError(const StrideConfig &cfg)
+{
+    // findOrAllocate() always needs a victim entry.
+    return cfg.tableEntries ? "" : "table_entries must be positive";
 }
 
 const std::string &
@@ -37,9 +48,6 @@ StridePrefetcher::observe(std::uint32_t stream, Addr vaddr,
                           std::vector<Addr> &out)
 {
     out.clear();
-    if (!cfg_.enabled)
-        return;
-
     Entry *entry = findOrAllocate(stream);
     entry->lastUse = ++tick_;
 

@@ -22,7 +22,6 @@
 namespace tempo {
 
 struct StrideConfig {
-    bool enabled = false;
     unsigned tableEntries = 64;
     unsigned confidenceThreshold = 2; //!< matches before prefetching
     unsigned degree = 2;              //!< lines prefetched per trigger
@@ -33,6 +32,11 @@ class StridePrefetcher : public Prefetcher
 {
   public:
     explicit StridePrefetcher(const StrideConfig &cfg);
+
+    /** Why @p cfg cannot build an engine, or "" when it can. The
+     * constructor asserts this; config loading reports it as an input
+     * error. */
+    static std::string configError(const StrideConfig &cfg);
 
     /**
      * Observe a demand reference; returns up to cfg.degree addresses to

@@ -33,17 +33,12 @@ enum class PagePolicy : std::uint8_t {
     Hugetlbfs1G,
 };
 
-inline const char *
-pagePolicyName(PagePolicy policy)
-{
-    switch (policy) {
-      case PagePolicy::Base4K: return "4K-only";
-      case PagePolicy::Thp: return "THP-2M";
-      case PagePolicy::Hugetlbfs2M: return "hugetlbfs-2M";
-      case PagePolicy::Hugetlbfs1G: return "hugetlbfs-1G";
-    }
-    return "?";
-}
+/** The spelling of each PagePolicy, in enum order. */
+inline constexpr const char *kPagePolicyNames[] = {"4k", "thp",
+                                                   "hugetlbfs2m",
+                                                   "hugetlbfs1g"};
+static_assert(std::size(kPagePolicyNames)
+              == static_cast<std::size_t>(PagePolicy::Hugetlbfs1G) + 1);
 
 struct AddressSpaceConfig {
     PagePolicy policy = PagePolicy::Thp;

@@ -9,8 +9,17 @@ namespace tempo {
 OsMemory::OsMemory(const OsMemoryConfig &cfg)
     : cfg_(cfg), rng_(cfg.seed)
 {
-    TEMPO_ASSERT(cfg.fragLevel >= 0.0 && cfg.fragLevel < 1.0,
-                 "fragmentation level must be in [0,1)");
+    const std::string error = configError(cfg);
+    TEMPO_ASSERT(error.empty(), error);
+}
+
+std::string
+OsMemory::configError(const OsMemoryConfig &cfg)
+{
+    if (!(cfg.fragLevel >= 0.0 && cfg.fragLevel < 1.0))
+        return "fragmentation level must be in [0,1), got "
+            + std::to_string(cfg.fragLevel);
+    return {};
 }
 
 Addr

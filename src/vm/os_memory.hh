@@ -22,6 +22,7 @@
 #define TEMPO_VM_OS_MEMORY_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -42,6 +43,11 @@ class OsMemory
 {
   public:
     explicit OsMemory(const OsMemoryConfig &cfg);
+
+    /** Why @p cfg cannot build an OsMemory, or "" when it can. The
+     * constructor asserts this; config loading reports it as an input
+     * error. */
+    static std::string configError(const OsMemoryConfig &cfg);
 
     /**
      * Allocate one frame of the given size.

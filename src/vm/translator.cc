@@ -7,12 +7,22 @@ namespace tempo {
 Translator::Translator(const PageTable &table, const TranslatorConfig &cfg)
     : table_(table), cfg_(cfg)
 {
-    TEMPO_ASSERT(isPow2(cfg_.memoSlots), "memoSlots must be a power of 2");
-    TEMPO_ASSERT(isPow2(cfg_.walkSlots), "walkSlots must be a power of 2");
+    const std::string error = configError(cfg);
+    TEMPO_ASSERT(error.empty(), error);
     slots_.resize(cfg_.memoSlots);
     wslots_.resize(cfg_.walkSlots);
     slotMask_ = cfg_.memoSlots - 1;
     wslotMask_ = cfg_.walkSlots - 1;
+}
+
+std::string
+Translator::configError(const TranslatorConfig &cfg)
+{
+    if (!isPow2(cfg.memoSlots) || !isPow2(cfg.walkSlots))
+        return "memo slot counts must be powers of 2, got "
+            + std::to_string(cfg.memoSlots) + " and "
+            + std::to_string(cfg.walkSlots);
+    return {};
 }
 
 void

@@ -47,6 +47,7 @@
 #define TEMPO_VM_TRANSLATOR_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -79,6 +80,11 @@ class Translator
   public:
     explicit Translator(const PageTable &table,
                         const TranslatorConfig &cfg = {});
+
+    /** Why @p cfg cannot build a Translator, or "" when it can. The
+     * constructor asserts this; config loading reports it as an input
+     * error. */
+    static std::string configError(const TranslatorConfig &cfg);
 
     /** Functional translation for @p vaddr, memoized. Exactly equal to
      * PageTable::translate() at every instant. */

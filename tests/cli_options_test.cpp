@@ -4,6 +4,9 @@
 
 #include "cli/options.hh"
 
+#include <string>
+#include <vector>
+
 namespace tempo::cli {
 namespace {
 
@@ -12,7 +15,7 @@ TEST(CliOptions, Defaults)
     const Options options = parse({});
     EXPECT_EQ(options.workload, "xsbench");
     EXPECT_EQ(options.refs, 300000u);
-    EXPECT_FALSE(options.tempo);
+    EXPECT_FALSE(options.config.mc.tempoEnabled);
     EXPECT_FALSE(options.compare);
     EXPECT_FALSE(options.help);
 }
@@ -27,15 +30,16 @@ TEST(CliOptions, ParsesEverything)
          "--full-report", "--csv", "out.csv"});
     EXPECT_EQ(options.workload, "graph500");
     EXPECT_EQ(options.refs, 5000u);
-    EXPECT_TRUE(options.tempo);
-    EXPECT_TRUE(options.imp);
-    EXPECT_EQ(options.sched, "bliss");
-    EXPECT_EQ(options.rowPolicy, "closed");
-    EXPECT_EQ(options.pagePolicy, "hugetlbfs2m");
-    EXPECT_DOUBLE_EQ(options.frag, 0.25);
-    EXPECT_EQ(options.subrow, "foa");
-    EXPECT_EQ(options.subrowDedicated, 2u);
-    EXPECT_EQ(options.seed, 99u);
+    const SystemConfig &cfg = options.config;
+    EXPECT_TRUE(cfg.mc.tempoEnabled);
+    EXPECT_EQ(cfg.prefetch.engines, std::vector<std::string>{"imp"});
+    EXPECT_EQ(cfg.mc.sched, SchedKind::Bliss);
+    EXPECT_EQ(cfg.dram.rowPolicy, RowPolicyKind::Closed);
+    EXPECT_EQ(cfg.vm.policy, PagePolicy::Hugetlbfs2M);
+    EXPECT_DOUBLE_EQ(cfg.os.fragLevel, 0.25);
+    EXPECT_EQ(cfg.dram.subRowAlloc, SubRowAlloc::FOA);
+    EXPECT_EQ(cfg.dram.subRowsForPrefetch, 2u);
+    EXPECT_EQ(cfg.seed, 99u);
     EXPECT_TRUE(options.fullReport);
     EXPECT_EQ(options.csvPath, "out.csv");
 }
@@ -109,10 +113,13 @@ TEST(CliOptions, RejectsBadEnums)
 
 TEST(CliOptions, PrefetcherFlagParsesAndValidates)
 {
-    EXPECT_EQ(parse({"--prefetcher", "stride,tskid"}).prefetcher,
-              "stride,tskid");
-    EXPECT_EQ(parse({"--prefetcher=misb"}).prefetcher, "misb");
-    EXPECT_EQ(parse({"--prefetcher", "none"}).prefetcher, "none");
+    EXPECT_EQ(parse({"--prefetcher", "stride,tskid"})
+                  .config.prefetch.engines,
+              (std::vector<std::string>{"stride", "tskid"}));
+    EXPECT_EQ(parse({"--prefetcher=misb"}).config.prefetch.engines,
+              std::vector<std::string>{"misb"});
+    EXPECT_TRUE(
+        parse({"--prefetcher", "none"}).config.prefetch.engines.empty());
     // Bad lists fail at parse time, before a long run starts.
     EXPECT_THROW((void)parse({"--prefetcher", "warp-drive"}),
                  std::invalid_argument);
@@ -130,26 +137,53 @@ TEST(CliOptions, PrefetcherFlagSelectsEngines)
               (std::vector<std::string>{"temporal", "stride"}));
 }
 
+// Config flags apply in command-line order: a later list replaces the
+// engines an earlier --imp added.
 TEST(CliOptions, PrefetcherNoneOverridesImpFlag)
 {
     const SystemConfig cfg =
         toConfig(parse({"--imp", "--prefetcher", "none"}));
     EXPECT_TRUE(cfg.prefetch.engines.empty());
-    EXPECT_FALSE(cfg.imp.enabled);
-    EXPECT_FALSE(cfg.stride.enabled);
+    EXPECT_EQ(toConfig(parse({"--prefetcher", "none", "--imp"}))
+                  .prefetch.engines,
+              std::vector<std::string>{"imp"});
 }
 
+// --imp is sugar for the engine list: it appends imp once, after the
+// engines already listed.
 TEST(CliOptions, LegacyFlagsUntouchedWithoutPrefetcherFlag)
 {
-    const SystemConfig cfg = toConfig(parse({"--imp"}));
-    EXPECT_TRUE(cfg.prefetch.engines.empty());
-    EXPECT_TRUE(cfg.imp.enabled);
+    EXPECT_EQ(toConfig(parse({"--imp"})).prefetch.engines,
+              std::vector<std::string>{"imp"});
+    EXPECT_EQ(toConfig(parse({"--prefetcher", "stride", "--imp"}))
+                  .prefetch.engines,
+              (std::vector<std::string>{"stride", "imp"}));
+    EXPECT_EQ(toConfig(parse({"--prefetcher", "imp,misb", "--imp"}))
+                  .prefetch.engines,
+              (std::vector<std::string>{"imp", "misb"}));
+}
+
+TEST(CliOptions, CompareFlag)
+{
+    const Options options = parse({"--compare"});
+    EXPECT_TRUE(options.compare);
+    EXPECT_FALSE(options.config.mc.tempoEnabled);
 }
 
 TEST(CliOptions, TempoAndCompareConflict)
 {
-    EXPECT_THROW((void)parse({"--tempo", "--compare"}),
-                 std::invalid_argument);
+    const std::vector<std::vector<std::string>> orders = {
+        {"--tempo", "--compare"}, {"--compare", "--tempo"}};
+    for (const auto &args : orders) {
+        try {
+            (void)parse(args);
+            ADD_FAILURE() << "expected an exception";
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what()).find("mutually exclusive"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
 }
 
 TEST(CliOptions, ToConfigMapsFields)
@@ -167,7 +201,52 @@ TEST(CliOptions, ToConfigMapsFields)
     EXPECT_EQ(cfg.dram.subRowAlloc, SubRowAlloc::POA);
     EXPECT_EQ(cfg.dram.subRowsForPrefetch, 3u);
     EXPECT_EQ(cfg.seed, 7u);
-    EXPECT_TRUE(cfg.imp.enabled);
+    EXPECT_EQ(cfg.prefetch.engines, std::vector<std::string>{"imp"});
+}
+
+// A malformed flag value names the flag and the key it sets; a value
+// out of a constructor's range is refused by toConfig(), naming the key.
+TEST(CliOptions, FlagErrorsNameTheKey)
+{
+    try {
+        (void)parse({"--frag", "abc"});
+        FAIL() << "expected an exception";
+    } catch (const std::invalid_argument &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("--frag"), std::string::npos) << what;
+        EXPECT_NE(what.find("vm.frag"), std::string::npos) << what;
+    }
+    for (const char *frag : {"1.5", "1", "-3"}) {
+        try {
+            (void)toConfig(parse({"--frag", frag}));
+            ADD_FAILURE() << "accepted --frag " << frag;
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what()).find("vm.frag"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+}
+
+// --subrow-dedicated sets its key like the INI does, also without
+// --subrow; the sub-row rules are checked once the flags are applied.
+TEST(CliOptions, SubrowDedicatedIsCheckedAfterTheFlags)
+{
+    EXPECT_EQ(toConfig(parse({"--subrow-dedicated", "3"}))
+                  .dram.subRowsForPrefetch,
+              3u);
+    EXPECT_NO_THROW(
+        (void)toConfig(parse({"--subrow-dedicated", "9", "--subrow",
+                              "poa", "--subrow-dedicated", "2"})));
+    try {
+        (void)toConfig(parse({"--subrow", "foa", "--subrow-dedicated",
+                              "9"}));
+        FAIL() << "expected an exception";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what()).find("subrows_for_prefetch"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(CliOptions, ToConfigDefaultsMatchBaseline)

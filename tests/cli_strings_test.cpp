@@ -1,14 +1,15 @@
 /**
  * @file
- * Unit tests for the shared CLI string helpers (formerly a tool-local
- * copy in tempo_sweep that accepted empty values).
+ * Unit tests for the shared string helpers of common/parse.hh
+ * (formerly a tool-local copy in tempo_sweep that accepted empty
+ * values).
  */
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
-#include "cli/strings.hh"
+#include "common/parse.hh"
 
 namespace tempo::cli {
 namespace {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "cli/config_file.hh"
 
@@ -68,7 +70,7 @@ TEST(ConfigFile, SetsVmAndImpAndCore)
         "[core]\nmlp_window = 12\nissue_gap = 2\nseed = 777\n");
     EXPECT_EQ(cfg.vm.policy, PagePolicy::Hugetlbfs1G);
     EXPECT_DOUBLE_EQ(cfg.os.fragLevel, 0.25);
-    EXPECT_TRUE(cfg.imp.enabled);
+    EXPECT_EQ(cfg.prefetch.engines, std::vector<std::string>{"imp"});
     EXPECT_DOUBLE_EQ(cfg.imp.coverage, 0.5);
     EXPECT_EQ(cfg.mlpWindow, 12u);
     EXPECT_FALSE(cfg.useWorkloadMlpHint);
@@ -89,9 +91,9 @@ TEST(ConfigFile, SetsPrefetchSections)
         "degree = 3\ntrain_threshold = 5\nmax_metadata_inflight = 4\n"
         "[temporal]\ntable_entries = 2048\nconfidence_threshold = 2\n"
         "degree = 1\ntrain_threshold = 6\n");
+    // [stride] enabled = true appends stride to the listed engines.
     EXPECT_EQ(cfg.prefetch.engines,
-              (std::vector<std::string>{"tskid", "misb"}));
-    EXPECT_TRUE(cfg.stride.enabled);
+              (std::vector<std::string>{"tskid", "misb", "stride"}));
     EXPECT_EQ(cfg.stride.tableEntries, 32u);
     EXPECT_EQ(cfg.stride.confidenceThreshold, 3u);
     EXPECT_EQ(cfg.stride.degree, 1u);
@@ -237,6 +239,59 @@ TEST(ConfigFile, MmuGeometryIsCheckedAtLoad)
     expectErrorNames("[mmu]\nassoc = 0\n", "assoc");
     expectErrorNames("[mmu]\nentries_per_level = 24\n",
                      "entries_per_level");
+}
+
+// Each of these used to pass the parser and end the run in a signal
+// (an assertion, a division by zero or a null dereference).
+TEST(ConfigFile, ConstructorRulesAreCheckedAtLoad)
+{
+    expectErrorNames("[vm]\nfrag = 1.5\n", "vm.frag");
+    expectErrorNames("[vm]\nfrag = -3\n", "vm.frag");
+    expectErrorNames("[vm]\nfrag = 1\n", "vm.frag");
+    expectErrorNames("[dram]\nsubrow_alloc = foa\nsubrow_count = 0\n",
+                     "subrow_count");
+    expectErrorNames("[dram]\nsubrow_alloc = foa\nsubrow_count = 3\n",
+                     "subrow_count");
+    // 8 KB rows hold 128 lines: 256 sub-rows would be empty.
+    expectErrorNames("[dram]\nsubrow_alloc = foa\nsubrow_count = 256\n",
+                     "subrow_count");
+    expectErrorNames("[dram]\nsubrow_alloc = poa\nsubrow_count = 4\n"
+                     "subrows_for_prefetch = 9\n",
+                     "subrows_for_prefetch");
+    expectErrorNames("[prefetch]\nengines = stride\n"
+                     "[stride]\ntable_entries = 0\n",
+                     "stride.table_entries");
+    expectErrorNames("[imp]\nenabled = true\ntable_entries = 0\n",
+                     "imp.table_entries");
+    expectErrorNames("[vm]\ntranslator_slots = 3\n",
+                     "vm.translator_slots");
+    // A zero refresh interval used to hang the first DRAM access.
+    expectErrorNames("[dram]\ntrefi = 0\n", "trefi");
+    EXPECT_EQ(apply("[dram]\nrefresh = false\ntrefi = 0\n").dram.tREFI, 0u);
+    // Sub-rows off: the sub-row keys build nothing, so nothing fails.
+    const SystemConfig cfg =
+        apply("[dram]\nsubrow_count = 3\nsubrows_for_prefetch = 9\n");
+    EXPECT_EQ(cfg.dram.subRowCount, 3u);
+    // An engine left out of the list builds no table, so nothing fails;
+    // selecting it later in the text does.
+    const SystemConfig off = apply("[imp]\ntable_entries = 0\n"
+                                   "[stride]\ntable_entries = 0\n"
+                                   "[prefetch]\nengines = misb\n");
+    EXPECT_EQ(off.imp.prefetchTableEntries, 0u);
+    EXPECT_EQ(off.stride.tableEntries, 0u);
+    expectErrorNames("[imp]\ntable_entries = 0\nenabled = false\n"
+                     "[prefetch]\nengines = misb,imp\n",
+                     "imp.table_entries");
+}
+
+TEST(ConfigFile, FractionsMustBeInZeroOne)
+{
+    expectErrorNames("[vm]\nthp_eligible = 7\n", "vm.thp_eligible");
+    expectErrorNames("[imp]\ncoverage = -0.1\n", "imp.coverage");
+    expectErrorNames("[imp]\naccuracy = 1.01\n", "imp.accuracy");
+    const SystemConfig cfg = apply("[imp]\ncoverage = 1\naccuracy = 0\n");
+    EXPECT_DOUBLE_EQ(cfg.imp.coverage, 1.0);
+    EXPECT_DOUBLE_EQ(cfg.imp.accuracy, 0.0);
 }
 
 TEST(ConfigFile, GeometryIsCheckedAfterTheWholeText)

@@ -1,15 +1,16 @@
 #include <gtest/gtest.h>
 
+#include "cli/config_file.hh"
+#include "core/tempo_system.hh"
 #include "prefetch/imp.hh"
 
 namespace tempo {
 namespace {
 
 ImpConfig
-enabled()
+deterministic()
 {
     ImpConfig cfg;
-    cfg.enabled = true;
     // Deterministic behaviour for the structural tests; the
     // coverage/accuracy knobs get their own tests below.
     cfg.coverage = 1.0;
@@ -17,17 +18,25 @@ enabled()
     return cfg;
 }
 
+// IMP runs only when prefetch.engines lists it: with "[imp] enabled =
+// false" an indirect workload sends no IMP prefetch to memory, while
+// the listed twin does.
 TEST(Imp, DisabledNeverPrefetches)
 {
-    ImpPrefetcher imp{ImpConfig{}};
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(imp.observe(1, true, 0x1000), kInvalidAddr);
-    EXPECT_EQ(imp.issued(), 0u);
+    SystemConfig off = SystemConfig::skylakeScaled();
+    cli::setConfigKey(off, "imp.enabled", "false");
+    EXPECT_TRUE(off.prefetch.engines.empty());
+    TempoSystem system(off, makeWorkload("spmv", off.seed));
+    EXPECT_EQ(system.run(5000).core.impIssued, 0u);
+    EXPECT_EQ(system.machine().mc.served(ReqKind::ImpPrefetch), 0u);
+    SystemConfig on = SystemConfig::skylakeScaled();
+    cli::setConfigKey(on, "imp.enabled", "true");
+    EXPECT_GT(runWorkload(on, "spmv", 5000).core.impIssued, 0u);
 }
 
 TEST(Imp, IgnoresNonIndirectRefs)
 {
-    ImpPrefetcher imp(enabled());
+    ImpPrefetcher imp(deterministic());
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(imp.observe(1, false, 0x1000), kInvalidAddr);
     EXPECT_EQ(imp.trainedStreams(), 0u);
@@ -35,7 +44,7 @@ TEST(Imp, IgnoresNonIndirectRefs)
 
 TEST(Imp, TrainsThenPrefetches)
 {
-    ImpConfig cfg = enabled();
+    ImpConfig cfg = deterministic();
     cfg.trainThreshold = 4;
     ImpPrefetcher imp(cfg);
     for (int i = 0; i < 4; ++i)
@@ -47,7 +56,7 @@ TEST(Imp, TrainsThenPrefetches)
 
 TEST(Imp, StreamsTrainIndependently)
 {
-    ImpConfig cfg = enabled();
+    ImpConfig cfg = deterministic();
     cfg.trainThreshold = 2;
     ImpPrefetcher imp(cfg);
     imp.observe(1, true, 0x1);
@@ -59,7 +68,7 @@ TEST(Imp, StreamsTrainIndependently)
 
 TEST(Imp, TableCapacityEvictsLru)
 {
-    ImpConfig cfg = enabled();
+    ImpConfig cfg = deterministic();
     cfg.prefetchTableEntries = 2;
     cfg.trainThreshold = 1;
     ImpPrefetcher imp(cfg);
@@ -72,7 +81,7 @@ TEST(Imp, TableCapacityEvictsLru)
 
 TEST(Imp, UnknownFutureYieldsNoPrefetch)
 {
-    ImpConfig cfg = enabled();
+    ImpConfig cfg = deterministic();
     cfg.trainThreshold = 1;
     ImpPrefetcher imp(cfg);
     imp.observe(1, true, 0x1);
@@ -81,7 +90,7 @@ TEST(Imp, UnknownFutureYieldsNoPrefetch)
 
 TEST(Imp, ReportCountsIssued)
 {
-    ImpConfig cfg = enabled();
+    ImpConfig cfg = deterministic();
     cfg.trainThreshold = 1;
     ImpPrefetcher imp(cfg);
     imp.observe(1, true, 0x1);
@@ -95,7 +104,7 @@ TEST(Imp, ReportCountsIssued)
 
 TEST(Imp, CoverageLimitsIssueRate)
 {
-    ImpConfig cfg = enabled();
+    ImpConfig cfg = deterministic();
     cfg.trainThreshold = 1;
     cfg.coverage = 0.5;
     ImpPrefetcher imp(cfg);
@@ -108,7 +117,7 @@ TEST(Imp, CoverageLimitsIssueRate)
 
 TEST(Imp, AccuracyPerturbsTargets)
 {
-    ImpConfig cfg = enabled();
+    ImpConfig cfg = deterministic();
     cfg.trainThreshold = 1;
     cfg.accuracy = 0.0; // every prefetch is wrong
     ImpPrefetcher imp(cfg);
@@ -133,7 +142,7 @@ TEST(Imp, AccuracyPerturbsTargets)
 
 TEST(Imp, FullAccuracyNeverMispredicts)
 {
-    ImpConfig cfg = enabled();
+    ImpConfig cfg = deterministic();
     cfg.trainThreshold = 1;
     ImpPrefetcher imp(cfg);
     imp.observe(1, true, 0x100000);
@@ -150,7 +159,7 @@ TEST(Imp, EvictionPressureSeparatesTrainEventsFromLiveStreams)
     // cumulatively, so under table pressure an evicted-then-retrained
     // stream was double-counted and the stat could exceed the table
     // size. Live residency and cumulative completions are now separate.
-    ImpConfig cfg = enabled();
+    ImpConfig cfg = deterministic();
     cfg.prefetchTableEntries = 2;
     cfg.trainThreshold = 1;
     ImpPrefetcher imp(cfg);
@@ -166,7 +175,7 @@ TEST(Imp, EvictionPressureSeparatesTrainEventsFromLiveStreams)
 
 TEST(Imp, RetrainAfterEvictionCountsANewEvent)
 {
-    ImpConfig cfg = enabled();
+    ImpConfig cfg = deterministic();
     cfg.prefetchTableEntries = 1;
     cfg.trainThreshold = 1;
     ImpPrefetcher imp(cfg);
@@ -183,7 +192,7 @@ class ImpThresholdSweep : public ::testing::TestWithParam<unsigned>
 
 TEST_P(ImpThresholdSweep, ExactlyThresholdObservationsToTrain)
 {
-    ImpConfig cfg = enabled();
+    ImpConfig cfg = deterministic();
     cfg.trainThreshold = GetParam();
     ImpPrefetcher imp(cfg);
     for (unsigned i = 0; i < GetParam(); ++i)

@@ -98,7 +98,9 @@ TEST(MultiSystem, TempoHelpsUnderBliss)
 TEST(MultiSystem, SubRowBuffersWork)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
-    cfg.withSubRows(SubRowAlloc::FOA, 2).withTempo(true);
+    cfg.dram.subRowAlloc = SubRowAlloc::FOA;
+    cfg.dram.subRowsForPrefetch = 2;
+    cfg.withTempo(true);
     MultiSystem system(cfg, makeMix(smallMix(), cfg.seed));
     const MultiResult result = system.run(kRefs);
     EXPECT_GT(result.runtime, 0u);

@@ -51,25 +51,35 @@ TEST(PrefetcherRegistry, ParseRejectsBadLists)
                  std::invalid_argument);
 }
 
+// "[imp] enabled" and "[stride] enabled" are sugar for the engine
+// list: true appends the engine, so the text's order is the dispatch
+// order; false removes it.
 TEST(PrefetcherRegistry, LegacyFlagsSelectEngines)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
     EXPECT_TRUE(buildPrefetchers(cfg).empty());
 
-    cfg.imp.enabled = true;
-    cfg.stride.enabled = true;
-    const auto engines = buildPrefetchers(cfg);
-    // imp before stride: the pre-registry dispatch order the
-    // byte-identity goldens pin.
+    cli::applyConfigText("[imp]\nenabled = true\n"
+                         "[stride]\nenabled = true\n",
+                         cfg);
+    auto engines = buildPrefetchers(cfg);
     ASSERT_EQ(engines.size(), 2u);
     EXPECT_EQ(engines[0]->name(), "imp");
     EXPECT_EQ(engines[1]->name(), "stride");
+
+    cli::applyConfigText("[imp]\nenabled = false\n"
+                         "[imp]\nenabled = true\n"
+                         "[stride]\nenabled = true\n",
+                         cfg);
+    engines = buildPrefetchers(cfg);
+    ASSERT_EQ(engines.size(), 2u);
+    EXPECT_EQ(engines[0]->name(), "stride");
+    EXPECT_EQ(engines[1]->name(), "imp");
 }
 
 TEST(PrefetcherRegistry, ExplicitListBuildsInOrderAndForcesEnabled)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
-    // Flags stay false: an explicit list must not depend on them.
     cfg.withPrefetchers("temporal,stride,tskid,misb,imp");
     const auto engines = buildPrefetchers(cfg);
     ASSERT_EQ(engines.size(), 5u);
@@ -123,12 +133,17 @@ TEST(PrefetcherRegistry, ConfigFileRoundTrip)
 TEST(PrefetcherRegistry, ConfigFileNoneDisablesLegacyFlags)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
-    cfg.imp.enabled = true;
-    cfg.stride.enabled = true;
-    cli::applyConfigText("[prefetch]\nengines = none\n", cfg);
-    EXPECT_FALSE(cfg.imp.enabled);
-    EXPECT_FALSE(cfg.stride.enabled);
+    cli::applyConfigText("[imp]\nenabled = true\n"
+                         "[stride]\nenabled = true\n"
+                         "[prefetch]\nengines = none\n",
+                         cfg);
+    EXPECT_TRUE(cfg.prefetch.engines.empty());
     EXPECT_TRUE(buildPrefetchers(cfg).empty());
+    // Disabling an engine that is not listed leaves the list alone.
+    cli::applyConfigText("[prefetch]\nengines = misb\n"
+                         "[stride]\nenabled = false\n",
+                         cfg);
+    EXPECT_EQ(cfg.prefetch.engines, std::vector<std::string>{"misb"});
 }
 
 /** All-engines config used by the system-level conformance tests. */
@@ -186,33 +201,35 @@ TEST(PrefetcherRegistry, DeterministicAcrossRepeats)
     }
 }
 
+// "[imp] enabled = true" (and --imp) selects exactly the config the
+// engine list does. The pins are the runs of the flag-selected engine
+// before the engine list became the only selector: the one re-pin
+// added the prefetch.imp.* keys and moved nothing else.
 TEST(PrefetcherRegistry, ExplicitImpMatchesLegacyFlag)
 {
-    SystemConfig legacy = SystemConfig::skylakeScaled();
-    legacy.withImp(true);
+    SystemConfig flag = SystemConfig::skylakeScaled();
+    cli::setConfigKey(flag, "imp.enabled", "true");
     SystemConfig registry = SystemConfig::skylakeScaled();
     registry.withPrefetchers("imp");
-    const RunResult a = runWorkload(legacy, "xsbench", 15000);
-    const RunResult b = runWorkload(registry, "xsbench", 15000);
-    // Same engine, same dispatch: timing and headline counters agree;
-    // only the report gains the per-engine taxonomy keys.
-    EXPECT_EQ(a.runtime, b.runtime);
-    EXPECT_EQ(a.core.impIssued, b.core.impIssued);
-    EXPECT_EQ(a.core.impFaults, b.core.impFaults);
-    EXPECT_FALSE(a.report.has("prefetch.imp.issued"));
-    EXPECT_TRUE(b.report.has("prefetch.imp.issued"));
+    EXPECT_EQ(flag.digest(), registry.digest());
+    const RunResult run = runWorkload(flag, "xsbench", 15000);
+    EXPECT_EQ(run.runtime, 1520774u);
+    EXPECT_EQ(run.core.impIssued, 7541u);
+    EXPECT_EQ(run.core.impFaults, 6656u);
+    EXPECT_EQ(run.report.get("prefetch.imp.issued"), 7541.0);
 }
 
 TEST(PrefetcherRegistry, ExplicitStrideMatchesLegacyFlag)
 {
-    SystemConfig legacy = SystemConfig::skylakeScaled();
-    legacy.stride.enabled = true;
+    SystemConfig flag = SystemConfig::skylakeScaled();
+    cli::setConfigKey(flag, "stride.enabled", "true");
     SystemConfig registry = SystemConfig::skylakeScaled();
     registry.withPrefetchers("stride");
-    const RunResult a = runWorkload(legacy, "sgms", 15000);
-    const RunResult b = runWorkload(registry, "sgms", 15000);
-    EXPECT_EQ(a.runtime, b.runtime);
-    EXPECT_EQ(a.core.strideIssued, b.core.strideIssued);
+    EXPECT_EQ(flag.digest(), registry.digest());
+    const RunResult run = runWorkload(flag, "sgms", 15000);
+    EXPECT_EQ(run.runtime, 1542913u);
+    EXPECT_EQ(run.core.strideIssued, 6706u);
+    EXPECT_EQ(run.report.get("prefetch.stride.issued"), 6706.0);
 }
 
 TEST(PrefetcherRegistry, WarmupResetKeepsTaxonomyConsistent)

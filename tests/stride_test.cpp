@@ -1,32 +1,29 @@
 #include <gtest/gtest.h>
 
+#include "cli/config_file.hh"
 #include "core/tempo_system.hh"
 #include "prefetch/stride.hh"
 
 namespace tempo {
 namespace {
 
-StrideConfig
-enabled()
-{
-    StrideConfig cfg;
-    cfg.enabled = true;
-    return cfg;
-}
-
+// A stride engine runs only when prefetch.engines lists it: with
+// "[stride] enabled = false" a strided workload issues no stride
+// prefetch, while the listed twin does.
 TEST(Stride, DisabledIssuesNothing)
 {
-    StridePrefetcher pf{StrideConfig{}};
-    std::vector<Addr> out;
-    for (int i = 0; i < 100; ++i) {
-        pf.observe(1, 0x1000 + i * 64, out);
-        EXPECT_TRUE(out.empty());
-    }
+    SystemConfig off = SystemConfig::skylakeScaled();
+    cli::setConfigKey(off, "stride.enabled", "false");
+    EXPECT_TRUE(off.prefetch.engines.empty());
+    EXPECT_EQ(runWorkload(off, "sgms", 5000).core.strideIssued, 0u);
+    SystemConfig on = SystemConfig::skylakeScaled();
+    cli::setConfigKey(on, "stride.enabled", "true");
+    EXPECT_GT(runWorkload(on, "sgms", 5000).core.strideIssued, 0u);
 }
 
 TEST(Stride, DetectsConstantStride)
 {
-    StrideConfig cfg = enabled();
+    StrideConfig cfg;
     cfg.confidenceThreshold = 2;
     cfg.degree = 1;
     cfg.distance = 4;
@@ -46,7 +43,7 @@ TEST(Stride, DetectsConstantStride)
 
 TEST(Stride, DegreeIssuesConsecutiveSteps)
 {
-    StrideConfig cfg = enabled();
+    StrideConfig cfg;
     cfg.confidenceThreshold = 1;
     cfg.degree = 3;
     cfg.distance = 2;
@@ -63,7 +60,7 @@ TEST(Stride, DegreeIssuesConsecutiveSteps)
 
 TEST(Stride, IrregularStreamNeverTriggers)
 {
-    StridePrefetcher pf(enabled());
+    StridePrefetcher pf{StrideConfig{}};
     std::vector<Addr> out;
     std::uint64_t x = 99;
     for (int i = 0; i < 500; ++i) {
@@ -75,7 +72,7 @@ TEST(Stride, IrregularStreamNeverTriggers)
 
 TEST(Stride, StrideChangeResetsConfidence)
 {
-    StrideConfig cfg = enabled();
+    StrideConfig cfg;
     cfg.confidenceThreshold = 2;
     StridePrefetcher pf(cfg);
     std::vector<Addr> out;
@@ -90,7 +87,7 @@ TEST(Stride, StrideChangeResetsConfidence)
 
 TEST(Stride, NegativeStridesWork)
 {
-    StrideConfig cfg = enabled();
+    StrideConfig cfg;
     cfg.confidenceThreshold = 1;
     cfg.degree = 1;
     cfg.distance = 1;
@@ -108,7 +105,7 @@ TEST(Stride, HighAddressesTrainAndIssue)
     // Regression: the target checks used signed comparisons, so any
     // vaddr at or above 2^63 looked negative and streams up there never
     // prefetched. Addresses have no sign.
-    StrideConfig cfg = enabled();
+    StrideConfig cfg;
     cfg.confidenceThreshold = 1;
     cfg.degree = 1;
     cfg.distance = 1;
@@ -127,7 +124,7 @@ TEST(Stride, NegativeStrideCrossingZeroDropsWrap)
     // Regression: a descending stream near address 0 used to wrap
     // below zero and prefetch a bogus top-of-address-space target; the
     // wrap is now detected and the target dropped (counted).
-    StrideConfig cfg = enabled();
+    StrideConfig cfg;
     cfg.confidenceThreshold = 1;
     cfg.degree = 1;
     cfg.distance = 4;
@@ -145,7 +142,7 @@ TEST(Stride, NegativeStrideCrossingZeroDropsWrap)
 
 TEST(Stride, PositiveStrideWrappingTopIsDropped)
 {
-    StrideConfig cfg = enabled();
+    StrideConfig cfg;
     cfg.confidenceThreshold = 1;
     cfg.degree = 1;
     cfg.distance = 4;
@@ -167,7 +164,7 @@ TEST(Stride, StreamStartingAtZeroTrains)
     // so a stream whose first demand hit vaddr 0 trained one step late
     // (and a later touch OF address 0 reset the stream). History is
     // now tracked explicitly.
-    StrideConfig cfg = enabled();
+    StrideConfig cfg;
     cfg.confidenceThreshold = 1;
     cfg.degree = 1;
     cfg.distance = 1;
@@ -184,7 +181,7 @@ TEST(Stride, StreamStartingAtZeroTrains)
 
 TEST(Stride, StreamsAreIndependent)
 {
-    StrideConfig cfg = enabled();
+    StrideConfig cfg;
     cfg.confidenceThreshold = 1;
     StridePrefetcher pf(cfg);
     std::vector<Addr> out;
@@ -199,7 +196,7 @@ TEST(Stride, StreamsAreIndependent)
 TEST(Stride, SystemRunWithStrideWorks)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
-    cfg.stride.enabled = true;
+    cfg.withPrefetchers("stride");
     TempoSystem system(cfg, makeWorkload("sgms", cfg.seed));
     const RunResult result = system.run(20000);
     // sgms has sequential sweeps: the stride prefetcher must fire.
@@ -209,7 +206,7 @@ TEST(Stride, SystemRunWithStrideWorks)
 TEST(Stride, TempoStillWinsWithStride)
 {
     SystemConfig base = SystemConfig::skylakeScaled();
-    base.stride.enabled = true;
+    base.withPrefetchers("stride");
     SystemConfig tempo_cfg = base;
     tempo_cfg.withTempo(true);
     const RunResult off = runWorkload(base, "xsbench", 20000);

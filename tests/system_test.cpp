@@ -111,7 +111,7 @@ TEST(System, ReplayServiceBreakdownAddsUp)
 TEST(System, ImpGeneratesPrefetchTraffic)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
-    cfg.withImp(true);
+    cfg.withPrefetchers("imp");
     TempoSystem system(cfg, makeWorkload("spmv", cfg.seed));
     const RunResult result = system.run(kRefs);
     EXPECT_GT(result.core.impIssued, 0u);
@@ -123,7 +123,7 @@ TEST(System, ImpPrefetchesCanFaultAndAreSuppressed)
     // IMP prefetches to not-yet-touched pages exercise TEMPO's page
     // fault suppression (paper Sec. 4.5).
     SystemConfig cfg = SystemConfig::skylakeScaled();
-    cfg.withImp(true).withTempo(true);
+    cfg.withPrefetchers("imp").withTempo(true);
     TempoSystem system(cfg, makeWorkload("xsbench", cfg.seed));
     const RunResult result = system.run(kRefs);
     EXPECT_GT(result.core.impFaults, 0u);

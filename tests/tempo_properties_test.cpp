@@ -177,7 +177,7 @@ TEST_P(BigDataProperty, RowPolicySweepNeverBreaksTempoWin)
          {RowPolicyKind::Open, RowPolicyKind::Closed,
           RowPolicyKind::Adaptive}) {
         SystemConfig base_cfg = SystemConfig::skylakeScaled();
-        base_cfg.withRowPolicy(kind);
+        base_cfg.dram.rowPolicy = kind;
         SystemConfig tempo_cfg = base_cfg;
         tempo_cfg.withTempo(true);
         const RunResult base =
@@ -224,7 +224,8 @@ TEST(TempoProperty, SuperpagesReduceButDontEliminateBenefit)
     // benefit declines as superpage coverage rises, stays positive.
     auto benefit = [](PagePolicy policy, double frag) {
         SystemConfig base_cfg = SystemConfig::skylakeScaled();
-        base_cfg.withPagePolicy(policy, frag);
+        base_cfg.vm.policy = policy;
+        base_cfg.os.fragLevel = frag;
         SystemConfig tempo_cfg = base_cfg;
         tempo_cfg.withTempo(true);
         const RunResult base = runWorkload(base_cfg, "xsbench", kRefs);

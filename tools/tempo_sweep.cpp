@@ -1,7 +1,8 @@
 /**
  * @file
- * tempo_sweep: sweep one configuration key (any key the INI config
- * files accept) across a list of values and print a CSV of runtime,
+ * tempo_sweep: sweep one configuration key (any key of the table in
+ * src/cli/config_file.hh, which INI config files also set) across a
+ * list of values and print a CSV of runtime,
  * energy, and the headline statistics — optionally with a TEMPO
  * comparison column per point.
  *
@@ -12,7 +13,7 @@
  *   tempo_sweep --workload graph500 --key vm.frag \
  *               --values 0,0.25,0.5,0.75 --compare --refs 200000
  *
- * The key syntax is "<section>.<key>" from src/cli/config_file.hh.
+ * `tempo_sweep --help` lists every key with its values.
  * All points run concurrently on the experiment engine (--jobs N,
  * default all cores); output is byte-identical for any job count.
  */
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "cli/config_file.hh"
-#include "cli/strings.hh"
 #include "common/parse.hh"
 #include "common/profiler.hh"
 #include "core/experiment.hh"
@@ -64,8 +64,8 @@ usage(int status)
         "  [--retries N] [--point-timeout S] [--checkpoint DIR]\n"
         "  [--progress [N]] [--dashboard DIR]\n"
         "  [--tempo | --compare]\n"
-        "Keys are the INI config keys (src/cli/config_file.hh),\n"
-        "e.g. dram.row_policy, mc.pt_row_hold, vm.frag.\n"
+        "Keys are the config keys INI files set as [SECTION] KEY; the\n"
+        "list below gives each key's values.\n"
         "Points run in parallel (--jobs N, default all cores or the\n"
         "TEMPO_JOBS env var); results are identical at any job count.\n"
         "A failing or timed-out point does not kill the sweep: its row\n"
@@ -85,6 +85,11 @@ usage(int status)
         "Exit status: 0 when at least one\n"
         "point succeeded, 3 when all failed, 2 on usage errors.\n",
         status == 0 ? stdout : stderr);
+    if (status == 0) {
+        std::printf("\nKeys:\n");
+        for (const cli::ConfigKey &key : cli::configKeys())
+            std::printf("  %-32s %s\n", key.name, key.values().c_str());
+    }
     std::exit(status);
 }
 
@@ -104,7 +109,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--key")
             args.key = next();
         else if (arg == "--values")
-            args.values = cli::splitCommas(next());
+            args.values = splitCommas(next());
         else if (arg == "--refs") {
             args.refs = parseU64(arg, next());
             if (args.refs == 0)
@@ -145,10 +150,7 @@ parseArgs(int argc, char **argv)
     }
     if (args.key.empty() || args.values.empty())
         usage(2);
-    const std::size_t dot = args.key.find('.');
-    if (dot == std::string::npos || dot == 0
-        || dot + 1 == args.key.size())
-        throw std::invalid_argument("--key must be SECTION.KEY");
+    (void)cli::configKey(args.key);
     return args;
 }
 
@@ -157,10 +159,8 @@ configFor(const SweepArgs &args, const std::string &value, bool tempo)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
     cfg.withTempo(tempo);
-    const std::size_t dot = args.key.find('.');
-    const std::string ini = "[" + args.key.substr(0, dot) + "]\n"
-        + args.key.substr(dot + 1) + " = " + value + "\n";
-    cli::applyConfigText(ini, cfg);
+    cli::setConfigKey(cfg, args.key, value);
+    cli::checkConfig(cfg);
     return cfg;
 }
 
