@@ -70,23 +70,23 @@ main()
             points.push_back(
                 tempo::bench::point(variant(v), name, refs()));
     }
-    JsonRecorder json("ablation_tempo");
+    Bench bench("ablation_tempo");
     const std::vector<tempo::RunResult> results =
-        runAll(std::move(points));
+        bench.runAll(points);
 
     std::size_t idx = 0;
     for (const std::string &name : names) {
         const tempo::RunResult &base = results[idx++];
-        json.add(name, {{"variant", "baseline"}}, base);
+        bench.add(name, {{"variant", "baseline"}}, base);
         std::printf("%-10s", name.c_str());
         for (std::size_t v = 0; v < num_variants; ++v) {
             const tempo::RunResult &result = results[idx++];
             std::printf(" %11.1f%%", pct(result.speedupOver(base)));
-            json.add(name, {{"variant", variants[v]}}, result);
+            bench.add(name, {{"variant", variants[v]}}, result);
         }
         std::printf("\n");
     }
-    json.write(refs());
+    bench.write(refs());
     footer();
     return 0;
 }

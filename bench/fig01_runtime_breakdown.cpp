@@ -26,8 +26,8 @@ main()
     std::vector<ExperimentPoint> points;
     for (const std::string &name : names)
         points.push_back(point(cfg, name, refs()));
-    JsonRecorder json("fig01_runtime_breakdown");
-    const std::vector<RunResult> results = runAll(std::move(points));
+    Bench bench("fig01_runtime_breakdown");
+    const std::vector<RunResult> results = bench.runAll(points);
 
     for (std::size_t i = 0; i < names.size(); ++i) {
         const RunResult &result = results[i];
@@ -37,9 +37,9 @@ main()
         std::printf("%-10s %14.1f %17.1f %12.1f %12.1f\n",
                     names[i].c_str(), pct(ptw), pct(replay), pct(other),
                     pct(1.0 - ptw - replay - other));
-        json.add(names[i], {{"mc.tempo", "false"}}, result);
+        bench.add(names[i], {{"mc.tempo", "false"}}, result);
     }
-    json.write(refs());
+    bench.write(refs());
     footer();
     return 0;
 }

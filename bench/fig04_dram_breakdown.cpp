@@ -29,8 +29,8 @@ main()
     std::vector<ExperimentPoint> points;
     for (const std::string &name : names)
         points.push_back(point(cfg, name, refs()));
-    JsonRecorder json("fig04_dram_breakdown");
-    const std::vector<RunResult> results = runAll(std::move(points));
+    Bench bench("fig04_dram_breakdown");
+    const std::vector<RunResult> results = bench.runAll(points);
 
     for (std::size_t i = 0; i < names.size(); ++i) {
         const RunResult &result = results[i];
@@ -43,9 +43,9 @@ main()
                                      core.ptDramAccesses)),
                     pct(stats::ratio(core.replayDramAfterDramWalk,
                                      core.replayAfterDramWalk)));
-        json.add(names[i], {{"mc.tempo", "false"}}, result);
+        bench.add(names[i], {{"mc.tempo", "false"}}, result);
     }
-    json.write(refs());
+    bench.write(refs());
     footer();
     return 0;
 }

@@ -22,17 +22,17 @@ main()
     std::printf("%-10s %8s %8s %14s\n", "workload", "perf%", "energy%",
                 "2MB-coverage%");
     const std::vector<std::string> &names = bigDataWorkloadNames();
-    JsonRecorder json("fig10_perf_energy");
+    Bench bench("fig10_perf_energy");
     const std::vector<Pair> pairs =
-        runPairs(SystemConfig::skylakeScaled(), names, refs());
+        bench.runPairs(SystemConfig::skylakeScaled(), names, refs());
     for (std::size_t i = 0; i < names.size(); ++i) {
         const Pair &pair = pairs[i];
         std::printf("%-10s %8.1f %8.1f %14.1f\n", names[i].c_str(),
                     pct(pair.tempo.speedupOver(pair.base)),
                     pct(pair.tempo.energySavingOver(pair.base)),
                     pct(pair.base.coverage2M));
-        json.add(names[i], {{"mc.tempo", "false"}}, pair.base);
-        json.add(names[i], {{"mc.tempo", "true"}}, pair.tempo);
+        bench.add(names[i], {{"mc.tempo", "false"}}, pair.base);
+        bench.add(names[i], {{"mc.tempo", "true"}}, pair.tempo);
     }
 
     const EnergyConfig energy;
@@ -41,7 +41,7 @@ main()
                 "(paper: +3%% / +0.5%%)\n",
                 pct(energy.tempoMcAreaOverhead),
                 pct(energy.tempoWalkerAreaOverhead));
-    json.write(refs());
+    bench.write(refs());
     footer();
     return 0;
 }

@@ -28,13 +28,13 @@ main()
     std::vector<ExperimentPoint> points;
     for (const std::string &name : names)
         points.push_back(point(cfg, name, refs()));
-    JsonRecorder json("fig11_replay_breakdown");
-    const std::vector<RunResult> results = runAll(std::move(points));
+    Bench bench("fig11_replay_breakdown");
+    const std::vector<RunResult> results = bench.runAll(points);
 
     for (std::size_t i = 0; i < names.size(); ++i) {
         const RunResult &result = results[i];
         const CoreStats &core = result.core;
-        json.add(names[i], {{"mc.tempo", "true"}}, result);
+        bench.add(names[i], {{"mc.tempo", "true"}}, result);
         const double total =
             static_cast<double>(core.replayAfterDramWalk);
         if (total == 0) {
@@ -50,7 +50,7 @@ main()
                     pct(core.replayArray / total),
                     pct(core.replayPrivateHits / total));
     }
-    json.write(refs());
+    bench.write(refs());
     footer();
     return 0;
 }

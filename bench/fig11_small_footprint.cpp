@@ -21,9 +21,9 @@ main()
                 "TLB-miss%");
     bool any_harm = false;
     const std::vector<std::string> &names = smallWorkloadNames();
-    JsonRecorder json("fig11_small_footprint");
+    Bench bench("fig11_small_footprint");
     const std::vector<Pair> pairs =
-        runPairs(SystemConfig::skylakeScaled(), names, refs());
+        bench.runPairs(SystemConfig::skylakeScaled(), names, refs());
     for (std::size_t i = 0; i < names.size(); ++i) {
         const Pair &pair = pairs[i];
         const double perf = pair.tempo.speedupOver(pair.base);
@@ -32,10 +32,10 @@ main()
         std::printf("%-18s %8.1f %8.1f %12.1f\n", names[i].c_str(),
                     pct(perf), pct(energy),
                     pct(rget(pair.base, "tlb.miss_rate")));
-        json.add(names[i], {{"mc.tempo", "false"}}, pair.base);
-        json.add(names[i], {{"mc.tempo", "true"}}, pair.tempo);
+        bench.add(names[i], {{"mc.tempo", "false"}}, pair.base);
+        bench.add(names[i], {{"mc.tempo", "true"}}, pair.tempo);
     }
-    json.write(refs());
+    bench.write(refs());
     std::printf("\n%s\n", any_harm
                               ? "WARNING: a workload was harmed"
                               : "no workload harmed (matches paper)");

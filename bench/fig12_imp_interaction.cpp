@@ -48,8 +48,8 @@ main()
         points.push_back(point(imp_cfg, name, n));
         points.push_back(point(imp_tempo_cfg, name, n));
     }
-    JsonRecorder json("fig12_imp_interaction");
-    const std::vector<RunResult> results = runAll(std::move(points));
+    Bench bench("fig12_imp_interaction");
+    const std::vector<RunResult> results = bench.runAll(points);
 
     for (std::size_t i = 0; i < names.size(); ++i) {
         const Pair plain{results[4 * i], results[4 * i + 1]};
@@ -66,16 +66,16 @@ main()
                     pct(plain.tempo.speedupOver(plain.base)),
                     pct(with_imp.tempo.speedupOver(with_imp.base)),
                     pct(combined), pct(combined_energy));
-        json.add(names[i], {{"imp.enabled", "false"},
+        bench.add(names[i], {{"imp.enabled", "false"},
                             {"mc.tempo", "false"}}, plain.base);
-        json.add(names[i], {{"imp.enabled", "false"},
+        bench.add(names[i], {{"imp.enabled", "false"},
                             {"mc.tempo", "true"}}, plain.tempo);
-        json.add(names[i], {{"imp.enabled", "true"},
+        bench.add(names[i], {{"imp.enabled", "true"},
                             {"mc.tempo", "false"}}, with_imp.base);
-        json.add(names[i], {{"imp.enabled", "true"},
+        bench.add(names[i], {{"imp.enabled", "true"},
                             {"mc.tempo", "true"}}, with_imp.tempo);
     }
-    json.write(n);
+    bench.write(n);
     footer();
     return 0;
 }

@@ -55,8 +55,8 @@ main()
             points.push_back(point(tempo_cfg, name, refs()));
         }
     }
-    JsonRecorder json("fig13_superpages");
-    const std::vector<RunResult> results = runAll(std::move(points));
+    Bench bench("fig13_superpages");
+    const std::vector<RunResult> results = bench.runAll(points);
 
     std::size_t idx = 0;
     for (const std::string &name : names) {
@@ -73,11 +73,11 @@ main()
                                   {"mc.tempo", "false"}};
             auto tempo_overrides = base_overrides;
             tempo_overrides[1].second = "true";
-            json.add(name, base_overrides, pair.base);
-            json.add(name, tempo_overrides, pair.tempo);
+            bench.add(name, base_overrides, pair.base);
+            bench.add(name, tempo_overrides, pair.tempo);
         }
     }
-    json.write(refs());
+    bench.write(refs());
     footer();
     return 0;
 }

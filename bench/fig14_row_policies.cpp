@@ -37,8 +37,8 @@ main()
             points.push_back(point(tempo_cfg, name, refs()));
         }
     }
-    JsonRecorder json("fig14_row_policies");
-    const std::vector<RunResult> results = runAll(std::move(points));
+    Bench bench("fig14_row_policies");
+    const std::vector<RunResult> results = bench.runAll(points);
 
     std::size_t idx = 0;
     for (const std::string &name : names) {
@@ -46,11 +46,11 @@ main()
         for (int i = 0; i < 3; ++i, idx += 2) {
             const Pair pair{results[idx], results[idx + 1]};
             benefit[i] = pair.tempo.speedupOver(pair.base);
-            json.add(name,
+            bench.add(name,
                      {{"dram.row_policy", rowPolicyName(kinds[i])},
                       {"mc.tempo", "false"}},
                      pair.base);
-            json.add(name,
+            bench.add(name,
                      {{"dram.row_policy", rowPolicyName(kinds[i])},
                       {"mc.tempo", "true"}},
                      pair.tempo);
@@ -58,7 +58,7 @@ main()
         std::printf("%-10s %10.1f %10.1f %10.1f\n", name.c_str(),
                     pct(benefit[0]), pct(benefit[1]), pct(benefit[2]));
     }
-    json.write(refs());
+    bench.write(refs());
     footer();
     return 0;
 }

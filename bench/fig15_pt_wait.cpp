@@ -38,18 +38,18 @@ main()
             points.push_back(point(cfg, name, refs()));
         }
     }
-    JsonRecorder json("fig15_pt_wait");
-    const std::vector<RunResult> results = runAll(std::move(points));
+    Bench bench("fig15_pt_wait");
+    const std::vector<RunResult> results = bench.runAll(points);
 
     std::size_t idx = 0;
     for (const std::string &name : names) {
         const RunResult &base = results[idx++];
-        json.add(name, {{"mc.tempo", "false"}}, base);
+        bench.add(name, {{"mc.tempo", "false"}}, base);
         std::printf("%-10s", name.c_str());
         for (std::size_t w = 0; w < num_waits; ++w) {
             const RunResult &result = results[idx++];
             std::printf(" %8.2f", pct(result.speedupOver(base)));
-            json.add(name,
+            bench.add(name,
                      {{"mc.tempo", "true"},
                       {"mc.pt_row_hold",
                        std::to_string(waits[w])}},
@@ -57,7 +57,7 @@ main()
         }
         std::printf("\n");
     }
-    json.write(refs());
+    bench.write(refs());
     footer();
     return 0;
 }

@@ -16,10 +16,6 @@ main()
     using namespace tempo;
     using namespace tempo::bench;
 
-    // aloneRuntimes() runs a parallel batch before any entry point that
-    // checks the environment: reject a malformed TEMPO_* variable here.
-    (void)envOptions();
-
     header("Figure 16",
            "BLISS fairness scheduler x TEMPO",
            "weighted speedup improves in every configuration; the "
@@ -38,7 +34,7 @@ main()
     for (const auto &mix : mixes)
         alone.push_back(aloneRuntimes(bliss_cfg, mix, per_app));
 
-    JsonRecorder json("fig16_bliss");
+    Bench bench("fig16_bliss");
 
     // Baseline mixes run together as one parallel batch. A failed mix
     // contributes zero metrics (its status lands in the JSON).
@@ -47,16 +43,12 @@ main()
         base_points.push_back(
             MixPoint{mix, bliss_cfg, per_app, 0});
     const std::vector<MultiResult> base_results =
-        runAllMix(base_points);
+        bench.runAllMix(base_points);
     std::vector<FairnessPoint> baseline;
-    for (std::size_t m = 0; m < mixes.size(); ++m) {
-        const MultiResult &result = base_results[m];
-        baseline.push_back(
-            result.status.ok()
-                ? FairnessPoint{result.weightedSpeedup(alone[m]),
-                                result.maxSlowdown(alone[m])}
-                : FairnessPoint{0, 0});
-    }
+    for (std::size_t m = 0; m < mixes.size(); ++m)
+        baseline.push_back(bench.addMix("mix" + std::to_string(m),
+                                        {{"mc.tempo", "false"}},
+                                        base_results[m], alone[m]));
 
     auto sweep = [&](const char *title, const char *key,
                      auto config_for, const std::vector<unsigned> &xs) {
@@ -69,18 +61,16 @@ main()
             for (const auto &mix : mixes)
                 points.push_back(
                     MixPoint{mix, config_for(x), per_app, 0});
-        const std::vector<MultiResult> results = runAllMix(points);
+        const std::vector<MultiResult> results = bench.runAllMix(points);
         for (std::size_t xi = 0; xi < xs.size(); ++xi) {
             double ws = 0, slow = 0;
             for (std::size_t m = 0; m < mixes.size(); ++m) {
                 const MultiResult &result =
                     results[xi * mixes.size() + m];
-                const FairnessPoint point =
-                    result.status.ok()
-                        ? FairnessPoint{
-                              result.weightedSpeedup(alone[m]),
-                              result.maxSlowdown(alone[m])}
-                        : FairnessPoint{0, 0};
+                const FairnessPoint point = bench.addMix(
+                    "mix" + std::to_string(m),
+                    {{key, std::to_string(xs[xi])}, {"mc.tempo", "true"}},
+                    result, alone[m]);
                 if (result.status.ok()
                     && baseline[m].weightedSpeedup > 0) {
                     ws += point.weightedSpeedup
@@ -88,27 +78,12 @@ main()
                     slow += 1.0
                         - point.maxSlowdown / baseline[m].maxSlowdown;
                 }
-                json.addMetrics(
-                    "mix" + std::to_string(m),
-                    {{key, std::to_string(xs[xi])},
-                     {"mc.tempo", "true"}},
-                    {{"weighted_speedup", point.weightedSpeedup},
-                     {"max_slowdown", point.maxSlowdown}},
-                    result.status, result.runtime);
             }
             std::printf("%6u %20.2f %20.2f\n", xs[xi],
                         pct(ws / mixes.size()),
                         pct(slow / mixes.size()));
         }
     };
-
-    for (std::size_t m = 0; m < mixes.size(); ++m) {
-        json.addMetrics(
-            "mix" + std::to_string(m), {{"mc.tempo", "false"}},
-            {{"weighted_speedup", baseline[m].weightedSpeedup},
-             {"max_slowdown", baseline[m].maxSlowdown}},
-            base_results[m].status, base_results[m].runtime);
-    }
 
     sweep("left: prefetch counter weight (demand weight = 2)",
           "mc.bliss_prefetch_weight",
@@ -130,7 +105,7 @@ main()
           },
           {0, 5, 15, 30, 60});
 
-    json.write(per_app);
+    bench.write(per_app);
     footer();
     return 0;
 }

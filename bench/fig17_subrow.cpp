@@ -15,10 +15,6 @@ main()
     using namespace tempo;
     using namespace tempo::bench;
 
-    // aloneRuntimes() runs a parallel batch before any entry point that
-    // checks the environment: reject a malformed TEMPO_* variable here.
-    (void)envOptions();
-
     header("Figure 17",
            "sub-row buffers: FOA/POA x dedicated prefetch sub-rows",
            "2 dedicated sub-rows is the sweet spot; more dedication "
@@ -28,7 +24,7 @@ main()
     const auto mixes = fairnessMixes();
     const unsigned dedications[] = {0, 1, 2, 4, 6};
 
-    JsonRecorder json("fig17_subrow");
+    Bench bench("fig17_subrow");
     for (const SubRowAlloc alloc : {SubRowAlloc::FOA, SubRowAlloc::POA}) {
         std::printf("\n%s:\n", subRowAllocName(alloc));
 
@@ -46,23 +42,14 @@ main()
             base_points.push_back(
                 MixPoint{mix, base_cfg, per_app, 0});
         const std::vector<MultiResult> base_results =
-            runAllMix(base_points);
+            bench.runAllMix(base_points);
         std::vector<FairnessPoint> baseline;
-        for (std::size_t m = 0; m < mixes.size(); ++m) {
-            const MultiResult &result = base_results[m];
-            baseline.push_back(
-                result.status.ok()
-                    ? FairnessPoint{result.weightedSpeedup(alone[m]),
-                                    result.maxSlowdown(alone[m])}
-                    : FairnessPoint{0, 0});
-            json.addMetrics(
+        for (std::size_t m = 0; m < mixes.size(); ++m)
+            baseline.push_back(bench.addMix(
                 "mix" + std::to_string(m),
                 {{"mc.subrow", subRowAllocName(alloc)},
                  {"mc.tempo", "false"}},
-                {{"weighted_speedup", baseline[m].weightedSpeedup},
-                 {"max_slowdown", baseline[m].maxSlowdown}},
-                result.status, result.runtime);
-        }
+                base_results[m], alone[m]));
 
         // All (dedication, mix) combinations as one parallel batch.
         std::vector<MixPoint> points;
@@ -73,7 +60,7 @@ main()
             for (const auto &mix : mixes)
                 points.push_back(MixPoint{mix, cfg, per_app, 0});
         }
-        const std::vector<MultiResult> results = runAllMix(points);
+        const std::vector<MultiResult> results = bench.runAllMix(points);
 
         std::printf("%12s %20s %20s\n", "dedicated",
                     "d-weighted-speedup%", "d-max-slowdown%");
@@ -82,12 +69,13 @@ main()
             for (std::size_t m = 0; m < mixes.size(); ++m) {
                 const MultiResult &result =
                     results[d * mixes.size() + m];
-                const FairnessPoint point =
-                    result.status.ok()
-                        ? FairnessPoint{
-                              result.weightedSpeedup(alone[m]),
-                              result.maxSlowdown(alone[m])}
-                        : FairnessPoint{0, 0};
+                const FairnessPoint point = bench.addMix(
+                    "mix" + std::to_string(m),
+                    {{"mc.subrow", subRowAllocName(alloc)},
+                     {"mc.subrow_dedicated",
+                      std::to_string(dedications[d])},
+                     {"mc.tempo", "true"}},
+                    result, alone[m]);
                 if (result.status.ok()
                     && baseline[m].weightedSpeedup > 0) {
                     ws += point.weightedSpeedup
@@ -95,22 +83,13 @@ main()
                     slow += 1.0
                         - point.maxSlowdown / baseline[m].maxSlowdown;
                 }
-                json.addMetrics(
-                    "mix" + std::to_string(m),
-                    {{"mc.subrow", subRowAllocName(alloc)},
-                     {"mc.subrow_dedicated",
-                      std::to_string(dedications[d])},
-                     {"mc.tempo", "true"}},
-                    {{"weighted_speedup", point.weightedSpeedup},
-                     {"max_slowdown", point.maxSlowdown}},
-                    result.status, result.runtime);
             }
             std::printf("%12u %20.2f %20.2f\n", dedications[d],
                         pct(ws / mixes.size()),
                         pct(slow / mixes.size()));
         }
     }
-    json.write(per_app);
+    bench.write(per_app);
     footer();
     return 0;
 }

@@ -53,8 +53,8 @@ main()
         }
     }
 
-    JsonRecorder json("fig_matrix");
-    const std::vector<RunResult> results = runAll(std::move(points));
+    Bench bench("fig_matrix");
+    const std::vector<RunResult> results = bench.runAll(points);
 
     std::printf("%-10s | %-8s | %12s %12s %12s %12s\n", "workload",
                 "engine", "TEMPO dC%", "accuracy%", "late%", "energy%");
@@ -74,15 +74,15 @@ main()
                         issued > 0 ? pct(useful / issued) : 0.0,
                         issued > 0 ? pct(late / issued) : 0.0,
                         pct(tempo.energySavingOver(base)));
-            json.add(names[w],
+            bench.add(names[w],
                      {{"prefetch.engines", kEngines[e]},
                       {"mc.tempo", "false"}}, base);
-            json.add(names[w],
+            bench.add(names[w],
                      {{"prefetch.engines", kEngines[e]},
                       {"mc.tempo", "true"}}, tempo);
         }
     }
-    json.write(n);
+    bench.write(n);
     footer();
     return 0;
 }

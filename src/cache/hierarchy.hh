@@ -37,18 +37,6 @@ struct CacheHierarchyConfig {
 /** Where an access was satisfied. */
 enum class CacheLevel : std::uint8_t { L1, L2, LLC, Memory };
 
-inline const char *
-cacheLevelName(CacheLevel level)
-{
-    switch (level) {
-      case CacheLevel::L1: return "L1";
-      case CacheLevel::L2: return "L2";
-      case CacheLevel::LLC: return "LLC";
-      case CacheLevel::Memory: return "memory";
-    }
-    return "?";
-}
-
 /** Outcome of a hierarchy access. */
 struct CacheOutcome {
     CacheLevel level;   //!< where the line was found (Memory = miss)

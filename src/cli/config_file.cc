@@ -329,6 +329,14 @@ checkConfig(const SystemConfig &cfg)
     if (selected("stride"))
         check("stride.table_entries",
               StridePrefetcher::configError(cfg.stride));
+    if (selected("tskid"))
+        check("tskid.table_entries", TskidPrefetcher::configError(cfg.tskid));
+    if (selected("misb"))
+        check("misb.pair_entries/misb.metadata_cache_entries",
+              MisbPrefetcher::configError(cfg.misb));
+    if (selected("temporal"))
+        check("temporal.table_entries",
+              TemporalPrefetcher::configError(cfg.temporal));
 }
 
 void

@@ -2,7 +2,6 @@
 
 #include "cli/config_file.hh"
 #include "common/parse.hh"
-#include "obs/obs.hh"
 
 #include <stdexcept>
 #include <string_view>
@@ -83,29 +82,12 @@ usage()
         "                      see README for the full list\n"
         "  --refs N            references to simulate (default 300000)\n"
         "  --compare           run baseline AND TEMPO, print the delta\n"
-        "  --jobs N            worker threads for --compare runs\n"
-        "                      (default: all cores, or TEMPO_JOBS)\n"
-        "  --retries N         re-run a failed point up to N times with\n"
-        "                      a reseeded workload (default 0)\n"
-        "  --point-timeout S   mark a point timed_out after S seconds\n"
-        "                      of wall-clock time (default: none)\n"
-        "  --checkpoint DIR    record finished points in DIR and skip\n"
-        "                      them when re-run after a crash\n"
         "  --full-report       dump every statistic\n"
         "  --csv PATH          write the full report as CSV\n"
         "  --json PATH         write results as tempo-bench-1 JSON\n"
         "  --trace-in PATH     replay a recorded trace file\n"
         "  --trace-out PATH    record the workload to a trace file and "
         "exit\n"
-        "  --trace PATH        write a deterministic pipeline trace\n"
-        "                      (Chrome trace-event JSON; load in "
-        "Perfetto)\n"
-        "  --trace-filter C    comma-separated trace categories:\n"
-        "                      walk,pt,txq,prefetch,replay,row,bliss,"
-        "all\n"
-        "  --timeseries-window N  sample time-series metrics every N\n"
-        "                      cycles into the bench JSON (default "
-        "off)\n"
         "  --config PATH       apply an INI config file (every key and\n"
         "                      its values: tempo_sweep --help)\n"
         "  --profile           report per-component wall-clock "
@@ -117,13 +99,14 @@ usage()
         "and --config PATH applies on top. --imp (like \"[imp] enabled =\n"
         "true\" in a config file) appends imp to prefetch.engines; the list\n"
         "order is the engines' dispatch order.\n")
-        + keyFlagUsage();
+        + keyFlagUsage() + "\n" + runFlagUsage(kSim);
 }
 
 Options
 parse(const std::vector<std::string> &args)
 {
     Options options;
+    options.run = RunOptions::fromEnv();
     bool tempo_flag = false;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
@@ -156,15 +139,7 @@ parse(const std::vector<std::string> &args)
                 bad(std::string(alias->flag) + ": " + error.what());
             }
             tempo_flag = tempo_flag || arg == "--tempo";
-        } else if (arg == "--jobs") {
-            options.jobs = parseUnsigned(arg, next("--jobs"));
-        } else if (arg == "--retries") {
-            options.retries = parseUnsigned(arg, next("--retries"));
-        } else if (arg == "--point-timeout") {
-            options.pointTimeout =
-                parseSeconds(arg, next("--point-timeout"));
-        } else if (arg == "--checkpoint") {
-            options.checkpointDir = next("--checkpoint");
+        } else if (applyRunFlag(options.run, kSim, args, i)) {
         } else if (arg == "--full-report") {
             options.fullReport = true;
         } else if (arg == "--csv") {
@@ -175,22 +150,6 @@ parse(const std::vector<std::string> &args)
             options.traceIn = next("--trace-in");
         } else if (arg == "--trace-out") {
             options.traceOut = next("--trace-out");
-        } else if (arg == "--trace") {
-            options.tracePath = next("--trace");
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            options.tracePath = arg.substr(8);
-            if (options.tracePath.empty())
-                bad("--trace needs a value");
-        } else if (arg == "--trace-filter") {
-            options.traceFilter = next("--trace-filter");
-        } else if (arg.rfind("--trace-filter=", 0) == 0) {
-            options.traceFilter = arg.substr(15);
-        } else if (arg == "--timeseries-window") {
-            options.timeseriesWindow =
-                parseU64(arg, next("--timeseries-window"));
-        } else if (arg.rfind("--timeseries-window=", 0) == 0) {
-            options.timeseriesWindow =
-                parseU64("--timeseries-window", arg.substr(20));
         } else if (arg == "--config") {
             options.configPath = next("--config");
         } else if (arg == "--profile") {
@@ -203,10 +162,6 @@ parse(const std::vector<std::string> &args)
         bad("--tempo and --compare are mutually exclusive "
             "(--compare runs both)");
     checkConfig(options.config);
-    // Validate the filter at parse time so typos fail before a long run
-    // (throws std::invalid_argument, the same contract as bad()).
-    if (!options.traceFilter.empty())
-        obs::parseCategories(options.traceFilter);
     return options;
 }
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/run_options.hh"
 #include "core/config.hh"
 
 namespace tempo::cli {
@@ -25,16 +26,7 @@ struct Options {
      * command-line order and checkConfig()ed. toConfig() adds --config
      * on top. */
     SystemConfig config = SystemConfig::skylakeScaled().withSeed(42);
-    /** Worker threads for parallel runs (--compare); 0 = all cores
-     * (or the TEMPO_JOBS env var). */
-    unsigned jobs = 0;
-    /** Extra attempts for a failed/timed-out point (reseeded). */
-    unsigned retries = 0;
-    /** Per-point wall-clock budget in seconds; 0 = no watchdog. */
-    double pointTimeout = 0;
-    /** Checkpoint directory for kill/resume (a one-worker sweep
-     * fabric; see useCheckpointDir()); "" = off. */
-    std::string checkpointDir;
+    RunOptions run; //!< the TEMPO_* variables, run flags on top
     bool fullReport = false;
     std::string csvPath;    //!< write the full report as CSV here
     std::string jsonPath;   //!< write results as tempo-bench-1 JSON
@@ -42,13 +34,6 @@ struct Options {
                             //!< named generator
     std::string traceOut;   //!< record the workload to this file and
                             //!< exit without simulating
-    /** Pipeline trace (Chrome trace-event JSON) output path; "" = off.
-     * Unrelated to --trace-in/--trace-out workload traces. */
-    std::string tracePath;
-    /** Comma-separated trace categories ("" = all). */
-    std::string traceFilter;
-    /** Time-series sampling window in cycles; 0 = off. */
-    std::uint64_t timeseriesWindow = 0;
     std::string configPath; //!< INI file applied on top of the preset
     /** Collect wall-clock per-component attribution and report it under
      * the "profile." prefix (numbers are nondeterministic). */
@@ -57,7 +42,8 @@ struct Options {
 };
 
 /**
- * Parse argv-style arguments (excluding the program name).
+ * Parse argv-style arguments (excluding the program name), on top of
+ * RunOptions::fromEnv().
  * @throws std::invalid_argument with a user-readable message on bad
  *         input (the tool prints it and exits with status 2).
  */

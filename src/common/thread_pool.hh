@@ -59,11 +59,6 @@ class ThreadPool
      */
     void wait();
 
-    unsigned numThreads() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
     /** TEMPO_JOBS env var if set and positive, else all hardware
      * threads (at least 1).
      * @throws std::invalid_argument when TEMPO_JOBS is not a number. */

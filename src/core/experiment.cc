@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "common/parse.hh"
 #include "common/thread_pool.hh"
 #include "common/watchdog.hh"
 #include "fabric/coordinator.hh"
@@ -20,12 +19,6 @@ derivedSeed(std::uint64_t base, std::uint64_t index)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
-}
-
-unsigned
-defaultJobs()
-{
-    return ThreadPool::defaultThreads();
 }
 
 namespace {
@@ -159,68 +152,6 @@ pointDigest(const ExperimentPoint &point, std::size_t index)
     h = mix(h, point.config.digest());
     h = mix(h, std::uint64_t(index));
     return h;
-}
-
-ExperimentOptions
-ExperimentOptions::fromEnv()
-{
-    ExperimentOptions opts;
-    if (const char *env = envValue("TEMPO_RETRIES"))
-        opts.retries = parseUnsigned("TEMPO_RETRIES", env);
-    if (const char *env = envValue("TEMPO_POINT_TIMEOUT"))
-        opts.pointTimeoutSec = parseSeconds("TEMPO_POINT_TIMEOUT", env);
-    if (const char *env = envValue("TEMPO_FABRIC_DIR"))
-        opts.fabricDir = env;
-    if (const char *env = envValue("TEMPO_FABRIC_ROLE")) {
-        const std::string role = env;
-        if (role == "worker")
-            opts.fabricRole = FabricRole::Worker;
-        else if (role == "coordinator")
-            opts.fabricRole = FabricRole::Coordinator;
-        else
-            throw std::invalid_argument(
-                "TEMPO_FABRIC_ROLE: expected worker or coordinator, "
-                "got " + role);
-    }
-    if (const char *env = envValue("TEMPO_FABRIC_WORKER"))
-        opts.fabricWorkerId = env;
-    if (const char *env = envValue("TEMPO_FABRIC_STALE_SEC"))
-        opts.fabricStaleSec = parseSeconds("TEMPO_FABRIC_STALE_SEC", env);
-    if (const char *env = envValue("TEMPO_FABRIC_HEARTBEAT_SEC"))
-        opts.fabricHeartbeatSec =
-            parseSeconds("TEMPO_FABRIC_HEARTBEAT_SEC", env);
-    if (const char *env = envValue("TEMPO_PROGRESS"))
-        opts.progressEvery = parseUnsigned("TEMPO_PROGRESS", env);
-    if (const char *env = envValue("TEMPO_FAULT_INJECT")) {
-        // "<index>:throw,<index>:hang" — a test hook, so malformed
-        // specs fail fast rather than silently injecting nothing.
-        const std::string spec = env;
-        std::size_t pos = 0;
-        while (pos < spec.size()) {
-            std::size_t end = spec.find(',', pos);
-            if (end == std::string::npos)
-                end = spec.size();
-            const std::string token = spec.substr(pos, end - pos);
-            const std::size_t colon = token.find(':');
-            if (colon == std::string::npos)
-                throw std::invalid_argument(
-                    "TEMPO_FAULT_INJECT: bad token " + token);
-            FaultInjection fault;
-            fault.index = parseU64("TEMPO_FAULT_INJECT index",
-                                   token.substr(0, colon));
-            const std::string kind = token.substr(colon + 1);
-            if (kind == "throw")
-                fault.kind = FaultInjection::Kind::Throw;
-            else if (kind == "hang")
-                fault.kind = FaultInjection::Kind::Hang;
-            else
-                throw std::invalid_argument(
-                    "TEMPO_FAULT_INJECT: unknown kind " + kind);
-            opts.inject.push_back(fault);
-            pos = end + 1;
-        }
-    }
-    return opts;
 }
 
 void

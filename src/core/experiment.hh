@@ -66,10 +66,6 @@ struct MixPoint {
 /** splitmix64 finalizer: a decorrelated seed for point @p index. */
 std::uint64_t derivedSeed(std::uint64_t base, std::uint64_t index);
 
-/** Job count used when a caller passes jobs == 0: the TEMPO_JOBS env
- * var if positive, else all hardware threads. */
-unsigned defaultJobs();
-
 /** Deterministic fault injection for tests and the CI fault-smoke job:
  * make point @p index throw or hang at the start of its run. */
 struct FaultInjection {
@@ -83,7 +79,7 @@ struct FaultInjection {
 
 /** Knobs of one engine invocation. */
 struct ExperimentOptions {
-    /** Worker threads; 0 = defaultJobs(). */
+    /** Worker threads; 0 = ThreadPool::defaultThreads(). */
     unsigned jobs = 0;
     /** Extra attempts for a failed/timed-out point. Attempt k > 0
      * re-runs with derivedSeed(seed, k) so a seed-sensitive crash can
@@ -140,17 +136,9 @@ struct ExperimentOptions {
      * uses an internal tracker. Not owned. */
     fabric::SweepProgress *progress = nullptr;
 
-    /**
-     * Environment overrides, applied by the benches so CI can inject
-     * faults without per-binary flags: TEMPO_RETRIES,
-     * TEMPO_POINT_TIMEOUT (seconds), TEMPO_FAULT_INJECT
-     * ("<index>:throw,<index>:hang"), TEMPO_PROGRESS (progress line
-     * period), and the fabric: TEMPO_FABRIC_DIR, TEMPO_FABRIC_ROLE
-     * ("worker" | "coordinator"), TEMPO_FABRIC_WORKER,
-     * TEMPO_FABRIC_STALE_SEC, TEMPO_FABRIC_HEARTBEAT_SEC. Unset or
-     * empty variables keep the defaults.
-     * @throws std::invalid_argument naming a malformed variable.
-     */
+    /** The engine fields of cli::RunOptions::fromEnv() (defined beside
+     * the run-option table, src/cli/run_options.cc).
+     * @throws std::invalid_argument naming a malformed variable. */
     static ExperimentOptions fromEnv();
 
     /** A fabric directory alone opts in; runFabric() treats an

@@ -69,8 +69,6 @@ class AddressMap
      * re-decoding the whole address. */
     unsigned segmentOfCol(unsigned col, unsigned sub_rows) const;
 
-    unsigned colBits() const { return colBits_; }
-
   private:
     unsigned colBits_;
     unsigned channelBits_;

@@ -50,17 +50,6 @@ enum class RowEvent : std::uint8_t {
     Conflict, //!< another row occupied the buffer; PRE + ACT needed
 };
 
-inline const char *
-rowEventName(RowEvent event)
-{
-    switch (event) {
-      case RowEvent::Hit: return "hit";
-      case RowEvent::Miss: return "miss";
-      case RowEvent::Conflict: return "conflict";
-    }
-    return "?";
-}
-
 /** Per-device DRAM energy event counters. */
 struct EnergyCounters {
     std::uint64_t activates = 0;

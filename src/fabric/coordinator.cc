@@ -2,16 +2,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
+#include "common/thread_pool.hh"
 #include "core/checkpoint.hh"
 #include "fabric/claim.hh"
 #include "fabric/heartbeat.hh"
@@ -344,7 +350,7 @@ workerLoop(const ExperimentOptions &opts,
         }
     };
 
-    const unsigned jobs = opts.jobs ? opts.jobs : defaultJobs();
+    const unsigned jobs = opts.jobs ? opts.jobs : ThreadPool::defaultThreads();
     std::vector<std::thread> threads;
     threads.reserve(jobs);
     for (unsigned t = 0; t < jobs; ++t) {
@@ -413,6 +419,51 @@ coordinatorLoop(const ExperimentOptions &opts,
     }
 }
 
+/** An exclusive flock(2) on DIR/checkpoint.lock for a checkpoint run.
+ * Two live processes under the fixed checkpoint id would each take the
+ * other's claims for a dead predecessor's and run every unfinished
+ * point twice. The kernel drops the lock when the process dies, on
+ * kill -9 too, so a restart resumes at once. */
+class CheckpointLock
+{
+  public:
+    explicit CheckpointLock(const std::string &dir)
+        : fd_(::open((dir + "/checkpoint.lock").c_str(),
+                     O_RDWR | O_CREAT | O_CLOEXEC, 0644))
+    {
+        if (fd_ < 0)
+            throw std::runtime_error("cannot open " + dir
+                                     + "/checkpoint.lock: "
+                                     + std::strerror(errno));
+        // A predecessor killed a moment ago holds the lock until the
+        // kernel has torn it down (milliseconds); a live one for good.
+        // Any other failure (no lock support on the filesystem) is final.
+        const auto give_up = std::chrono::steady_clock::now() + kLockWait;
+        while (::flock(fd_, LOCK_EX | LOCK_NB) != 0) {
+            const int error = errno;
+            if (error == EINTR)
+                continue;
+            if (error != EWOULDBLOCK
+                || std::chrono::steady_clock::now() > give_up) {
+                ::close(fd_);
+                throw std::runtime_error(
+                    error == EWOULDBLOCK
+                        ? "checkpoint directory in use: " + dir
+                        : "cannot lock " + dir + "/checkpoint.lock: "
+                            + std::strerror(error));
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+    }
+    ~CheckpointLock() { ::close(fd_); }
+    CheckpointLock(const CheckpointLock &) = delete;
+    CheckpointLock &operator=(const CheckpointLock &) = delete;
+
+  private:
+    static constexpr std::chrono::seconds kLockWait{2};
+    int fd_;
+};
+
 } // namespace
 
 std::vector<RunResult>
@@ -435,6 +486,9 @@ runFabric(const ExperimentOptions &opts,
             opts.fabricWorkerId.empty()
                 ? "w" + std::to_string(::getpid())
                 : opts.fabricWorkerId;
+        std::optional<CheckpointLock> lock;
+        if (worker == kCheckpointWorker)
+            lock.emplace(dir);
         workerLoop(opts, digests, runPoint, progress, scanner, worker,
                    results, ran);
     }

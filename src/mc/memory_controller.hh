@@ -139,9 +139,6 @@ class MemoryController
     /** The active scheduler (exposed for tests). */
     Scheduler &scheduler() { return *sched_; }
 
-    /** The indexed transaction queue (exposed for tests). */
-    const TxQueue &txQueue() const { return txq_; }
-
   private:
     struct Channel {
         Cycle busFreeAt = 0;

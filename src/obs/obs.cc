@@ -76,26 +76,6 @@ config()
     return globalConfig();
 }
 
-Config
-configFromEnv()
-{
-    Config cfg = globalConfig();
-    if (const char *dir = envValue("TEMPO_TRACE_DIR")) {
-        cfg.trace = true;
-        cfg.traceDir = dir;
-    }
-    if (const char *filter = envValue("TEMPO_TRACE_FILTER"))
-        cfg.categories = parseCategories(filter);
-    if (const char *window = envValue("TEMPO_TIMESERIES_WINDOW"))
-        cfg.timeseriesWindow = parseU64("TEMPO_TIMESERIES_WINDOW", window);
-    if (const char *cap = envValue("TEMPO_TRACE_CAPACITY")) {
-        const std::uint64_t parsed = parseU64("TEMPO_TRACE_CAPACITY", cap);
-        if (parsed > 0)
-            cfg.traceCapacity = static_cast<std::size_t>(parsed);
-    }
-    return cfg;
-}
-
 Session::Session(const Config &cfg)
     : cfg_(cfg), replayHist_(50.0, 16)
 {

@@ -136,9 +136,7 @@ struct Config {
     std::size_t traceCapacity = 1u << 20;
     /** Sample the time-series every this many cycles; 0 = off. */
     Cycle timeseriesWindow = 0;
-    /** Bench pass-through: when set (TEMPO_TRACE_DIR), bench drivers
-     * and tools write TRACE_<name>_<index>.json files here. */
-    std::string traceDir;
+    std::string traceDir; //!< TEMPO_TRACE_DIR: cli::runBatch() writes here
 
     bool enabled() const { return trace || timeseriesWindow > 0; }
 };
@@ -149,9 +147,8 @@ void configure(const Config &cfg);
 /** The active global configuration. */
 const Config &config();
 
-/** Build a Config from TEMPO_TRACE_DIR / TEMPO_TRACE_FILTER /
- * TEMPO_TIMESERIES_WINDOW / TEMPO_TRACE_CAPACITY (without installing
- * it); unset or empty variables leave the defaults.
+/** The observability fields of cli::RunOptions::fromEnv() (defined
+ * beside the run-option table, src/cli/run_options.cc), not installed.
  * @throws std::invalid_argument naming a malformed variable. */
 Config configFromEnv();
 

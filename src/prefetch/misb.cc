@@ -1,13 +1,25 @@
 #include "prefetch/misb.hh"
 
+#include "common/log.hh"
+
 namespace tempo {
 
 MisbPrefetcher::MisbPrefetcher(const MisbConfig &cfg)
-    : cfg_(cfg),
-      pairs_(cfg.pairEntries ? cfg.pairEntries : 1),
-      metaCache_(cfg.metadataCacheEntries ? cfg.metadataCacheEntries : 1,
-                 kInvalidAddr)
+    : cfg_(cfg), pairs_(cfg.pairEntries),
+      metaCache_(cfg.metadataCacheEntries, kInvalidAddr)
 {
+    const std::string error = configError(cfg);
+    TEMPO_ASSERT(error.empty(), error);
+}
+
+std::string
+MisbPrefetcher::configError(const MisbConfig &cfg)
+{
+    // Both tables are indexed modulo their size.
+    if (!cfg.pairEntries)
+        return "pair_entries must be positive";
+    return cfg.metadataCacheEntries
+        ? "" : "metadata_cache_entries must be positive";
 }
 
 const std::string &

@@ -54,12 +54,13 @@ class MisbPrefetcher : public Prefetcher
 {
   public:
     explicit MisbPrefetcher(const MisbConfig &cfg);
+    /** As StridePrefetcher::configError(). */
+    static std::string configError(const MisbConfig &cfg);
 
     const std::string &name() const override;
     void observe(const MemRef &ref, Cycle now,
                  std::vector<PrefetchAction> &out) override;
 
-    std::uint64_t pairsRecorded() const { return pairsRecorded_; }
     std::uint64_t metadataHits() const { return metadataHits_; }
     std::uint64_t metadataMisses() const { return metadataMisses_; }
 

@@ -1,10 +1,21 @@
 #include "prefetch/temporal.hh"
 
+#include "common/log.hh"
+
 namespace tempo {
 
 TemporalPrefetcher::TemporalPrefetcher(const TemporalConfig &cfg)
-    : cfg_(cfg), table_(cfg.tableEntries ? cfg.tableEntries : 1)
+    : cfg_(cfg), table_(cfg.tableEntries)
 {
+    const std::string error = configError(cfg);
+    TEMPO_ASSERT(error.empty(), error);
+}
+
+std::string
+TemporalPrefetcher::configError(const TemporalConfig &cfg)
+{
+    // Successors are indexed modulo the table size.
+    return cfg.tableEntries ? "" : "table_entries must be positive";
 }
 
 const std::string &

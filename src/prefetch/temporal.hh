@@ -40,6 +40,8 @@ class TemporalPrefetcher : public Prefetcher
 {
   public:
     explicit TemporalPrefetcher(const TemporalConfig &cfg);
+    /** As StridePrefetcher::configError(). */
+    static std::string configError(const TemporalConfig &cfg);
 
     const std::string &name() const override;
     void observe(const MemRef &ref, Cycle now,

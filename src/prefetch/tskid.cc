@@ -1,10 +1,21 @@
 #include "prefetch/tskid.hh"
 
+#include "common/log.hh"
+
 namespace tempo {
 
 TskidPrefetcher::TskidPrefetcher(const TskidConfig &cfg)
-    : cfg_(cfg), table_(cfg.tableEntries ? cfg.tableEntries : 1)
+    : cfg_(cfg), table_(cfg.tableEntries)
 {
+    const std::string error = configError(cfg);
+    TEMPO_ASSERT(error.empty(), error);
+}
+
+std::string
+TskidPrefetcher::configError(const TskidConfig &cfg)
+{
+    // findOrAllocate() always needs a victim entry.
+    return cfg.tableEntries ? "" : "table_entries must be positive";
 }
 
 const std::string &

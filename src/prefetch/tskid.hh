@@ -49,6 +49,8 @@ class TskidPrefetcher : public Prefetcher
 {
   public:
     explicit TskidPrefetcher(const TskidConfig &cfg);
+    /** As StridePrefetcher::configError(). */
+    static std::string configError(const TskidConfig &cfg);
 
     const std::string &name() const override;
     void observe(const MemRef &ref, Cycle now,

@@ -63,7 +63,6 @@ class OsMemory
     /** Bytes handed out so far, split by consumer. */
     Addr dataBytesAllocated() const { return dataBytes_; }
     Addr ptBytesAllocated() const { return ptBytes_; }
-    Addr bytesAllocated() const { return dataBytes_ + ptBytes_; }
 
     /** Frames handed out, by page size. */
     std::uint64_t framesAllocated(PageSize size) const;

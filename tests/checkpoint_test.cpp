@@ -18,6 +18,10 @@
 #include <sstream>
 #include <thread>
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+
 #include "core/checkpoint.hh"
 #include "core/experiment.hh"
 #include "fabric/claim.hh"
@@ -406,6 +410,32 @@ TEST(Checkpoint, KilledRunResumesWithoutWaitingForStaleness)
     ExperimentOptions reference;
     reference.jobs = 2;
     EXPECT_EQ(emitJson(resumed), emitJson(runExperiments(points, reference)));
+}
+
+// Two processes on one checkpoint directory would each take the other's
+// live claims for a dead predecessor's. A flock on checkpoint.lock
+// refuses the second; the lock belongs to an open file, so a second
+// open in this process stands in for a second process.
+TEST(Checkpoint, DirInUseIsRefused)
+{
+    TempDir dir("in_use");
+    const int held = ::open((dir.path + "/checkpoint.lock").c_str(),
+                            O_RDWR | O_CREAT, 0644);
+    ASSERT_GE(held, 0);
+    ASSERT_EQ(::flock(held, LOCK_EX | LOCK_NB), 0);
+    try {
+        (void)runExperiments(sweepPoints(), checkpointOptions(dir, 1));
+        ADD_FAILURE() << "ran in a checkpoint directory in use";
+    } catch (const std::runtime_error &error) {
+        EXPECT_NE(std::string(error.what()).find("checkpoint directory in use"),
+                  std::string::npos)
+            << error.what();
+    }
+    ::close(held);
+    // The lock goes with its holder: the run now takes it and finishes.
+    const std::vector<RunResult> results =
+        runExperiments(sweepPoints(), checkpointOptions(dir, 1));
+    EXPECT_TRUE(results.front().status.ok());
 }
 
 TEST(Checkpoint, FabricWorkerEnvOverridesTheFixedId)

@@ -263,6 +263,17 @@ TEST(ConfigFile, ConstructorRulesAreCheckedAtLoad)
                      "stride.table_entries");
     expectErrorNames("[imp]\nenabled = true\ntable_entries = 0\n",
                      "imp.table_entries");
+    expectErrorNames("[prefetch]\nengines = tskid\n"
+                     "[tskid]\ntable_entries = 0\n",
+                     "tskid.table_entries");
+    expectErrorNames("[prefetch]\nengines = temporal\n"
+                     "[temporal]\ntable_entries = 0\n",
+                     "temporal.table_entries");
+    expectErrorNames("[prefetch]\nengines = misb\n[misb]\npair_entries = 0\n",
+                     "misb.pair_entries");
+    expectErrorNames("[prefetch]\nengines = misb\n"
+                     "[misb]\nmetadata_cache_entries = 0\n",
+                     "misb.metadata_cache_entries");
     expectErrorNames("[vm]\ntranslator_slots = 3\n",
                      "vm.translator_slots");
     // A zero refresh interval used to hang the first DRAM access.
@@ -276,9 +287,13 @@ TEST(ConfigFile, ConstructorRulesAreCheckedAtLoad)
     // selecting it later in the text does.
     const SystemConfig off = apply("[imp]\ntable_entries = 0\n"
                                    "[stride]\ntable_entries = 0\n"
+                                   "[tskid]\ntable_entries = 0\n"
+                                   "[temporal]\ntable_entries = 0\n"
                                    "[prefetch]\nengines = misb\n");
     EXPECT_EQ(off.imp.prefetchTableEntries, 0u);
     EXPECT_EQ(off.stride.tableEntries, 0u);
+    EXPECT_EQ(off.tskid.tableEntries, 0u);
+    EXPECT_EQ(off.temporal.tableEntries, 0u);
     expectErrorNames("[imp]\ntable_entries = 0\nenabled = false\n"
                      "[prefetch]\nengines = misb,imp\n",
                      "imp.table_entries");

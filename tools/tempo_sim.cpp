@@ -12,6 +12,7 @@
  * count.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -21,7 +22,6 @@
 #include "cli/options.hh"
 #include "common/profiler.hh"
 #include "core/experiment.hh"
-#include "obs/obs.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -86,38 +86,19 @@ main(int argc, char **argv)
     using namespace tempo::cli;
 
     Options options;
+    SystemConfig cfg;
     try {
         options = parse({argv + 1, argv + argc});
-    } catch (const std::invalid_argument &error) {
-        std::fprintf(stderr, "error: %s\n", error.what());
-        return 2;
-    }
-    if (options.help) {
-        std::fputs(usage().c_str(), stdout);
-        return 0;
-    }
-
-    SystemConfig cfg;
-    obs::Config obs_cfg;
-    ExperimentOptions engine_opts;
-    try {
+        if (options.help) {
+            std::fputs(usage().c_str(), stdout);
+            return 0;
+        }
         cfg = toConfig(options);
-        obs_cfg = obs::configFromEnv();
-        engine_opts = ExperimentOptions::fromEnv();
     } catch (const std::invalid_argument &error) {
         std::fprintf(stderr, "error: %s\n", error.what());
         return 2;
     }
     prof::setEnabled(options.profile);
-
-    // Observability: environment first, explicit flags on top.
-    if (!options.tracePath.empty())
-        obs_cfg.trace = true;
-    if (!options.traceFilter.empty())
-        obs_cfg.categories = obs::parseCategories(options.traceFilter);
-    if (options.timeseriesWindow > 0)
-        obs_cfg.timeseriesWindow = options.timeseriesWindow;
-    obs::configure(obs_cfg);
 
     if (!options.traceOut.empty()) {
         auto workload = workloadFactory(options, cfg.seed)();
@@ -131,86 +112,22 @@ main(int argc, char **argv)
 
     // Point 0: the configured run. Point 1 (--compare): TEMPO on the
     // same machine. Both run concurrently on the experiment engine.
-    std::vector<ExperimentPoint> points;
-    ExperimentPoint first;
-    first.workload = options.workload;
-    first.config = cfg;
-    first.refs = options.refs;
-    first.makeWorkloadFn = workloadFactory(options, cfg.seed);
-    points.push_back(std::move(first));
+    std::vector<ExperimentPoint> points(1);
+    points[0].workload = options.workload;
+    points[0].config = cfg;
+    points[0].refs = options.refs;
+    points[0].makeWorkloadFn = workloadFactory(options, cfg.seed);
     if (options.compare) {
-        SystemConfig tempo_cfg = cfg;
-        tempo_cfg.withTempo(true);
-        ExperimentPoint second;
-        second.workload = options.workload;
-        second.config = tempo_cfg;
-        second.refs = options.refs;
-        second.makeWorkloadFn = workloadFactory(options, tempo_cfg.seed);
-        points.push_back(std::move(second));
+        points.push_back(points.front());
+        points.back().config.withTempo(true);
     }
 
-    // Engine options: environment first (so CI can inject faults), then
-    // explicit flags on top. A failing point no longer kills the run —
-    // its status is reported and the other point still completes.
-    engine_opts.jobs = options.jobs;
-    if (options.retries)
-        engine_opts.retries = options.retries;
-    if (options.pointTimeout > 0)
-        engine_opts.pointTimeoutSec = options.pointTimeout;
-    if (!options.checkpointDir.empty())
-        useCheckpointDir(engine_opts, options.checkpointDir);
-
+    // A failing point does not kill the run: its status is reported
+    // and the other point still completes.
     std::vector<RunResult> results;
-    try {
-        results = runExperiments(points, engine_opts);
-    } catch (const std::exception &error) {
-        std::fprintf(stderr, "error: %s\n", error.what());
-        return 2;
-    }
-
-    std::size_t num_ok = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const RunStatus &status = results[i].status;
-        if (status.ok()) {
-            ++num_ok;
-            continue;
-        }
-        std::fprintf(stderr,
-                     "point %zu (%s): %s after %u attempt(s): %s\n", i,
-                     points[i].workload.c_str(), status.codeName(),
-                     status.attempts, status.error.c_str());
-    }
-
-    // Pipeline traces: the explicit --trace path names point 0; extra
-    // points (--compare) get ".1", ".2", ... suffixes. With only
-    // TEMPO_TRACE_DIR set, files land there as TRACE_tempo_sim_<i>.json.
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto &run_obs = results[i].obs;
-        if (!run_obs || !run_obs->cfg.trace)
-            continue; // obs off, or point restored from a checkpoint
-        std::string path = options.tracePath;
-        if (!path.empty()) {
-            if (i > 0)
-                path += "." + std::to_string(i);
-        } else if (!obs::config().traceDir.empty()) {
-            path = obs::config().traceDir + "/TRACE_tempo_sim_"
-                + std::to_string(i) + ".json";
-        } else {
-            continue;
-        }
-        try {
-            obs::writeChromeTrace(path, *run_obs);
-        } catch (const std::exception &error) {
-            std::fprintf(stderr, "error: %s\n", error.what());
-            return 1;
-        }
-        std::printf("wrote %s (%llu events, %llu dropped)\n",
-                    path.c_str(),
-                    static_cast<unsigned long long>(
-                        run_obs->events.size()),
-                    static_cast<unsigned long long>(
-                        run_obs->droppedEvents));
-    }
+    if (const int status =
+            runBatch(options.run, "tempo_sim", points, results))
+        return status;
 
     const RunResult &result = results.front();
     if (result.status.ok())
@@ -227,13 +144,11 @@ main(int argc, char **argv)
                         100.0 * with_tempo.energySavingOver(result));
     }
 
-    if (options.profile && result.status.ok()) {
+    for (const RunResult &run : results) {
+        if (!options.profile || !result.status.ok() || !run.status.ok())
+            break;
         std::printf("\n");
-        printProfile(result);
-        if (options.compare && results.back().status.ok()) {
-            std::printf("\n");
-            printProfile(results.back());
-        }
+        printProfile(run);
     }
 
     if (options.fullReport && result.status.ok()) {
@@ -259,14 +174,11 @@ main(int argc, char **argv)
                 points[i].workload,
                 {{"mc.tempo", tempo_on ? "true" : "false"}}, results[i]));
         }
-        try {
-            stats::writeBenchJson(options.jsonPath, "tempo_sim",
-                                  options.refs, cfg.seed, bench_points);
-        } catch (const std::exception &error) {
-            std::fprintf(stderr, "error: %s\n", error.what());
-            return 1;
-        }
-        std::printf("wrote %s\n", options.jsonPath.c_str());
+        if (const int status =
+                writeJson(stdout, options.jsonPath, "tempo_sim",
+                          options.refs, cfg.seed, bench_points))
+            return status;
     }
-    return num_ok == 0 ? 3 : 0;
+    return std::ranges::any_of(results, &RunStatus::ok, &RunResult::status)
+        ? 0 : 3;
 }

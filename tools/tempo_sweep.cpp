@@ -18,6 +18,7 @@
  * default all cores); output is byte-identical for any job count.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -26,11 +27,11 @@
 #include <vector>
 
 #include "cli/config_file.hh"
+#include "cli/run_options.hh"
 #include "common/parse.hh"
 #include "common/profiler.hh"
 #include "core/experiment.hh"
 #include "fabric/snapshot.hh"
-#include "obs/obs.hh"
 
 namespace {
 
@@ -42,39 +43,26 @@ struct SweepArgs {
     std::vector<std::string> values;
     std::uint64_t refs = 150000;
     std::uint64_t warmup = 0;
-    unsigned jobs = 0;
-    unsigned retries = 0;
-    double pointTimeout = 0;
-    std::string checkpointDir;
     std::string jsonPath;
     bool tempo = false;
     bool compare = false;
     bool profile = false;
-    unsigned progressEvery = 0;
     std::string dashboardDir; //!< "" = no dashboard
+    cli::RunOptions run; //!< the TEMPO_* variables, run flags on top
 };
 
 [[noreturn]] void
-usage(int status)
+usage()
 {
     std::fputs(
         "usage: tempo_sweep --key SECTION.KEY --values V1,V2,...\n"
-        "  [--workload NAME] [--refs N] [--warmup N]\n"
-        "  [--jobs N] [--json PATH] [--profile]\n"
-        "  [--retries N] [--point-timeout S] [--checkpoint DIR]\n"
-        "  [--progress [N]] [--dashboard DIR]\n"
-        "  [--tempo | --compare]\n"
+        "  [--workload NAME] [--refs N] [--warmup N] [--json PATH]\n"
+        "  [--profile] [--dashboard DIR] [--tempo | --compare]\n"
+        "  [run flags]\n"
         "Keys are the config keys INI files set as [SECTION] KEY; the\n"
-        "list below gives each key's values.\n"
-        "Points run in parallel (--jobs N, default all cores or the\n"
-        "TEMPO_JOBS env var); results are identical at any job count.\n"
-        "A failing or timed-out point does not kill the sweep: its row\n"
-        "shows the status, details go to stderr and the JSON failures\n"
-        "array, and --checkpoint DIR lets a killed sweep resume without\n"
-        "re-running finished points (DIR serves one sweep; a changed\n"
-        "sweep against it exits 2).\n"
-        "--progress [N] prints a stderr line (done/failed/total,\n"
-        "elapsed, ETA) every N completed points (default 10).\n"
+        "list below gives each key's values. Results are identical at\n"
+        "any job count. A failed point does not kill the sweep: its row\n"
+        "shows the status, details go to stderr and the JSON.\n"
         "--dashboard DIR rewrites DIR/snapshot.json (the machine-\n"
         "readable snapshot) and DIR/dashboard.html (a live page to\n"
         "open in a browser) every second.\n"
@@ -83,25 +71,25 @@ usage(int status)
         "share one sweep; --dashboard then reports the whole fabric (and\n"
         "implies the coordinator role when none is set).\n"
         "Exit status: 0 when at least one\n"
-        "point succeeded, 3 when all failed, 2 on usage errors.\n",
-        status == 0 ? stdout : stderr);
-    if (status == 0) {
-        std::printf("\nKeys:\n");
-        for (const cli::ConfigKey &key : cli::configKeys())
-            std::printf("  %-32s %s\n", key.name, key.values().c_str());
-    }
-    std::exit(status);
+        "point succeeded, 3 when all failed, 2 on usage errors.\n\n",
+        stdout);
+    std::fputs(cli::runFlagUsage(cli::kSweep).c_str(), stdout);
+    std::printf("\nKeys:\n");
+    for (const cli::ConfigKey &key : cli::configKeys())
+        std::printf("  %-32s %s\n", key.name, key.values().c_str());
+    std::exit(0);
 }
 
 SweepArgs
-parseArgs(int argc, char **argv)
+parseArgs(const std::vector<std::string> &argv)
 {
     SweepArgs args;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage(2);
+    args.run = cli::RunOptions::fromEnv();
+    for (std::size_t i = 0; i < argv.size(); ++i) {
+        const std::string &arg = argv[i];
+        auto next = [&]() -> const std::string & {
+            if (i + 1 >= argv.size())
+                throw std::invalid_argument(arg + " needs a value");
             return argv[++i];
         };
         if (arg == "--workload")
@@ -116,14 +104,9 @@ parseArgs(int argc, char **argv)
                 throw std::invalid_argument("--refs must be positive");
         } else if (arg == "--warmup")
             args.warmup = parseU64(arg, next());
-        else if (arg == "--jobs")
-            args.jobs = parseUnsigned(arg, next());
-        else if (arg == "--retries")
-            args.retries = parseUnsigned(arg, next());
-        else if (arg == "--point-timeout")
-            args.pointTimeout = parseSeconds(arg, next());
-        else if (arg == "--checkpoint")
-            args.checkpointDir = next();
+        else if (cli::applyRunFlag(args.run, cli::kSweep,
+                                   argv, i))
+            ;
         else if (arg == "--json")
             args.jsonPath = next();
         else if (arg == "--tempo")
@@ -132,36 +115,19 @@ parseArgs(int argc, char **argv)
             args.compare = true;
         else if (arg == "--profile")
             args.profile = true;
-        else if (arg == "--progress") {
-            // Optional period: consume the next token only when it
-            // starts with a digit (so "--progress --json x" parses).
-            args.progressEvery = 10;
-            if (i + 1 < argc && argv[i + 1][0] >= '0' &&
-                argv[i + 1][0] <= '9')
-                args.progressEvery = parseUnsigned(arg, next());
-            if (args.progressEvery == 0)
-                args.progressEvery = 10;
-        } else if (arg == "--dashboard")
+        else if (arg == "--dashboard")
             args.dashboardDir = next();
         else if (arg == "--help" || arg == "-h")
-            usage(0);
+            usage();
         else
-            usage(2);
+            throw std::invalid_argument("unknown option '" + arg
+                                        + "' (try --help)");
     }
     if (args.key.empty() || args.values.empty())
-        usage(2);
+        throw std::invalid_argument("--key and --values are required "
+                                    "(try --help)");
     (void)cli::configKey(args.key);
     return args;
-}
-
-SystemConfig
-configFor(const SweepArgs &args, const std::string &value, bool tempo)
-{
-    SystemConfig cfg = SystemConfig::skylakeScaled();
-    cfg.withTempo(tempo);
-    cli::setConfigKey(cfg, args.key, value);
-    cli::checkConfig(cfg);
-    return cfg;
 }
 
 } // namespace
@@ -177,35 +143,23 @@ main(int argc, char **argv)
     std::vector<ExperimentPoint> points;
     std::vector<std::vector<std::pair<std::string, std::string>>>
         overrides;
-    // Engine options: environment first (so CI can inject faults), then
-    // explicit flags on top.
-    ExperimentOptions opts;
     try {
-        args = parseArgs(argc, argv);
-        // Observability is environment-driven here (TEMPO_TRACE_DIR,
-        // TEMPO_TRACE_FILTER, TEMPO_TIMESERIES_WINDOW); time series
-        // land in the --json output, traces in TEMPO_TRACE_DIR.
-        obs::configure(obs::configFromEnv());
-        opts = ExperimentOptions::fromEnv();
+        args = parseArgs({argv + 1, argv + argc});
+        ExperimentPoint point;
+        point.workload = args.workload;
+        point.refs = args.refs;
+        point.warmup = args.warmup;
         for (const std::string &value : args.values) {
-            ExperimentPoint base;
-            base.workload = args.workload;
-            base.config = configFor(args, value, args.tempo);
-            base.refs = args.refs;
-            base.warmup = args.warmup;
-            points.push_back(std::move(base));
-            overrides.push_back(
-                {{args.key, value},
-                 {"mc.tempo", args.tempo ? "true" : "false"}});
-            if (args.compare) {
-                ExperimentPoint with_tempo;
-                with_tempo.workload = args.workload;
-                with_tempo.config = configFor(args, value, true);
-                with_tempo.refs = args.refs;
-                with_tempo.warmup = args.warmup;
-                points.push_back(std::move(with_tempo));
+            for (int twin = 0; twin <= args.compare; ++twin) {
+                const bool tempo = twin || args.tempo;
+                point.config = SystemConfig::skylakeScaled();
+                point.config.withTempo(tempo);
+                cli::setConfigKey(point.config, args.key, value);
+                cli::checkConfig(point.config);
+                points.push_back(point);
                 overrides.push_back(
-                    {{args.key, value}, {"mc.tempo", "true"}});
+                    {{args.key, value},
+                     {"mc.tempo", tempo ? "true" : "false"}});
             }
         }
     } catch (const std::invalid_argument &error) {
@@ -214,16 +168,7 @@ main(int argc, char **argv)
     }
     prof::setEnabled(args.profile);
 
-    opts.jobs = args.jobs;
-    if (args.retries)
-        opts.retries = args.retries;
-    if (args.pointTimeout > 0)
-        opts.pointTimeoutSec = args.pointTimeout;
-    if (!args.checkpointDir.empty())
-        useCheckpointDir(opts, args.checkpointDir);
-
-    if (args.progressEvery)
-        opts.progressEvery = args.progressEvery;
+    ExperimentOptions &opts = args.run.engine;
     opts.progressLabel = args.workload + ":" + args.key;
 
     // --dashboard: snapshot and page files. With a fabric directory
@@ -262,51 +207,12 @@ main(int argc, char **argv)
     }
 
     std::vector<RunResult> results;
-    try {
-        results = runExperiments(points, opts);
-        if (dashboard)
-            dashboard->stop();
-    } catch (const std::exception &error) {
-        // Only infrastructure errors (an unusable fabric or checkpoint
-        // directory, a changed sweep against one) reach here; point
-        // failures are captured in the results.
-        std::fprintf(stderr, "error: %s\n", error.what());
-        return 2;
-    }
-
-    std::size_t num_ok = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const RunStatus &status = results[i].status;
-        if (status.ok()) {
-            ++num_ok;
-            continue;
-        }
-        std::fprintf(stderr,
-                     "point %zu (%s, %s=%s): %s after %u attempt(s): "
-                     "%s\n",
-                     i, points[i].workload.c_str(), args.key.c_str(),
-                     args.values[i / (args.compare ? 2 : 1)].c_str(),
-                     status.codeName(), status.attempts,
-                     status.error.c_str());
-    }
-
-    // Pipeline traces (TEMPO_TRACE_DIR only; no --trace flag here).
-    if (!obs::config().traceDir.empty()) {
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const auto &run_obs = results[i].obs;
-            if (!run_obs || !run_obs->cfg.trace)
-                continue; // obs off, or point restored from a checkpoint
-            const std::string path = obs::config().traceDir
-                + "/TRACE_tempo_sweep_" + std::to_string(i) + ".json";
-            try {
-                obs::writeChromeTrace(path, *run_obs);
-            } catch (const std::exception &error) {
-                std::fprintf(stderr, "error: %s\n", error.what());
-                return 1;
-            }
-            std::fprintf(stderr, "wrote %s\n", path.c_str());
-        }
-    }
+    const int status =
+        cli::runBatch(args.run, "tempo_sweep", points, results);
+    if (dashboard)
+        dashboard->stop();
+    if (status)
+        return status;
 
     std::printf("%s,runtime,energy,tlb_miss_rate,dram_ptw_frac,"
                 "superpage_coverage%s\n",
@@ -352,16 +258,11 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < results.size(); ++i)
             bench_points.push_back(toBenchPoint(
                 points[i].workload, overrides[i], results[i]));
-        try {
-            stats::writeBenchJson(args.jsonPath, "tempo_sweep",
-                                  args.refs,
-                                  SystemConfig::skylakeScaled().seed,
-                                  bench_points);
-        } catch (const std::exception &error) {
-            std::fprintf(stderr, "error: %s\n", error.what());
-            return 1;
-        }
-        std::fprintf(stderr, "wrote %s\n", args.jsonPath.c_str());
+        if (const int status = cli::writeJson(
+                stderr, args.jsonPath, "tempo_sweep", args.refs,
+                SystemConfig::skylakeScaled().seed, bench_points))
+            return status;
     }
-    return (num_ok == 0 && !results.empty()) ? 3 : 0;
+    return std::ranges::any_of(results, &RunStatus::ok, &RunResult::status)
+        ? 0 : 3;
 }
