@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <map>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
@@ -308,11 +309,12 @@ runBatch(const RunOptions &run, const std::string &label,
         return 2;
     printFailures(results);
 
-    // n counts across batches, so a process with several batches never
-    // overwrites one of its own trace files.
-    static std::size_t next_n = 0;
+    // n counts across the batches of one label, so a process with
+    // several batches never overwrites one of its own trace files, and
+    // a label's names do not depend on the labels that ran before it.
+    static std::map<std::string, std::size_t> next_n;
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const std::size_t n = next_n++;
+        const std::size_t n = next_n[label]++;
         const auto &run_obs = results[i].obs;
         if (!run_obs || !run_obs->cfg.trace)
             continue; // obs off, or a point restored from a shard

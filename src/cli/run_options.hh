@@ -86,7 +86,7 @@ std::string runFlagUsage(unsigned tool);
  * point as "point I: STATUS after N attempt(s): ERROR" and
  * write the traces, to run.tracePath or else as
  * TEMPO_TRACE_DIR/TRACE_<label>_<n>.json, n counting the points of
- * every batch of this process.
+ * every batch of this process with that label.
  * @return 0; 2 after an infrastructure error (an unusable fabric or
  *         checkpoint directory); 1 when a trace cannot be written.
  */

@@ -100,7 +100,7 @@ class Distribution
     double max_ = 0;
 };
 
-/** Fixed-bucket histogram over [0, bucketWidth * numBuckets). */
+/** Fixed-bucket histogram over [0, bucket_width * num_buckets). */
 class Histogram
 {
   public:
@@ -134,8 +134,6 @@ class Histogram
     std::uint64_t count() const { return count_; }
     std::uint64_t bucket(std::size_t i) const { return buckets_.at(i); }
     std::uint64_t overflow() const { return overflow_; }
-    std::size_t numBuckets() const { return buckets_.size(); }
-    double bucketWidth() const { return bucketWidth_; }
 
     /**
      * Append "<prefix>bucket_<i>" per bin plus "<prefix>overflow",

@@ -115,7 +115,7 @@ TEST(ReportDigest, SingleAppPoints)
 }
 
 /** The eight-app BLISS mix of the fairness studies, on the machine
- * bench/bench_common.hh multiprogMachine() builds for eight cores. */
+ * multiprogMachine() in bench/tempo_bench.cpp builds for eight cores. */
 TEST(ReportDigest, BlissMix8)
 {
     const std::vector<std::string> mix = {
