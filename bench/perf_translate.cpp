@@ -280,10 +280,12 @@ main(int argc, char **argv)
         Translator memo(arena.table);
         const TrialResult a = runWalks(
             [&](Addr vaddr) {
-                const WalkResult walk = arena.table.walk(vaddr);
-                std::uint64_t acc = walk.steps.size();
-                for (const WalkStep &step : walk.steps)
-                    acc += step.pteAddr;
+                WalkStep steps[4];
+                Translation xlate;
+                const int count = arena.table.walkInto(vaddr, steps, xlate);
+                std::uint64_t acc = static_cast<std::uint64_t>(count);
+                for (int s = 0; s < count; ++s)
+                    acc += steps[s].pteAddr;
                 return acc;
             },
             stream, ops / 2);

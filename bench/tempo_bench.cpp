@@ -223,7 +223,8 @@ runMixes(const std::vector<SystemConfig> &configs, std::uint64_t refs,
     const std::vector<RunResult> alone_runs =
         runAll(figure.name, alone_points);
     std::vector<MultiResult> results;
-    exitOn(cli::runBatch(options(), mix_points, results));
+    exitOn(cli::runBatch(options(), figure.name + std::string("/mixes"),
+                         mix_points, results));
 
     auto next_alone = alone_runs.begin();
     std::vector<std::vector<Cycle>> alone(mixes.size());

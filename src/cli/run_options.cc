@@ -213,14 +213,15 @@ guarded(auto engine)
 
 template <typename Result>
 void
-printFailures(const std::vector<Result> &results)
+printFailures(const std::string &label, const std::vector<Result> &results)
 {
     for (std::size_t i = 0; i < results.size(); ++i) {
         const RunStatus &status = results[i].status;
         if (!status.ok())
-            std::fprintf(stderr, "point %zu: %s after %u attempt(s): %s\n",
-                         i, status.codeName(), status.attempts,
-                         status.error.c_str());
+            std::fprintf(stderr,
+                         "%s point %zu: %s after %u attempt(s): %s\n",
+                         label.c_str(), i, status.codeName(),
+                         status.attempts, status.error.c_str());
     }
 }
 
@@ -307,7 +308,7 @@ runBatch(const RunOptions &run, const std::string &label,
     obs::configure(run.obs);
     if (!guarded([&] { results = runExperiments(points, run.engine); }))
         return 2;
-    printFailures(results);
+    printFailures(label, results);
 
     // n counts across the batches of one label, so a process with
     // several batches never overwrites one of its own trace files, and
@@ -337,13 +338,14 @@ runBatch(const RunOptions &run, const std::string &label,
 }
 
 int
-runBatch(const RunOptions &run, const std::vector<MixPoint> &points,
+runBatch(const RunOptions &run, const std::string &label,
+         const std::vector<MixPoint> &points,
          std::vector<MultiResult> &results)
 {
     obs::configure(run.obs);
     if (!guarded([&] { results = runMixExperiments(points, run.engine); }))
         return 2;
-    printFailures(results);
+    printFailures(label, results);
     return 0;
 }
 

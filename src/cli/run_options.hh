@@ -83,7 +83,7 @@ std::string runFlagUsage(unsigned tool);
 
 /**
  * Run one batch: install run.obs, run the engine, print each failed
- * point as "point I: STATUS after N attempt(s): ERROR" and
+ * point as "LABEL point I: STATUS after N attempt(s): ERROR" and
  * write the traces, to run.tracePath or else as
  * TEMPO_TRACE_DIR/TRACE_<label>_<n>.json, n counting the points of
  * every batch of this process with that label.
@@ -95,7 +95,8 @@ int runBatch(const RunOptions &run, const std::string &label,
              std::vector<RunResult> &results);
 
 /** runBatch() for mixes, which run in process and write no traces. */
-int runBatch(const RunOptions &run, const std::vector<MixPoint> &points,
+int runBatch(const RunOptions &run, const std::string &label,
+             const std::vector<MixPoint> &points,
              std::vector<MultiResult> &results);
 
 /** stats::writeBenchJson(), then "wrote PATH" on @p log.

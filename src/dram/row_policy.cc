@@ -5,7 +5,7 @@
 namespace tempo {
 
 RowPredictor::RowPredictor(unsigned sets, unsigned ways)
-    : sets_(sets), ways_(ways), entries_(sets * ways)
+    : sets_(sets), ways_(ways)
 {
     TEMPO_ASSERT(sets > 0 && ways > 0, "empty predictor");
 }
@@ -14,6 +14,8 @@ const RowPredictor::Entry *
 RowPredictor::find(Addr row) const
 {
     ++lookups_;
+    if (entries_.empty())
+        return nullptr; // nothing learnt yet
     const unsigned set = static_cast<unsigned>(row % sets_);
     for (unsigned w = 0; w < ways_; ++w) {
         const Entry &e = entries_[set * ways_ + w];
@@ -26,6 +28,8 @@ RowPredictor::find(Addr row) const
 RowPredictor::Entry *
 RowPredictor::findOrAllocate(Addr row)
 {
+    if (entries_.empty())
+        entries_.resize(static_cast<std::size_t>(sets_) * ways_);
     const unsigned set = static_cast<unsigned>(row % sets_);
     Entry *victim = nullptr;
     for (unsigned w = 0; w < ways_; ++w) {

@@ -52,7 +52,7 @@ class RowPredictor
 
     unsigned sets_;
     unsigned ways_;
-    std::vector<Entry> entries_;
+    std::vector<Entry> entries_; //!< empty until the first update()
     std::uint64_t tick_ = 0;
     mutable std::uint64_t lookups_ = 0;
 };

@@ -57,7 +57,7 @@ AddressSpace::installMapping(Addr vaddr)
     // part of it is already mapped at base-page granularity (the model
     // does not collapse pages the way khugepaged eventually might).
     if (want != PageSize::Page4K
-        && demoted_.count(alignDown(vaddr, pageBytes(want)))) {
+        && demoted_.contains(alignDown(vaddr, pageBytes(want)))) {
         want = PageSize::Page4K;
     }
 
@@ -86,7 +86,7 @@ AddressSpace::touch(Addr vaddr)
         return false;
 
     const Addr vpn = vpn4K(vaddr);
-    if (seen4k_.count(vpn)) {
+    if (seen4k_.contains(vpn)) {
         translator_.noteTouched(vaddr);
         return false;
     }

@@ -16,8 +16,8 @@
 #define TEMPO_VM_ADDRESS_SPACE_HH
 
 #include <cstdint>
-#include <unordered_set>
 
+#include "common/flat_table.hh"
 #include "common/types.hh"
 #include "stats/stats.hh"
 #include "vm/os_memory.hh"
@@ -105,10 +105,10 @@ class AddressSpace
 
     /** 4KB granules already demand-paged and counted: the slow-path
      * seen-set behind the translator's touched-bit fast path. */
-    std::unordered_set<Addr> seen4k_;
+    FlatAddrSet seen4k_;
 
     /** Superpage regions that fell back to 4KB (stay 4KB forever). */
-    std::unordered_set<Addr> demoted_;
+    FlatAddrSet demoted_;
 
     std::uint64_t touched4k_ = 0;
     std::uint64_t touched4kIn2M_ = 0;

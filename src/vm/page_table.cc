@@ -4,14 +4,7 @@
 
 namespace tempo {
 
-PageTable::PageTable(OsMemory &os) : os_(os)
-{
-    root_ = std::make_unique<Node>();
-    root_->physBase = os_.allocPtNode();
-    nodeCount_ = 1;
-}
-
-PageTable::~PageTable() = default;
+PageTable::PageTable(OsMemory &os) : os_(os), root_(os.allocPtNode()) {}
 
 unsigned
 PageTable::indexAt(Addr vaddr, int level)
@@ -21,19 +14,22 @@ PageTable::indexAt(Addr vaddr, int level)
     return static_cast<unsigned>((vaddr >> shift) & 0x1ff);
 }
 
-PageTable::Node *
-PageTable::ensureChild(Node *node, unsigned index)
+std::uint64_t &
+PageTable::pteAt(Addr vaddr, int level)
 {
-    Entry &entry = node->entries[index];
-    TEMPO_ASSERT(!entry.isLeaf,
-                 "remapping a leaf PTE as an intermediate node");
-    if (!entry.present) {
-        entry.present = true;
-        entry.child = std::make_unique<Node>();
-        entry.child->physBase = os_.allocPtNode();
-        ++nodeCount_;
+    Addr node = root_;
+    for (int above = 4; above > level; --above) {
+        std::uint64_t &word =
+            ptes_[node + indexAt(vaddr, above) * kPteBytes];
+        TEMPO_ASSERT(!(word & kPresent) || !(word & kLeaf),
+                     "remapping a leaf PTE as an intermediate node");
+        if (!(word & kPresent)) {
+            word = os_.allocPtNode() | kPresent;
+            ++nodeCount_;
+        }
+        node = word & ~kFlagMask;
     }
-    return entry.child.get();
+    return ptes_[node + indexAt(vaddr, level) * kPteBytes];
 }
 
 void
@@ -41,68 +37,54 @@ PageTable::map(Addr vaddr, PageSize size, Addr pframe, bool writable)
 {
     TEMPO_ASSERT(pframe % pageBytes(size) == 0,
                  "frame not aligned to page size");
-    const int leaf = leafLevel(size);
-    Node *node = root_.get();
-    for (int level = 4; level > leaf; --level)
-        node = ensureChild(node, indexAt(vaddr, level));
-
-    Entry &entry = node->entries[indexAt(vaddr, leaf)];
-    if (entry.present && !entry.isLeaf && entry.child
-        && !subtreeHasMapping(entry.child.get())) {
+    std::uint64_t &word = pteAt(vaddr, leafLevel(size));
+    if ((word & kPresent) && !(word & kLeaf)
+        && !hasMapping(word & ~kFlagMask)) {
         // A superpage map over page-table structure whose leaves were
         // all unmapped: reclaim the empty subtree (a real OS reuses
         // freed PT pages when installing a hugepage). No translation
         // changes, so no epoch bump.
-        nodeCount_ -= subtreeNodes(entry.child.get());
-        entry.child.reset();
-        entry.present = false;
+        nodeCount_ -= reclaim(word & ~kFlagMask);
+        word = 0;
     }
-    TEMPO_ASSERT(!entry.present, "double mapping of vaddr ", vaddr);
-    entry.present = true;
-    entry.isLeaf = true;
-    entry.writable = writable;
-    entry.pframe = pframe;
-    entry.size = size;
+    TEMPO_ASSERT(!(word & kPresent), "double mapping of vaddr ", vaddr);
+    word = leafPte(pframe, size, writable);
     // No epoch bump: a previously non-present range cannot have live
     // memo entries (negative results are never memoized).
 }
 
-PageTable::Entry *
-PageTable::findLeaf(Addr vaddr)
+std::uint64_t *
+PageTable::leafWord(Addr vaddr)
 {
-    Node *node = root_.get();
-    for (int level = 4; level >= 1; --level) {
-        const auto it = node->entries.find(indexAt(vaddr, level));
-        if (it == node->entries.end() || !it->second.present)
-            return nullptr;
-        if (it->second.isLeaf)
-            return &it->second;
-        node = it->second.child.get();
-    }
-    return nullptr;
+    WalkStep steps[4];
+    Translation xlate;
+    const int count = walkInto(vaddr, steps, xlate);
+    return xlate.valid ? ptes_.find(steps[count - 1].pteAddr) : nullptr;
 }
 
 bool
-PageTable::subtreeHasMapping(const Node *node)
+PageTable::hasMapping(Addr node) const
 {
-    for (const auto &[index, entry] : node->entries) {
-        if (!entry.present)
-            continue;
-        if (entry.isLeaf)
-            return true;
-        if (entry.child && subtreeHasMapping(entry.child.get()))
+    for (Addr i = 0; i < kPtesPerNode; ++i) {
+        const std::uint64_t *word = ptes_.find(node + i * kPteBytes);
+        if (word && (*word & kPresent)
+            && ((*word & kLeaf) || hasMapping(*word & ~kFlagMask)))
             return true;
     }
     return false;
 }
 
 std::uint64_t
-PageTable::subtreeNodes(const Node *node)
+PageTable::reclaim(Addr node)
 {
     std::uint64_t count = 1;
-    for (const auto &[index, entry] : node->entries) {
-        if (entry.child)
-            count += subtreeNodes(entry.child.get());
+    for (Addr i = 0; i < kPtesPerNode; ++i) {
+        std::uint64_t *word = ptes_.find(node + i * kPteBytes);
+        if (!word || !(*word & kPresent))
+            continue;
+        if (!(*word & kLeaf))
+            count += reclaim(*word & ~kFlagMask);
+        *word &= ~kPresent;
     }
     return count;
 }
@@ -110,19 +92,12 @@ PageTable::subtreeNodes(const Node *node)
 bool
 PageTable::unmap(Addr vaddr)
 {
-    Node *node = root_.get();
-    for (int level = 4; level >= 1; --level) {
-        const auto it = node->entries.find(indexAt(vaddr, level));
-        if (it == node->entries.end() || !it->second.present)
-            return false;
-        if (it->second.isLeaf) {
-            node->entries.erase(it);
-            ++mutationEpoch_;
-            return true;
-        }
-        node = it->second.child.get();
-    }
-    return false;
+    std::uint64_t *word = leafWord(vaddr);
+    if (word == nullptr)
+        return false;
+    *word &= ~kPresent;
+    ++mutationEpoch_;
+    return true;
 }
 
 void
@@ -137,11 +112,11 @@ PageTable::remap(Addr vaddr, PageSize size, Addr pframe, bool writable)
 bool
 PageTable::protect(Addr vaddr, bool writable)
 {
-    Entry *leaf = findLeaf(vaddr);
-    if (leaf == nullptr)
+    std::uint64_t *word = leafWord(vaddr);
+    if (word == nullptr)
         return false;
-    if (leaf->writable != writable) {
-        leaf->writable = writable;
+    if (((*word & kWritable) != 0) != writable) {
+        *word ^= kWritable;
         ++mutationEpoch_;
     }
     return true;
@@ -154,70 +129,21 @@ PageTable::promote(Addr vaddr, PageSize size, Addr pframe, bool writable)
                  "promotion target must be a superpage");
     TEMPO_ASSERT(pframe % pageBytes(size) == 0,
                  "frame not aligned to page size");
-    const Addr base = alignDown(vaddr, pageBytes(size));
-    const int leaf = leafLevel(size);
-    Node *node = root_.get();
-    for (int level = 4; level > leaf; --level)
-        node = ensureChild(node, indexAt(base, level));
-
-    Entry &entry = node->entries[indexAt(base, leaf)];
-    if (entry.child) {
-        nodeCount_ -= subtreeNodes(entry.child.get());
-        entry.child.reset();
-    }
-    entry.present = true;
-    entry.isLeaf = true;
-    entry.writable = writable;
-    entry.pframe = pframe;
-    entry.size = size;
+    std::uint64_t &word =
+        pteAt(alignDown(vaddr, pageBytes(size)), leafLevel(size));
+    if ((word & kPresent) && !(word & kLeaf))
+        nodeCount_ -= reclaim(word & ~kFlagMask);
+    word = leafPte(pframe, size, writable);
     ++mutationEpoch_;
 }
 
 Translation
 PageTable::translate(Addr vaddr) const
 {
-    const Node *node = root_.get();
-    for (int level = 4; level >= 1; --level) {
-        const auto it = node->entries.find(indexAt(vaddr, level));
-        if (it == node->entries.end() || !it->second.present)
-            return Translation{};
-        const Entry &entry = it->second;
-        if (entry.isLeaf) {
-            Translation result;
-            result.valid = true;
-            result.writable = entry.writable;
-            result.pframe = entry.pframe;
-            result.size = entry.size;
-            return result;
-        }
-        node = entry.child.get();
-    }
-    return Translation{};
-}
-
-WalkResult
-PageTable::walk(Addr vaddr) const
-{
-    WalkResult result;
-    const Node *node = root_.get();
-    for (int level = 4; level >= 1; --level) {
-        const unsigned index = indexAt(vaddr, level);
-        result.steps.push_back(
-            WalkStep{level, node->physBase + index * kPteBytes});
-        const auto it = node->entries.find(index);
-        if (it == node->entries.end() || !it->second.present)
-            return result; // fault: last step read a non-present PTE
-        const Entry &entry = it->second;
-        if (entry.isLeaf) {
-            result.xlate.valid = true;
-            result.xlate.writable = entry.writable;
-            result.xlate.pframe = entry.pframe;
-            result.xlate.size = entry.size;
-            return result;
-        }
-        node = entry.child.get();
-    }
-    TEMPO_PANIC("walk descended past L1");
+    WalkStep steps[4];
+    Translation xlate;
+    walkInto(vaddr, steps, xlate);
+    return xlate;
 }
 
 int
@@ -225,32 +151,24 @@ PageTable::walkInto(Addr vaddr, WalkStep steps[4],
                     Translation &xlate) const
 {
     xlate = Translation{};
-    int count = 0;
-    const Node *node = root_.get();
+    Addr node = root_;
     for (int level = 4; level >= 1; --level) {
-        const unsigned index = indexAt(vaddr, level);
-        steps[count++] =
-            WalkStep{level, node->physBase + index * kPteBytes};
-        const auto it = node->entries.find(index);
-        if (it == node->entries.end() || !it->second.present)
-            return count; // fault: last step read a non-present PTE
-        const Entry &entry = it->second;
-        if (entry.isLeaf) {
+        const Addr pte = node + indexAt(vaddr, level) * kPteBytes;
+        steps[4 - level] = WalkStep{level, pte};
+        const std::uint64_t *found = ptes_.find(pte);
+        const std::uint64_t word = found ? *found : 0;
+        if (!(word & kPresent))
+            return 5 - level; // fault: last step read a non-present PTE
+        if (word & kLeaf) {
             xlate.valid = true;
-            xlate.writable = entry.writable;
-            xlate.pframe = entry.pframe;
-            xlate.size = entry.size;
-            return count;
+            xlate.writable = (word & kWritable) != 0;
+            xlate.pframe = word & ~kFlagMask;
+            xlate.size = static_cast<PageSize>((word >> kSizeShift) & 3);
+            return 5 - level;
         }
-        node = entry.child.get();
+        node = word & ~kFlagMask;
     }
     TEMPO_PANIC("walk descended past L1");
-}
-
-Addr
-PageTable::rootAddr() const
-{
-    return root_->physBase;
 }
 
 } // namespace tempo

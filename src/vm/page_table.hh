@@ -13,12 +13,9 @@
 #ifndef TEMPO_VM_PAGE_TABLE_HH
 #define TEMPO_VM_PAGE_TABLE_HH
 
-#include <array>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
-#include <vector>
 
+#include "common/flat_table.hh"
 #include "common/types.hh"
 #include "vm/os_memory.hh"
 
@@ -45,20 +42,20 @@ struct Translation {
     }
 };
 
-/** Full structural walk: the PTE fetch sequence plus the outcome. */
-struct WalkResult {
-    Translation xlate;
-    /** PTE addresses from L4 down to the last level probed. For a valid
-     * walk the last step is the leaf PTE; for a fault it is the first
-     * non-present entry. */
-    std::vector<WalkStep> steps;
-};
-
+/**
+ * The table's host storage is one FlatAddrTable of 8-byte PTE words
+ * keyed by each PTE's simulated physical address (node frame base +
+ * index * kPteBytes — the address the walker fetches). A word holds the
+ * 4KB-aligned target, a leaf's frame or a child node's base, with the
+ * present, leaf, writable and page-size flags in its low 12 bits.
+ * Nothing is erased: an unmapped or reclaimed entry only loses its
+ * present bit, and a reclaimed node's frame is never reused, so its
+ * stale words are unreachable.
+ */
 class PageTable
 {
   public:
     explicit PageTable(OsMemory &os);
-    ~PageTable();
 
     PageTable(const PageTable &) = delete;
     PageTable &operator=(const PageTable &) = delete;
@@ -120,20 +117,17 @@ class PageTable
     /** Translate without touching hardware structures. */
     Translation translate(Addr vaddr) const;
 
-    /** Structural walk: exactly the PTE fetches a hardware walker makes. */
-    WalkResult walk(Addr vaddr) const;
-
     /**
-     * walk() without the heap: writes the same step sequence into
-     * @p steps (at most 4) and the outcome into @p xlate, returns the
-     * step count. The memoized translator's refill path uses this so a
-     * walk miss never allocates.
+     * Structural walk: writes exactly the PTE fetches a hardware walker
+     * makes into @p steps (at most 4, L4 first; for a valid walk the
+     * last is the leaf PTE, for a fault the first non-present entry)
+     * and the outcome into @p xlate, and returns the step count.
      */
     int walkInto(Addr vaddr, WalkStep steps[4],
                  Translation &xlate) const;
 
     /** Physical address of the root (CR3 contents). */
-    Addr rootAddr() const;
+    Addr rootAddr() const { return root_; }
 
     /** Number of table nodes (== 4KB frames consumed by this table). */
     std::uint64_t nodeCount() const { return nodeCount_; }
@@ -151,28 +145,36 @@ class PageTable
     static unsigned indexAt(Addr vaddr, int level);
 
   private:
-    struct Node;
-    struct Entry {
-        bool present = false;
-        bool isLeaf = false;
-        bool writable = true;          //!< leaf: permission bit
-        Addr pframe = 0;               //!< leaf: frame base
-        PageSize size = PageSize::Page4K;
-        std::unique_ptr<Node> child;   //!< non-leaf: next level node
-    };
-    struct Node {
-        Addr physBase;
-        std::unordered_map<unsigned, Entry> entries;
-    };
+    /** PTE word flags; the bits above them are the target. */
+    static constexpr std::uint64_t kPresent = 1;
+    static constexpr std::uint64_t kLeaf = 2;
+    static constexpr std::uint64_t kWritable = 4;
+    static constexpr unsigned kSizeShift = 3; //!< PageSize, bits 3-4
+    static constexpr std::uint64_t kFlagMask = kPageBytes - 1;
 
-    Node *ensureChild(Node *node, unsigned index);
-    Entry *findLeaf(Addr vaddr);
-    static bool subtreeHasMapping(const Node *node);
-    static std::uint64_t subtreeNodes(const Node *node);
+    /** The word of a present leaf. */
+    static std::uint64_t
+    leafPte(Addr pframe, PageSize size, bool writable)
+    {
+        return pframe | kPresent | kLeaf | (writable ? kWritable : 0)
+            | static_cast<std::uint64_t>(size) << kSizeShift;
+    }
+
+    /** The word of @p vaddr's PTE at @p level, creating the nodes
+     * above it on demand. Valid until the next new PTE. */
+    std::uint64_t &pteAt(Addr vaddr, int level);
+    /** The live leaf word covering @p vaddr, or nullptr. */
+    std::uint64_t *leafWord(Addr vaddr);
+    /** Does the subtree under @p node hold a present leaf? */
+    bool hasMapping(Addr node) const;
+    /** Clear the present bit of every entry under @p node: @return
+     * the number of nodes in the subtree, @p node included. */
+    std::uint64_t reclaim(Addr node);
 
     OsMemory &os_;
-    std::unique_ptr<Node> root_;
-    std::uint64_t nodeCount_ = 0;
+    Addr root_;
+    FlatAddrTable<std::uint64_t> ptes_;
+    std::uint64_t nodeCount_ = 1;
     std::uint64_t mutationEpoch_ = 0;
 };
 

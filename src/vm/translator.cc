@@ -9,8 +9,17 @@ Translator::Translator(const PageTable &table, const TranslatorConfig &cfg)
 {
     const std::string error = configError(cfg);
     TEMPO_ASSERT(error.empty(), error);
-    slots_.resize(cfg_.memoSlots);
-    wslots_.resize(cfg_.walkSlots);
+}
+
+void
+Translator::allocateTables()
+{
+    if (!memo_.empty())
+        return;
+    memo_.resize(cfg_.memoSlots);
+    walkMemo_.resize(cfg_.walkSlots);
+    slots_ = memo_.data();
+    wslots_ = walkMemo_.data();
     slotMask_ = cfg_.memoSlots - 1;
     wslotMask_ = cfg_.walkSlots - 1;
 }
@@ -37,12 +46,14 @@ Translator::refillLast(Addr vaddr, const Translation &xlate,
 }
 
 Translation
-Translator::translateMiss(Addr vaddr, Slot &slot, std::uint64_t stamp)
+Translator::translateMiss(Addr vaddr, std::uint64_t stamp)
 {
     const Translation xlate = table_.translate(vaddr);
     if (xlate.valid) {
         // Negative results are never memoized: map() does not bump the
         // mutation epoch, so a cached "unmapped" answer could go stale.
+        allocateTables();
+        Slot &slot = slotFor(vpn4K(vaddr));
         slot.tag = vpn4K(vaddr);
         slot.stamp = stamp;
         slot.touched = 0;
@@ -73,7 +84,7 @@ Translator::translate(Addr vaddr)
     }
 
     ++misses_;
-    return translateMiss(vaddr, slot, stamp);
+    return translateMiss(vaddr, stamp);
 }
 
 const CachedWalk &
@@ -88,19 +99,21 @@ Translator::walk(Addr vaddr)
     }
 
     ++walkMisses_;
-    // Refill via the vector-free walk: the TLB filters out most reuse
-    // before it reaches the walker, so walk() misses dominate and must
-    // not pay a heap allocation per descent like table_.walk() does.
+    // The TLB filters out most reuse before it reaches the walker, so
+    // walk() misses dominate; the refill writes into fixed-size slots
+    // and never allocates once the tables exist.
     scratch_.count =
         table_.walkInto(vaddr, scratch_.steps, scratch_.xlate);
     if (!scratch_.xlate.valid) {
         // Faulting walks stay unmemoized (see translateMiss).
         return scratch_;
     }
-    slot.tag = vpn;
-    slot.stamp = stamp;
-    slot.walk = scratch_;
-    return slot.walk;
+    allocateTables();
+    WalkSlot &fill = wslots_[vpn & wslotMask_];
+    fill.tag = vpn;
+    fill.stamp = stamp;
+    fill.walk = scratch_;
+    return fill.walk;
 }
 
 bool
@@ -120,13 +133,13 @@ Translator::noteTouched(Addr vaddr)
 {
     const std::uint64_t stamp = currentStamp();
     const Addr vpn = vpn4K(vaddr);
-    Slot &slot = slotFor(vpn);
+    const Slot &slot = slotFor(vpn);
     if ((slot.tag != vpn) | (slot.stamp != stamp)) {
         ++misses_;
-        if (!translateMiss(vaddr, slot, stamp).valid)
+        if (!translateMiss(vaddr, stamp).valid)
             return; // unmapped granule: nothing to mark
     }
-    slot.touched = 1;
+    slotFor(vpn).touched = 1; // the refill may have replaced the table
 }
 
 void

@@ -40,7 +40,12 @@
  * walker fetch plans and all statistics are identical at any memo
  * size. There is no unmemoized mode: the PageTable itself is the
  * oracle, and tests/translator_test.cpp checks the memo against
- * PageTable::translate()/walk() on every operation.
+ * PageTable::translate()/walkInto() on every operation.
+ *
+ * The memo tables are allocated by the first refill, so building a
+ * machine allocates none of them: until then both lookups index a
+ * one-slot sentinel table (mask 0) whose stamp 0 never matches a live
+ * stamp, and the hit path needs no "allocated yet?" test.
  */
 
 #ifndef TEMPO_VM_TRANSLATOR_HH
@@ -67,7 +72,8 @@ struct TranslatorConfig {
     unsigned walkSlots = 1u << 10;
 };
 
-/** A memoized structural walk: WalkResult in fixed-size clothing. */
+/** A memoized structural walk: PageTable::walkInto()'s steps and
+ * outcome. */
 struct CachedWalk {
     Translation xlate;
     int count = 0;                //!< valid prefix of steps[]
@@ -81,6 +87,9 @@ class Translator
     explicit Translator(const PageTable &table,
                         const TranslatorConfig &cfg = {});
 
+    Translator(const Translator &) = delete;
+    Translator &operator=(const Translator &) = delete;
+
     /** Why @p cfg cannot build a Translator, or "" when it can. The
      * constructor asserts this; config loading reports it as an input
      * error. */
@@ -92,7 +101,7 @@ class Translator
 
     /**
      * Structural walk for @p vaddr, memoized. Exactly equal to
-     * PageTable::walk() at every instant. The reference stays valid
+     * PageTable::walkInto() at every instant. The reference stays valid
      * until the next walk() call on this translator (a miss refills
      * through a scratch slot).
      */
@@ -152,18 +161,23 @@ class Translator
     Slot &slotFor(Addr vpn) { return slots_[vpn & slotMask_]; }
     void refillLast(Addr vaddr, const Translation &xlate,
                     std::uint64_t stamp);
-    Translation translateMiss(Addr vaddr, Slot &slot,
-                              std::uint64_t stamp);
+    Translation translateMiss(Addr vaddr, std::uint64_t stamp);
+    /** Replace the sentinels with the configured tables, once. */
+    void allocateTables();
 
     const PageTable &table_;
     TranslatorConfig cfg_;
     std::uint64_t gen_ = 1;
 
     LastSlot last_;
-    std::vector<Slot> slots_;
-    std::vector<WalkSlot> wslots_;
+    Slot noSlot_;                 //!< sentinels: stamp 0, never hit
+    WalkSlot noWalkSlot_;
+    Slot *slots_ = &noSlot_;
+    WalkSlot *wslots_ = &noWalkSlot_;
     Addr slotMask_ = 0;
     Addr wslotMask_ = 0;
+    std::vector<Slot> memo_;      //!< empty until the first refill
+    std::vector<WalkSlot> walkMemo_;
     CachedWalk scratch_;          //!< walk() miss refill; returned
                                   //!< as is for faulting walks
 
