@@ -11,8 +11,8 @@
  *
  * The TEMPO_* variables of the run-option table (src/cli/run_options.hh,
  * EXPERIMENTS.md "Run options") set trace lengths, outputs, fault
- * handling, checkpoints and the sweep fabric. A figure's single-app
- * points run concurrently as one batch, its mixes as a second, and land
+ * handling, checkpoints and the sweep fabric. A figure's points run
+ * concurrently as one batch (a mix figure's alone runs included) and land
  * in BENCH_<name>.json (tempo-bench-1, src/stats/json.hh), each with the
  * settings that built it as its "config".
  */
@@ -28,7 +28,7 @@
 
 #include "cli/config_file.hh"
 #include "cli/run_options.hh"
-#include "core/multi_system.hh"
+#include "core/experiment.hh"
 #include "workloads/workload.hh"
 
 namespace tempo::bench {
@@ -179,7 +179,7 @@ build(const Figure &figure, const Variant &variant)
 /** The multiprogrammed mixes used for the fairness studies (paper
  * Sec. 6.3: Spec/Parsec applications "with a range of memory
  * intensities"; we mix big-data, medium, and small apps). */
-std::vector<std::vector<std::string>>
+std::vector<WorkloadList>
 fairnessMixes()
 {
     return {
@@ -190,43 +190,38 @@ fairnessMixes()
     };
 }
 
-/** Run the mixes of @p figure: first every alone run of its baselines
- * as single-app points (seed cfg.seed + 13 i for app i, as makeMix()
- * seeds the shared run), then every (variant, mix) pair, variant-major.
- * Records each mix as its weighted speedup and maximum slowdown over
- * the alone runtimes, zero for a failed mix, whose status the JSON
- * records instead. */
+/** Run the mixes of @p figure as one batch, so one manifest and one
+ * checkpoint directory cover the figure: first every alone point of
+ * its baselines (alonePoints()), then every (variant, mix) pair,
+ * variant-major. Records each mix as its weighted speedup and maximum
+ * slowdown over the alone runtimes, zero for a failed mix, whose
+ * status the JSON records instead, followed by its full report. */
 void
 runMixes(const std::vector<SystemConfig> &configs, std::uint64_t refs,
          Grid &grid, std::vector<stats::BenchPoint> &points)
 {
     const Figure &figure = grid.figure;
     const auto mixes = fairnessMixes();
-    std::vector<ExperimentPoint> alone_points;
-    std::vector<MixPoint> mix_points;
+    std::vector<ExperimentPoint> mix_points, batch;
     for (std::size_t v = 0; v < configs.size(); ++v) {
-        for (const auto &mix : mixes) {
-            mix_points.push_back(MixPoint{mix, configs[v], refs, 0});
+        for (const WorkloadList &mix : mixes) {
+            ExperimentPoint &point = mix_points.emplace_back();
+            point.workload = mix;
+            point.config = configs[v];
+            point.refs = refs;
             if (!figure.variants[v].baseline)
                 continue;
-            for (std::size_t i = 0; i < mix.size(); ++i) {
-                ExperimentPoint &point = alone_points.emplace_back();
-                point.workload = mix[i];
-                point.config = configs[v];
-                point.refs = refs;
-                point.seed = configs[v].seed + 13 * i;
-            }
+            for (ExperimentPoint &alone : alonePoints(point))
+                batch.push_back(std::move(alone));
         }
     }
+    const std::size_t first_mix = batch.size();
+    batch.insert(batch.end(), mix_points.begin(), mix_points.end());
     for (std::size_t m = 0; m < mixes.size(); ++m)
         grid.workloads.push_back("mix" + std::to_string(m));
-    const std::vector<RunResult> alone_runs =
-        runAll(figure.name, alone_points);
-    std::vector<MultiResult> results;
-    exitOn(cli::runBatch(options(), figure.name + std::string("/mixes"),
-                         mix_points, results));
+    const std::vector<RunResult> results = runAll(figure.name, batch);
 
-    auto next_alone = alone_runs.begin();
+    auto next_alone = results.begin();
     std::vector<std::vector<Cycle>> alone(mixes.size());
     std::vector<Fairness> base(mixes.size());
     for (std::size_t v = 0; v < configs.size(); ++v) {
@@ -238,11 +233,12 @@ runMixes(const std::vector<SystemConfig> &configs, std::uint64_t refs,
                 for (std::size_t i = 0; i < mixes[m].size(); ++i)
                     alone[m].push_back((next_alone++)->runtime);
             }
-            const MultiResult &result = results[v * mixes.size() + m];
+            const RunResult &result =
+                results[first_mix + v * mixes.size() + m];
             const RunStatus &status = result.status;
             const Fairness fairness = status.ok()
-                ? Fairness{result.weightedSpeedup(alone[m]),
-                           result.maxSlowdown(alone[m])}
+                ? Fairness{weightedSpeedup(result.appFinish, alone[m]),
+                           maxSlowdown(result.appFinish, alone[m])}
                 : Fairness{};
             if (variant.baseline)
                 base[m] = fairness;
@@ -259,6 +255,8 @@ runMixes(const std::vector<SystemConfig> &configs, std::uint64_t refs,
             point.counters = {
                 {"weighted_speedup", fairness.weightedSpeedup},
                 {"max_slowdown", fairness.maxSlowdown}};
+            for (const auto &[name, value] : result.report.entries())
+                point.counters.emplace_back("report." + name, value);
             point.status = status.codeName();
             point.error = status.error;
             point.attempts = status.attempts;
@@ -305,7 +303,7 @@ runFigure(const Figure &figure)
         grid.runs = runAll(figure.name, batch);
         for (std::size_t i = 0; i < batch.size(); ++i)
             points.push_back(toBenchPoint(
-                batch[i].workload,
+                batch[i].workload.front(),
                 figure.variants[i % configs.size()].settings,
                 grid.runs[i]));
     }
@@ -386,7 +384,7 @@ printDramBreakdown(const Grid &grid)
                 "replay-follows%");
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
         const RunResult &result = grid.at(w, 0);
-        const CoreStats &core = result.core;
+        const CoreStats &core = result.core();
         std::printf("%-10s %10.1f %12.1f %10.1f | %10.1f %15.1f\n",
                     grid.workloads[w].c_str(), pct(result.fracDramPtw()),
                     pct(result.fracDramReplay()),
@@ -436,7 +434,7 @@ printReplayBreakdown(const Grid &grid)
     std::printf("%-10s %8s %18s %10s %10s\n", "workload", "LLC%",
                 "rowbuf+overlap%", "unaided%", "L1/L2%");
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-        const CoreStats &core = grid.at(w, 0).core;
+        const CoreStats &core = grid.at(w, 0).core();
         const char *name = grid.workloads[w].c_str();
         const double total = static_cast<double>(core.replayAfterDramWalk);
         if (total == 0) {

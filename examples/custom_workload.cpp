@@ -6,10 +6,10 @@
  * you want to evaluate against TEMPO before asking your CPU vendor for
  * the feature. Implement the Workload interface — here, a hash-table
  * lookup service with a hot key distribution and value chains — and
- * hand it to TempoSystem.
+ * hand it to System.
  *
  * Demonstrates: the Workload extension point, the IndirectStream helper
- * for IMP interoperability, and direct use of TempoSystem (rather than
+ * for IMP interoperability, and direct use of System (rather than
  * the runWorkload convenience wrapper).
  */
 
@@ -19,7 +19,7 @@
 #include <memory>
 #include <string>
 
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -80,14 +80,12 @@ main(int argc, char **argv)
         argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 200000;
 
     SystemConfig base_cfg = SystemConfig::skylakeScaled();
-    TempoSystem baseline(base_cfg,
-                         std::make_unique<KvStoreWorkload>(42));
+    System baseline(base_cfg, std::make_unique<KvStoreWorkload>(42));
     const RunResult base = baseline.run(refs);
 
     SystemConfig tempo_cfg = SystemConfig::skylakeScaled();
     tempo_cfg.withTempo(true);
-    TempoSystem enhanced(tempo_cfg,
-                         std::make_unique<KvStoreWorkload>(42));
+    System enhanced(tempo_cfg, std::make_unique<KvStoreWorkload>(42));
     const RunResult with_tempo = enhanced.run(refs);
 
     std::printf("kvstore (%llu requests' worth of references)\n",
@@ -102,9 +100,9 @@ main(int argc, char **argv)
                 100.0 * with_tempo.energySavingOver(base));
     std::printf("  replays served from LLC  : %llu of %llu eligible\n",
                 static_cast<unsigned long long>(
-                    with_tempo.core.replayLlcHits),
+                    with_tempo.core().replayLlcHits),
                 static_cast<unsigned long long>(
-                    with_tempo.core.replayAfterDramWalk));
+                    with_tempo.core().replayAfterDramWalk));
 
     // Dump the full statistics report for deeper digging.
     if (argc > 2 && std::string(argv[2]) == "--full") {

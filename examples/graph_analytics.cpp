@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 #include "workloads/workload.hh"
 
 namespace {

@@ -11,7 +11,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 #include "workloads/workload.hh"
 
 int
@@ -67,7 +67,7 @@ main(int argc, char **argv)
     std::printf("  DRAM-Other         : %.1f%%\n",
                 100.0 * baseline.fracRuntimeOtherDram());
 
-    const auto &tempo_core = with_tempo.core;
+    const auto &tempo_core = with_tempo.core();
     std::printf("\nTEMPO replay service points (paper Fig. 11):\n");
     std::printf("  LLC hits        : %llu\n",
                 static_cast<unsigned long long>(
@@ -81,7 +81,7 @@ main(int argc, char **argv)
                 100.0 * baseline.report.get("tlb.miss_rate"));
     std::printf("walks w/ leaf PTE in DRAM: %llu of %llu\n",
                 static_cast<unsigned long long>(
-                    baseline.core.walksWithLeafDram),
-                static_cast<unsigned long long>(baseline.core.walks));
+                    baseline.core().walksWithLeafDram),
+                static_cast<unsigned long long>(baseline.core().walks));
     return 0;
 }

@@ -8,14 +8,14 @@
  * one memory controller. Compare FR-FCFS vs BLISS, with and without
  * TEMPO, on weighted speedup and worst-tenant slowdown.
  *
- * Demonstrates: MultiSystem, fairness metrics, scheduler selection, and
- * per-app statistics.
+ * Demonstrates: a multi-app System, the fairness metrics, scheduler
+ * selection, and per-app statistics.
  */
 
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/multi_system.hh"
+#include "core/experiment.hh"
 
 int
 main(int argc, char **argv)
@@ -25,7 +25,7 @@ main(int argc, char **argv)
     const std::uint64_t refs_per_app =
         argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 60000;
 
-    const std::vector<std::string> tenants = {
+    const WorkloadList tenants = {
         "xsbench",       "graph500",     "lbm.medium",
         "milc.medium",   "astar.small",  "gcc.small",
         "hmmer.small",   "swaptions.small"};
@@ -47,17 +47,19 @@ main(int argc, char **argv)
 
     // Alone runtimes under the FR-FCFS machine are the common
     // denominator for all fairness metrics.
-    SystemConfig alone_cfg = SystemConfig::skylakeScaled();
-    const std::vector<Cycle> alone =
-        aloneRuntimes(alone_cfg, tenants, refs_per_app);
+    ExperimentPoint mix;
+    mix.workload = tenants;
+    mix.config = SystemConfig::skylakeScaled();
+    mix.refs = refs_per_app;
+    const std::vector<Cycle> alone = aloneRuntimes(mix);
 
     std::printf("%-18s %18s %14s %16s\n", "configuration",
                 "weighted speedup", "max slowdown", "slowest tenant");
     for (const Variant &variant : variants) {
         SystemConfig cfg = SystemConfig::skylakeScaled();
         cfg.withSched(variant.sched).withTempo(variant.tempo);
-        MultiSystem system(cfg, makeMix(tenants, cfg.seed));
-        const MultiResult result = system.run(refs_per_app);
+        System system(cfg, makeMix(tenants, cfg.seed));
+        const RunResult result = system.run(refs_per_app);
 
         // Identify the worst-slowed tenant by name.
         std::size_t worst = 0;
@@ -72,8 +74,9 @@ main(int argc, char **argv)
             }
         }
         std::printf("%-18s %18.3f %14.2fx %16s\n", variant.label,
-                    result.weightedSpeedup(alone),
-                    result.maxSlowdown(alone), tenants[worst].c_str());
+                    weightedSpeedup(result.appFinish, alone),
+                    maxSlowdown(result.appFinish, alone),
+                    tenants[worst].c_str());
     }
 
     std::printf("\nHigher weighted speedup = better throughput; lower "

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <map>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
@@ -123,7 +122,7 @@ constexpr RunOption kRows[] = {
           "fabric heartbeat period in seconds (default 1)", kEngine, 0,
           parseSeconds, engine.fabricHeartbeatSec),
     {"TEMPO_TRACE_DIR", nullptr, nullptr,
-     "write each point's trace to DIR/TRACE_<name>_<n>.json (default none)",
+     "write point i's trace to DIR/TRACE_<name>_<i>.json (default none)",
      kObs, 0, [](const RunOptions &run) { return run.obs.traceDir; },
      [](RunOptions &run, const std::string &, const std::string &value) {
          run.obs.trace = true;
@@ -211,9 +210,8 @@ guarded(auto engine)
     }
 }
 
-template <typename Result>
 void
-printFailures(const std::string &label, const std::vector<Result> &results)
+printFailures(const std::string &label, const std::vector<RunResult> &results)
 {
     for (std::size_t i = 0; i < results.size(); ++i) {
         const RunStatus &status = results[i].status;
@@ -310,12 +308,7 @@ runBatch(const RunOptions &run, const std::string &label,
         return 2;
     printFailures(label, results);
 
-    // n counts across the batches of one label, so a process with
-    // several batches never overwrites one of its own trace files, and
-    // a label's names do not depend on the labels that ran before it.
-    static std::map<std::string, std::size_t> next_n;
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const std::size_t n = next_n[label]++;
         const auto &run_obs = results[i].obs;
         if (!run_obs || !run_obs->cfg.trace)
             continue; // obs off, or a point restored from a shard
@@ -324,7 +317,7 @@ runBatch(const RunOptions &run, const std::string &label,
             file = i ? run.tracePath + "." + std::to_string(i) : run.tracePath;
         else if (!run.obs.traceDir.empty())
             file = run.obs.traceDir + "/TRACE_" + label + "_"
-                + std::to_string(n) + ".json";
+                + std::to_string(i) + ".json";
         else
             continue;
         if (!guarded([&] { obs::writeChromeTrace(file, *run_obs); }))
@@ -334,18 +327,6 @@ runBatch(const RunOptions &run, const std::string &label,
                      static_cast<unsigned long long>(
                          run_obs->droppedEvents));
     }
-    return 0;
-}
-
-int
-runBatch(const RunOptions &run, const std::string &label,
-         const std::vector<MixPoint> &points,
-         std::vector<MultiResult> &results)
-{
-    obs::configure(run.obs);
-    if (!guarded([&] { results = runMixExperiments(points, run.engine); }))
-        return 2;
-    printFailures(label, results);
     return 0;
 }
 

@@ -85,19 +85,14 @@ std::string runFlagUsage(unsigned tool);
  * Run one batch: install run.obs, run the engine, print each failed
  * point as "LABEL point I: STATUS after N attempt(s): ERROR" and
  * write the traces, to run.tracePath or else as
- * TEMPO_TRACE_DIR/TRACE_<label>_<n>.json, n counting the points of
- * every batch of this process with that label.
+ * TEMPO_TRACE_DIR/TRACE_<label>_<i>.json for point i (a figure is
+ * one batch, so its points' names never collide).
  * @return 0; 2 after an infrastructure error (an unusable fabric or
  *         checkpoint directory); 1 when a trace cannot be written.
  */
 int runBatch(const RunOptions &run, const std::string &label,
              const std::vector<ExperimentPoint> &points,
              std::vector<RunResult> &results);
-
-/** runBatch() for mixes, which run in process and write no traces. */
-int runBatch(const RunOptions &run, const std::string &label,
-             const std::vector<MixPoint> &points,
-             std::vector<MultiResult> &results);
 
 /** stats::writeBenchJson(), then "wrote PATH" on @p log.
  * @return 0, or 1 when @p path cannot be written. */

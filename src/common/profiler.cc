@@ -48,4 +48,10 @@ endWindow()
     return st.totals;
 }
 
+bool
+windowOpen()
+{
+    return detail::state().active;
+}
+
 } // namespace tempo::prof

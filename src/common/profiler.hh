@@ -86,6 +86,9 @@ void beginWindow();
 /** Stop attributing on this thread and return the window's totals. */
 Totals endWindow();
 
+/** Whether this thread has a window open. */
+bool windowOpen();
+
 namespace detail {
 
 struct ThreadState {

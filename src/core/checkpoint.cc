@@ -102,8 +102,22 @@ encodeRunResult(const RunResult &result)
 
     Json core = Json::object();
     CoreEncoder enc{core};
-    visitCoreStats(result.core, enc);
+    visitCoreStats(result.core(), enc);
     doc.set("core", std::move(core));
+    // A mix also records every app: its finish and its core stats (the
+    // first repeats "core"). A one-app record needs no "apps": its one
+    // app finishes at "runtime".
+    if (result.appStats.size() > 1) {
+        Json apps = Json::array();
+        for (std::size_t i = 0; i < result.appStats.size(); ++i) {
+            Json app = Json::object();
+            app.set("finish", result.appFinish[i]);
+            CoreEncoder app_enc{app};
+            visitCoreStats(result.appStats[i], app_enc);
+            apps.push(std::move(app));
+        }
+        doc.set("apps", std::move(apps));
+    }
 
     doc.set("superpage_coverage", result.superpageCoverage);
     doc.set("coverage_2m", result.coverage2M);
@@ -153,8 +167,17 @@ decodeRunResult(const stats::JsonValue &value)
     result.energy.dramDynamic = energy.at("dram_dynamic").asDouble();
     result.energy.mcDynamic = energy.at("mc_dynamic").asDouble();
 
-    CoreDecoder dec{value.at("core")};
-    visitCoreStats(result.core, dec);
+    if (const JsonValue *apps = value.find("apps")) {
+        for (const JsonValue &app : apps->elements) {
+            result.appFinish.push_back(app.at("finish").asUint64());
+            CoreDecoder dec{app};
+            visitCoreStats(result.appStats.emplace_back(), dec);
+        }
+    } else {
+        result.appFinish.push_back(result.runtime);
+        CoreDecoder dec{value.at("core")};
+        visitCoreStats(result.appStats.emplace_back(), dec);
+    }
 
     result.superpageCoverage = value.at("superpage_coverage").asDouble();
     result.coverage2M = value.at("coverage_2m").asDouble();

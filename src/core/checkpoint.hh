@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <string>
 
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 #include "stats/json.hh"
 
 namespace tempo {

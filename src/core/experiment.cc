@@ -71,18 +71,27 @@ maybeInject(const ExperimentOptions &opts, std::size_t index)
     }
 }
 
-/**
- * The per-point exception barrier and retry loop, shared by single-app
- * and mix points. @p attempt runs one attempt from a seed and returns
- * a fully-populated result; Result must have a RunStatus `status`.
- */
-template <typename Result, typename Attempt>
-Result
-runPointGuarded(const ExperimentOptions &opts, std::size_t index,
-                std::uint64_t base_seed, std::uint64_t digest,
-                Attempt &&attempt)
+/** One attempt of @p point: build its System from @p seed and run it. */
+RunResult
+runAttempt(const ExperimentPoint &point, std::uint64_t seed)
 {
-    Result result{};
+    std::vector<std::unique_ptr<Workload>> apps;
+    if (point.makeWorkloadFn)
+        apps.push_back(point.makeWorkloadFn());
+    else
+        apps = makeMix(point.workload, seed);
+    System system(point.config, std::move(apps));
+    return system.run(point.refs, point.warmup);
+}
+
+/** Point @p index behind the per-point exception barrier and retry
+ * loop. */
+RunResult
+runPointGuarded(const ExperimentOptions &opts, std::size_t index,
+                const ExperimentPoint &point, std::uint64_t digest)
+{
+    const std::uint64_t base_seed = point.seed.value_or(point.config.seed);
+    RunResult result;
     for (unsigned k = 0; k <= opts.retries; ++k) {
         const std::uint64_t seed =
             k == 0 ? base_seed : derivedSeed(base_seed, kRetrySalt + k);
@@ -90,7 +99,7 @@ runPointGuarded(const ExperimentOptions &opts, std::size_t index,
                                   const std::string &error) {
             // Failed attempts report a zeroed result, never a partial
             // one: the status carries everything a caller may use.
-            result = Result{};
+            result = RunResult{};
             result.status.code = code;
             result.status.error = error;
             result.status.attempts = k + 1;
@@ -102,7 +111,7 @@ runPointGuarded(const ExperimentOptions &opts, std::size_t index,
             if (opts.pointTimeoutSec > 0)
                 watchdog::arm(opts.pointTimeoutSec);
             maybeInject(opts, index);
-            result = attempt(seed);
+            result = runAttempt(point, seed);
             watchdog::disarm();
             result.status = RunStatus{};
             result.status.attempts = k + 1;
@@ -124,12 +133,11 @@ runPointGuarded(const ExperimentOptions &opts, std::size_t index,
 }
 
 /** Rethrow the first (lowest-index) captured failure, for the legacy
- * entry points whose callers expect exceptions to propagate. */
-template <typename Result>
+ * entry point whose callers expect exceptions to propagate. */
 void
-rethrowFirstFailure(const std::vector<Result> &results)
+rethrowFirstFailure(const std::vector<RunResult> &results)
 {
-    for (const Result &result : results) {
+    for (const RunResult &result : results) {
         if (result.status.ok())
             continue;
         if (result.status.exception)
@@ -144,7 +152,8 @@ std::uint64_t
 pointDigest(const ExperimentPoint &point, std::size_t index)
 {
     std::uint64_t h = 1469598103934665603ull; // FNV-1a offset basis
-    h = mix(h, point.workload);
+    for (const std::string &name : point.workload)
+        h = mix(h, name);
     h = mix(h, point.refs);
     h = mix(h, point.warmup);
     h = mix(h, std::uint64_t(point.seed.has_value()));
@@ -152,6 +161,41 @@ pointDigest(const ExperimentPoint &point, std::size_t index)
     h = mix(h, point.config.digest());
     h = mix(h, std::uint64_t(index));
     return h;
+}
+
+std::vector<std::unique_ptr<Workload>>
+makeMix(const std::vector<std::string> &names, std::uint64_t seed)
+{
+    std::vector<std::unique_ptr<Workload>> mix;
+    mix.reserve(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i)
+        mix.push_back(makeWorkload(names[i], appSeed(seed, i)));
+    return mix;
+}
+
+std::vector<ExperimentPoint>
+alonePoints(const ExperimentPoint &mix)
+{
+    const std::uint64_t seed = mix.seed.value_or(mix.config.seed);
+    std::vector<ExperimentPoint> points;
+    for (std::size_t i = 0; i < mix.workload.size(); ++i) {
+        ExperimentPoint &point = points.emplace_back();
+        point.workload = mix.workload[i];
+        point.config = mix.config;
+        point.refs = mix.refs;
+        point.warmup = mix.warmup;
+        point.seed = appSeed(seed, i);
+    }
+    return points;
+}
+
+std::vector<Cycle>
+aloneRuntimes(const ExperimentPoint &mix)
+{
+    std::vector<Cycle> alone;
+    for (const RunResult &result : runExperiments(alonePoints(mix)))
+        alone.push_back(result.runtime);
+    return alone;
 }
 
 void
@@ -173,18 +217,8 @@ runExperiments(const std::vector<ExperimentPoint> &points,
 
     // One attempt of point i, behind the exception barrier — shared by
     // the in-process pool and the fabric worker loop.
-    auto run_one = [&](std::size_t i) -> RunResult {
-        const ExperimentPoint &point = points[i];
-        const std::uint64_t base_seed =
-            point.seed ? *point.seed : point.config.seed;
-        return runPointGuarded<RunResult>(
-            opts, i, base_seed, digests[i], [&](std::uint64_t seed) {
-                auto workload = point.makeWorkloadFn
-                    ? point.makeWorkloadFn()
-                    : makeWorkload(point.workload, seed);
-                TempoSystem system(point.config, std::move(workload));
-                return system.run(point.refs, point.warmup);
-            });
+    auto run_one = [&](std::size_t i) {
+        return runPointGuarded(opts, i, points[i], digests[i]);
     };
 
     // Progress tracker: the caller's (tempo_sweep --dashboard), or an
@@ -227,37 +261,6 @@ runExperiments(const std::vector<ExperimentPoint> &points, unsigned jobs)
     return results;
 }
 
-std::vector<MultiResult>
-runMixExperiments(const std::vector<MixPoint> &points,
-                  const ExperimentOptions &opts)
-{
-    // Mixes are fault-isolated like single-app points but neither
-    // join a fabric nor report onPointDone (the callback carries a
-    // RunResult); see docs/MODEL.md.
-    std::vector<MultiResult> results(points.size());
-    parallelFor(points.size(), opts.jobs, [&](std::size_t i) {
-        const MixPoint &point = points[i];
-        results[i] = runPointGuarded<MultiResult>(
-            opts, i, point.config.seed, /*digest=*/0,
-            [&](std::uint64_t seed) {
-                MultiSystem system(point.config,
-                                   makeMix(point.workloads, seed));
-                return system.run(point.refsPerApp, point.warmupPerApp);
-            });
-    });
-    return results;
-}
-
-std::vector<MultiResult>
-runMixExperiments(const std::vector<MixPoint> &points, unsigned jobs)
-{
-    ExperimentOptions opts;
-    opts.jobs = jobs;
-    std::vector<MultiResult> results = runMixExperiments(points, opts);
-    rethrowFirstFailure(results);
-    return results;
-}
-
 stats::BenchPoint
 toBenchPoint(const std::string &workload,
              std::vector<std::pair<std::string, std::string>> config,
@@ -282,7 +285,7 @@ toBenchPoint(const std::string &workload,
 
     // Headline counters first (the golden-stats regression surface),
     // then the complete per-component report.
-    const CoreStats &core = result.core;
+    const CoreStats &core = result.core();
     point.counters = {
         {"walks", static_cast<double>(core.walks)},
         {"leaf_pt_dram_accesses",

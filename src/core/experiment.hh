@@ -4,8 +4,8 @@
  * simulation points concurrently on a work-stealing thread pool and
  * return their results in submission order.
  *
- * Determinism: every point constructs its own TempoSystem/MultiSystem
- * and draws all randomness from an explicit per-point seed, so a batch
+ * Determinism: every point constructs its own System and draws all
+ * randomness from an explicit per-point seed, so a batch
  * produces bit-identical results at any thread count. Callers that want
  * distinct seeds per point derive them with derivedSeed() — never from
  * a shared RNG, whose draw order would depend on scheduling.
@@ -28,8 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "core/multi_system.hh"
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 #include "stats/json.hh"
 
 namespace tempo {
@@ -38,30 +37,53 @@ namespace fabric {
 class SweepProgress;
 } // namespace fabric
 
-/** One single-application simulation point. */
+/** The apps of a point, one core each, in core order. Assigning one
+ * name makes a one-app list: `point.workload = "mcf"`. */
+struct WorkloadList : std::vector<std::string> {
+    using std::vector<std::string>::vector;
+    WorkloadList(std::string name) : vector{std::move(name)} {}
+    WorkloadList(const char *name) : WorkloadList(std::string(name)) {}
+};
+
+/** One simulation point: one app, or a multiprogrammed mix. */
 struct ExperimentPoint {
-    /** Workload generator name (makeWorkload), or a label when
+    /** Workload generator names (makeWorkload), or one label when
      * makeWorkloadFn is set. */
-    std::string workload;
+    WorkloadList workload;
     SystemConfig config;
-    std::uint64_t refs = 0;
-    std::uint64_t warmup = 0;
-    /** Workload seed override; nullopt selects config.seed. An
-     * explicit 0 is a real seed (historically 0 meant "unset", which
-     * silently made seed 0 unusable). */
+    std::uint64_t refs = 0;   //!< measured references per app
+    std::uint64_t warmup = 0; //!< warmup references per app
+    /** Workload seed override; nullopt selects config.seed. App i is
+     * seeded appSeed(seed, i). An explicit 0 is a real seed
+     * (historically 0 meant "unset", which silently made seed 0
+     * unusable). */
     std::optional<std::uint64_t> seed;
-    /** Optional factory override (e.g. trace replay). Must be safe to
-     * invoke from a worker thread. */
+    /** Optional factory override of a one-app point (e.g. trace
+     * replay). Must be safe to invoke from a worker thread. */
     std::function<std::unique_ptr<Workload>()> makeWorkloadFn;
 };
 
-/** One multiprogrammed simulation point. */
-struct MixPoint {
-    std::vector<std::string> workloads;
-    SystemConfig config;
-    std::uint64_t refsPerApp = 0;
-    std::uint64_t warmupPerApp = 0;
-};
+/** The workload seed of app @p app of a point seeded @p seed, so a
+ * mix's apps draw distinct streams and an app run alone draws the
+ * stream it has in the mix. */
+inline std::uint64_t
+appSeed(std::uint64_t seed, std::size_t app)
+{
+    return seed + 13 * app;
+}
+
+/** Build workload instances for a mix of names, app i seeded
+ * appSeed(seed, i). */
+std::vector<std::unique_ptr<Workload>>
+makeMix(const std::vector<std::string> &names, std::uint64_t seed);
+
+/** The one-app points of @p mix: each app alone on the mix's machine,
+ * with the references and seed it has in the mix. */
+std::vector<ExperimentPoint> alonePoints(const ExperimentPoint &mix);
+
+/** Per-app alone runtimes of @p mix (the denominators of the fairness
+ * metrics), run concurrently; rethrows the first failure. */
+std::vector<Cycle> aloneRuntimes(const ExperimentPoint &mix);
 
 /** splitmix64 finalizer: a decorrelated seed for point @p index. */
 std::uint64_t derivedSeed(std::uint64_t base, std::uint64_t index);
@@ -160,9 +182,9 @@ void useCheckpointDir(ExperimentOptions &opts, const std::string &dir);
 
 /**
  * A stable identity for a point within a sweep: hashes the workload
- * name, refs/warmup, seed override, the full config digest, and the
- * point's index. Keys fabric claims, shard records and failure
- * reports.
+ * names in order (no count, so a one-app point hashes its name alone),
+ * refs/warmup, seed override, the full config digest, and the point's
+ * index. Keys fabric claims, shard records and failure reports.
  */
 std::uint64_t pointDigest(const ExperimentPoint &point, std::size_t index);
 
@@ -187,17 +209,6 @@ runExperiments(const std::vector<ExperimentPoint> &points,
 std::vector<RunResult>
 runExperiments(const std::vector<ExperimentPoint> &points,
                unsigned jobs = 0);
-
-/** Multiprogrammed counterpart of runExperiments(). Fault-isolated
- * the same way; mixes always run in process (fabricDir is ignored —
- * see docs/MODEL.md). */
-std::vector<MultiResult>
-runMixExperiments(const std::vector<MixPoint> &points,
-                  const ExperimentOptions &opts);
-
-/** Back-compat wrapper, rethrows the first captured failure. */
-std::vector<MultiResult>
-runMixExperiments(const std::vector<MixPoint> &points, unsigned jobs = 0);
 
 /**
  * Flatten a finished point into the "tempo-bench-1" JSON schema:

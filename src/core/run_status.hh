@@ -4,7 +4,7 @@
  * isolation: instead of a failing (workload, config) point unwinding
  * the whole sweep, the engine captures what happened into the result
  * itself. A default-constructed status reads "ok" so code that builds
- * results directly (TempoSystem::run and friends) needs no changes.
+ * results directly (System::run and friends) needs no changes.
  */
 
 #ifndef TEMPO_CORE_RUN_STATUS_HH

@@ -22,6 +22,16 @@ using stats::JsonValue;
 
 namespace {
 
+/** References a finished point simulated, over all its apps. */
+std::uint64_t
+refsOf(const RunResult &result)
+{
+    std::uint64_t refs = 0;
+    for (const CoreStats &app : result.appStats)
+        refs += app.refs;
+    return refs;
+}
+
 /** Cap on the failures array in snapshots (the dashboard feed; the
  * bench JSON still reports every failure). */
 constexpr std::size_t kMaxSnapshotFailures = 50;
@@ -123,7 +133,7 @@ WorkerTally::add(const RunResult &result, double pointWallSec)
     }
     retries += result.status.attempts > 0 ? result.status.attempts - 1 : 0;
     ++pointsRun;
-    refsDone += result.core.refs;
+    refsDone += refsOf(result);
     wallSec += pointWallSec;
     lastWallSec = pointWallSec;
     rollupTimeseries(timeseries, result);
@@ -196,7 +206,7 @@ SweepProgress::done(std::size_t, const RunResult &result)
     }
     retries_ +=
         result.status.attempts > 0 ? result.status.attempts - 1 : 0;
-    refsDone_ += result.core.refs;
+    refsDone_ += refsOf(result);
     if (!result.status.ok() && failures_.size() < kMaxSnapshotFailures) {
         RunStatus status = result.status;
         status.exception = nullptr; // snapshots never rethrow
@@ -309,7 +319,7 @@ buildDirSnapshotJson(const std::string &dir, double staleSec)
             retries += result.status.attempts > 0
                            ? result.status.attempts - 1
                            : 0;
-            refsDone += result.core.refs;
+            refsDone += refsOf(result);
             rollupTimeseries(rollup, result);
             if (!result.status.ok() &&
                 failures.size() < kMaxSnapshotFailures)

@@ -47,7 +47,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 #include "stats/json.hh"
 
 namespace tempo::fabric {

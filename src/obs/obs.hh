@@ -16,27 +16,28 @@
  *    thread track per walk id so walker, prefetch-engine, and replay
  *    events join visually.
  *
- *  - Time-series sampler: every `timeseriesWindow` cycles TempoSystem
+ *  - Time-series sampler: every `timeseriesWindow` cycles System
  *    snapshots Tx-Q occupancy, prefetch slots in use, outstanding
- *    walks, the row-buffer hit rate over the window, and the window's
- *    mean replay latency. The samples surface as a "timeseries" section
- *    of the tempo-bench-1 JSON and as counter tracks in the trace.
+ *    walks (summed over its cores), the row-buffer hit rate over the
+ *    window, and the window's mean replay latency. The samples surface
+ *    as a "timeseries" section of the tempo-bench-1 JSON and as
+ *    counter tracks in the trace.
  *
  *  - Lifecycle audit: events are joined by walk id into a replay-latency
  *    breakdown (LLC hit / private hit / merged / row-buffer hit / array
  *    access) and a prefetch taxonomy (useful / late / useless /
  *    dropped), reported as "obs.*" stats. The breakdown counts exactly
- *    the replays the core counts, so obs.replay_* sums to
- *    replay_after_dram_walk and the prefetch taxonomy sums to
- *    mc.tempo.prefetches_issued.
+ *    the replays the cores count, so obs.replay_* sums to
+ *    replay_after_dram_walk (over every app of a mix) and the prefetch
+ *    taxonomy sums to mc.tempo.prefetches_issued.
  *
  * Cost discipline (mirrors common/profiler.hh): every instrumentation
  * site is `if (auto *s = obs::session())` — one relaxed atomic load and
  * a predictable branch when observability is off, so default runs stay
  * byte-identical to a build without the hooks. Sessions are
- * thread_local and created only by TempoSystem::run (the parallel
- * engine runs each point entirely on one worker thread); MultiSystem
- * runs are not instrumented and record nothing.
+ * thread_local and created only by System::run, for one app or a mix
+ * alike (the parallel engine runs each point entirely on one worker
+ * thread, so a mix's cores share one session and one walk-id space).
  */
 
 #ifndef TEMPO_OBS_OBS_HH
@@ -198,7 +199,7 @@ session()
 
 /**
  * Per-run recording state. Instrumentation hooks call into the session
- * returned by obs::session(); TempoSystem::run owns one via ScopedRun.
+ * returned by obs::session(); System::run owns one via ScopedRun.
  */
 class Session
 {
@@ -249,7 +250,7 @@ class Session
     void rowClose(Cycle when, unsigned bank, Addr row);
     void blissBlacklist(Cycle now, AppId app);
 
-    /** Append one time-series sample (TempoSystem's sampler). */
+    /** Append one time-series sample (System's sampler). */
     void timeseriesSample(Cycle now, std::size_t txq_occupancy,
                           std::size_t prefetch_slots,
                           std::uint64_t outstanding_walks,
@@ -325,7 +326,7 @@ class Session
 };
 
 /**
- * RAII guard TempoSystem::run uses: creates a thread-local session when
+ * RAII guard System::run uses: creates a thread-local session when
  * observability is enabled and guarantees the thread-local slot is
  * cleared on scope exit (including exception unwinds from watchdog
  * timeouts or injected faults).

@@ -19,7 +19,7 @@
 #define TEMPO_WORKLOADS_WORKLOAD_HH
 
 #include <cstdint>
-#include <deque>
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -103,32 +103,38 @@ class RegionWorkload : public Workload
  * Helper for indirect (A[B[i]]) streams: buffers a deterministic target
  * generator so each emitted reference also knows the target kImpDistance
  * iterations ahead — the information a trained IMP computes from the
- * index array contents.
+ * index array contents. The look-ahead is a fixed ring, so emitting a
+ * target never allocates.
  */
 class IndirectStream
 {
   public:
     template <typename Gen>
-    explicit IndirectStream(Gen gen, unsigned distance = kImpDistance)
-        : gen_(std::move(gen)), distance_(distance)
+    explicit IndirectStream(Gen gen) : gen_(std::move(gen))
     {
     }
 
-    /** Next (current target, target `distance` ahead) pair. */
+    /** Next (current target, target kImpDistance ahead) pair. */
     std::pair<Addr, Addr>
     next()
     {
-        while (buffer_.size() <= distance_)
-            buffer_.push_back(gen_());
-        const Addr current = buffer_.front();
-        buffer_.pop_front();
-        return {current, buffer_[distance_ - 1]};
+        if (!primed_) { // the generator may read members not built yet
+            for (Addr &target : ring_)
+                target = gen_();
+            primed_ = true;
+        }
+        const Addr ahead = gen_();
+        const Addr current = ring_[head_];
+        ring_[head_] = ahead;
+        head_ = (head_ + 1) % kImpDistance;
+        return {current, ahead};
     }
 
   private:
     std::function<Addr()> gen_;
-    std::deque<Addr> buffer_;
-    unsigned distance_;
+    std::array<Addr, kImpDistance> ring_{}; //!< the oldest at head_
+    unsigned head_ = 0;
+    bool primed_ = false;
 };
 
 /** Factory: construct the named workload ("mcf", "xsbench", ...). */

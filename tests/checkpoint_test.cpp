@@ -134,7 +134,7 @@ countSimulations(std::vector<ExperimentPoint> &points)
 {
     auto calls = std::make_shared<std::atomic<int>>(0);
     for (ExperimentPoint &p : points) {
-        const std::string name = p.workload;
+        const std::string name = p.workload.front();
         p.makeWorkloadFn = [calls, name] {
             calls->fetch_add(1);
             return makeWorkload(name, 42);
@@ -173,7 +173,7 @@ TEST(Checkpoint, RunResultEncodingRoundTripsByteExactly)
     // the decoded result reproduces the exact bytes.
     EXPECT_EQ(encodeRunResult(decoded).dumpCompact(), encoded);
     EXPECT_EQ(decoded.runtime, original.runtime);
-    EXPECT_EQ(decoded.core.walks, original.core.walks);
+    EXPECT_EQ(decoded.core().walks, original.core().walks);
     EXPECT_DOUBLE_EQ(decoded.energy.total(), original.energy.total());
     ASSERT_EQ(decoded.report.entries().size(),
               original.report.entries().size());
@@ -183,6 +183,73 @@ TEST(Checkpoint, RunResultEncodingRoundTripsByteExactly)
         EXPECT_EQ(decoded.report.entries()[i].second,
                   original.report.entries()[i].second);
     }
+}
+
+TEST(Checkpoint, MixRunResultRoundTripsEveryApp)
+{
+    SystemConfig cfg = SystemConfig::skylakeScaled();
+    cfg.withTempo(true);
+    System system(cfg, makeMix({"mcf", "astar.small"}, cfg.seed));
+    const RunResult original = system.run(kRefs / 2);
+    const std::string encoded = encodeRunResult(original).dumpCompact();
+    const RunResult decoded = decodeRunResult(stats::parseJson(encoded));
+    // Every app's finish and every per-app CoreStats counter survive.
+    EXPECT_EQ(encodeRunResult(decoded).dumpCompact(), encoded);
+    EXPECT_EQ(decoded.appFinish, original.appFinish);
+    ASSERT_EQ(decoded.appStats.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        SCOPED_TRACE("app " + std::to_string(i));
+        const CoreStats &a = original.appStats[i];
+        const CoreStats &b = decoded.appStats[i];
+        EXPECT_EQ(b.refs, a.refs);
+        EXPECT_EQ(b.walks, a.walks);
+        EXPECT_EQ(b.replayAfterDramWalk, a.replayAfterDramWalk);
+        EXPECT_EQ(b.lastFinish, a.lastFinish);
+        EXPECT_DOUBLE_EQ(b.cyclesTotal, a.cyclesTotal);
+    }
+    EXPECT_NE(original.appStats[0].walks, original.appStats[1].walks);
+    EXPECT_EQ(decoded.report.entries(), original.report.entries());
+}
+
+/** A one-app record as shards have always stored it (mcf, 2,000 refs,
+ * its report cut to two entries): one "core" object, no "apps". */
+constexpr const char *kOneAppRecord =
+    "{\"v\":1,\"digest\":\"0123456789abcdef\",\"attempts\":1,\"seed\":42,"
+    "\"result\":{\"runtime\":221854,"
+    "\"energy\":{\"core_static\":55740.8175,\"dram_static\":4437.08,"
+    "\"dram_dynamic\":6521.4,\"mc_dynamic\":263.062},"
+    "\"core\":{\"refs\":2000,\"page_faults\":488,\"walks\":543,"
+    "\"pt_dram_accesses\":554,\"leaf_pt_dram_accesses\":412,"
+    "\"walks_with_leaf_dram\":412,\"pt_dram_l0\":0,\"pt_dram_l1\":194,"
+    "\"pt_dram_l2\":356,\"pt_dram_l3\":3,\"pt_dram_l4\":1,"
+    "\"leaf_pt_l1_hits\":55,\"leaf_pt_l2_hits\":20,"
+    "\"leaf_pt_llc_hits\":4,\"replay_dram_accesses\":167,"
+    "\"regular_dram_accesses\":1457,\"replay_after_dram_walk\":412,"
+    "\"replay_dram_after_dram_walk\":0,\"replay_llc_hits\":376,"
+    "\"replay_private_hits\":0,\"replay_merged\":36,"
+    "\"replay_row_hits\":0,\"replay_array\":0,\"pt_mshr_merges\":68,"
+    "\"data_mshr_merges\":0,\"imp_issued\":0,\"stride_issued\":0,"
+    "\"imp_dropped_inflight\":0,\"imp_faults\":0,\"tlb_prefetches\":0,"
+    "\"cycles_ptw_dram\":90891,\"cycles_replay_dram\":30552,"
+    "\"cycles_other_dram\":101441,\"cycles_total\":442645,"
+    "\"last_finish\":221854},\"superpage_coverage\":0.6201117318435754,"
+    "\"coverage_2m\":0.6201117318435754,\"coverage_1g\":0,"
+    "\"dram_ptw\":554,\"dram_replay\":131,\"dram_other\":1457,"
+    "\"report\":[[\"walks\",543],[\"mc.tempo.prefetches_issued\",412]]}}";
+
+TEST(Checkpoint, OneAppRecordFormatIsUnchanged)
+{
+    const JournalRecord record = decodeJournalLine(kOneAppRecord);
+    EXPECT_EQ(record.digest, 0x0123456789abcdefull);
+    const RunResult &result = record.result;
+    EXPECT_EQ(result.runtime, 221854u);
+    EXPECT_EQ(result.appFinish, std::vector<Cycle>{221854});
+    ASSERT_EQ(result.appStats.size(), 1u);
+    EXPECT_EQ(result.core().walks, 543u);
+    EXPECT_EQ(result.report.get("mc.tempo.prefetches_issued"), 412.0);
+    // A one-app result still encodes to exactly these bytes, so shards
+    // written before and after mixes joined the record resume alike.
+    EXPECT_EQ(encodeJournalLine(record.digest, result), kOneAppRecord);
 }
 
 TEST(Checkpoint, DecodeRejectsForeignSchema)

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 
 namespace tempo {
 namespace {
@@ -52,7 +52,7 @@ class ConfigMatrix : public ::testing::TestWithParam<MatrixPoint>
 TEST_P(ConfigMatrix, RunsToCompletion)
 {
     const RunResult result = runWorkload(make(), "graph500", 15000);
-    EXPECT_EQ(result.core.refs, 15000u);
+    EXPECT_EQ(result.core().refs, 15000u);
     EXPECT_GT(result.runtime, 0u);
 }
 
@@ -78,12 +78,12 @@ TEST_P(ConfigMatrix, TempoPrefetchAccountingHolds)
 {
     SystemConfig cfg = make();
     cfg.withTempo(true);
-    TempoSystem system(cfg, makeWorkload("illustris", cfg.seed));
+    System system(cfg, makeWorkload("illustris", cfg.seed));
     const RunResult result = system.run(15000);
     const auto &mc = system.machine().mc;
     EXPECT_EQ(mc.tempoPrefetchesIssued() + mc.tempoPrefetchesDropped()
                   + mc.tempoFaultSuppressed(),
-              result.core.leafPtDramAccesses);
+              result.core().leafPtDramAccesses);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -130,7 +130,7 @@ TEST_P(SubRowMatrix, SubRowCountsAllWork)
             GetParam() > 2 ? 2 : GetParam() - 1;
         cfg.withTempo(true);
         const RunResult result = runWorkload(cfg, "mcf", 10000);
-        EXPECT_EQ(result.core.refs, 10000u);
+        EXPECT_EQ(result.core().refs, 10000u);
     }
 }
 

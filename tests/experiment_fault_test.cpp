@@ -59,7 +59,7 @@ TEST(ExperimentFault, ThrowInjectionIsolatesThePoint)
         SCOPED_TRACE(i);
         EXPECT_TRUE(faulty[i].status.ok());
         EXPECT_EQ(faulty[i].runtime, clean[i].runtime);
-        EXPECT_EQ(faulty[i].core.refs, clean[i].core.refs);
+        EXPECT_EQ(faulty[i].core().refs, clean[i].core().refs);
         EXPECT_EQ(faulty[i].dramPtw, clean[i].dramPtw);
     }
 }
@@ -145,19 +145,18 @@ TEST(ExperimentFault, OnPointDoneSeesEveryPoint)
 
 TEST(ExperimentFault, MixPointsAreIsolatedToo)
 {
-    std::vector<MixPoint> points;
-    MixPoint mix;
-    mix.workloads = {"mcf", "xsbench"};
+    std::vector<ExperimentPoint> points;
+    ExperimentPoint mix;
+    mix.workload = {"mcf", "xsbench"};
     mix.config = SystemConfig::skylakeScaled();
-    mix.refsPerApp = kRefs / 2;
+    mix.refs = kRefs / 2;
     points.push_back(mix);
     points.push_back(mix);
 
     ExperimentOptions opts;
     opts.jobs = 2;
     opts.inject = {{0, FaultInjection::Kind::Throw}};
-    const std::vector<MultiResult> results =
-        runMixExperiments(points, opts);
+    const std::vector<RunResult> results = runExperiments(points, opts);
     EXPECT_EQ(results[0].status.code, RunStatus::Code::Failed);
     EXPECT_TRUE(results[1].status.ok());
     EXPECT_GT(results[1].runtime, 0u);

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 #include "dram/dram.hh"
 
 namespace tempo {
@@ -71,7 +71,7 @@ TEST(DirtyTracking, FillReturnsDirtyLlcVictim)
 TEST(Writebacks, WriteHeavyWorkloadGeneratesThem)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
-    TempoSystem system(cfg, makeWorkload("canneal", cfg.seed));
+    System system(cfg, makeWorkload("canneal", cfg.seed));
     system.run(20000);
     EXPECT_GT(system.machine().mc.served(ReqKind::Writeback), 0u);
 }
@@ -79,7 +79,7 @@ TEST(Writebacks, WriteHeavyWorkloadGeneratesThem)
 TEST(Writebacks, ReadOnlyWorkloadGeneratesNone)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
-    TempoSystem system(cfg, makeWorkload("lsh", cfg.seed));
+    System system(cfg, makeWorkload("lsh", cfg.seed));
     system.run(20000);
     EXPECT_EQ(system.machine().mc.served(ReqKind::Writeback), 0u);
 }
@@ -142,25 +142,25 @@ TEST(Refresh, CostsRuntimeButPreservesTempoWin)
 TEST(Warmup, MeasuredWindowIsShorterThanFullRun)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
-    TempoSystem cold(cfg, makeWorkload("mcf", cfg.seed));
+    System cold(cfg, makeWorkload("mcf", cfg.seed));
     const RunResult cold_result = cold.run(30000);
 
-    TempoSystem warmed(cfg, makeWorkload("mcf", cfg.seed));
+    System warmed(cfg, makeWorkload("mcf", cfg.seed));
     const RunResult warm_result = warmed.run(20000, /*warmup=*/10000);
     EXPECT_LT(warm_result.runtime, cold_result.runtime);
     // Roughly the measured refs (the window boundary is fuzzy by the
     // MLP window's worth of in-flight references).
-    EXPECT_NEAR(static_cast<double>(warm_result.core.refs), 20000.0,
+    EXPECT_NEAR(static_cast<double>(warm_result.core().refs), 20000.0,
                 64.0);
 }
 
 TEST(Warmup, ReducesApparentColdMissRates)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
-    TempoSystem cold(cfg, makeWorkload("gobmk.small", cfg.seed));
+    System cold(cfg, makeWorkload("gobmk.small", cfg.seed));
     const RunResult cold_result = cold.run(20000);
 
-    TempoSystem warmed(cfg, makeWorkload("gobmk.small", cfg.seed));
+    System warmed(cfg, makeWorkload("gobmk.small", cfg.seed));
     const RunResult warm_result = warmed.run(20000, 20000);
     // A small, cacheable workload looks much better once warmed.
     EXPECT_LT(warm_result.report.get("tlb.miss_rate"),
@@ -170,19 +170,19 @@ TEST(Warmup, ReducesApparentColdMissRates)
 TEST(Warmup, ZeroWarmupIsIdentityPath)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
-    TempoSystem a(cfg, makeWorkload("sgms", cfg.seed));
-    TempoSystem b(cfg, makeWorkload("sgms", cfg.seed));
+    System a(cfg, makeWorkload("sgms", cfg.seed));
+    System b(cfg, makeWorkload("sgms", cfg.seed));
     EXPECT_EQ(a.run(15000).runtime, b.run(15000, 0).runtime);
 }
 
 TEST(Warmup, StatsExcludeWarmupTraffic)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
-    TempoSystem system(cfg, makeWorkload("xsbench", cfg.seed));
+    System system(cfg, makeWorkload("xsbench", cfg.seed));
     const RunResult result = system.run(10000, 10000);
     // Walk counts reflect only the measured window (about half of what
     // a 20000-ref cold run would report).
-    EXPECT_LT(result.core.walks, 10200u);
+    EXPECT_LT(result.core().walks, 10200u);
 }
 
 } // namespace

@@ -132,11 +132,11 @@ TEST_P(GoldenStats, HeadlineCountersMatch)
     SCOPED_TRACE(std::string(golden.config) + " / " + golden.workload);
 
     EXPECT_EQ(r.runtime, golden.runtime);
-    EXPECT_EQ(r.core.walks, golden.walks);
-    EXPECT_EQ(r.core.ptDramAccesses, golden.ptDramAccesses);
-    EXPECT_EQ(r.core.leafPtDramAccesses, golden.leafPtDramAccesses);
-    EXPECT_EQ(r.core.replayAfterDramWalk, golden.replayAfterDramWalk);
-    EXPECT_EQ(r.core.replayLlcHits, golden.replayLlcHits);
+    EXPECT_EQ(r.core().walks, golden.walks);
+    EXPECT_EQ(r.core().ptDramAccesses, golden.ptDramAccesses);
+    EXPECT_EQ(r.core().leafPtDramAccesses, golden.leafPtDramAccesses);
+    EXPECT_EQ(r.core().replayAfterDramWalk, golden.replayAfterDramWalk);
+    EXPECT_EQ(r.core().replayLlcHits, golden.replayLlcHits);
     EXPECT_EQ(r.dramPtw, golden.dramPtw);
     EXPECT_EQ(r.dramReplay, golden.dramReplay);
     EXPECT_EQ(static_cast<std::uint64_t>(

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cli/config_file.hh"
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 #include "prefetch/imp.hh"
 
 namespace tempo {
@@ -26,12 +26,12 @@ TEST(Imp, DisabledNeverPrefetches)
     SystemConfig off = SystemConfig::skylakeScaled();
     cli::setConfigKey(off, "imp.enabled", "false");
     EXPECT_TRUE(off.prefetch.engines.empty());
-    TempoSystem system(off, makeWorkload("spmv", off.seed));
-    EXPECT_EQ(system.run(5000).core.impIssued, 0u);
+    System system(off, makeWorkload("spmv", off.seed));
+    EXPECT_EQ(system.run(5000).core().impIssued, 0u);
     EXPECT_EQ(system.machine().mc.served(ReqKind::ImpPrefetch), 0u);
     SystemConfig on = SystemConfig::skylakeScaled();
     cli::setConfigKey(on, "imp.enabled", "true");
-    EXPECT_GT(runWorkload(on, "spmv", 5000).core.impIssued, 0u);
+    EXPECT_GT(runWorkload(on, "spmv", 5000).core().impIssued, 0u);
 }
 
 TEST(Imp, IgnoresNonIndirectRefs)

@@ -16,9 +16,9 @@
 #include <utility>
 #include <vector>
 
+#include "cli/config_file.hh"
 #include "core/checkpoint.hh"
 #include "core/experiment.hh"
-#include "core/tempo_system.hh"
 #include "obs/obs.hh"
 #include "stats/json.hh"
 
@@ -42,7 +42,7 @@ runWith(const obs::Config &obs_cfg, const SystemConfig &cfg,
         const std::string &workload, std::uint64_t warmup = 0)
 {
     obs::configure(obs_cfg);
-    TempoSystem system(cfg, makeWorkload(workload, cfg.seed));
+    System system(cfg, makeWorkload(workload, cfg.seed));
     RunResult result = system.run(kRefs, warmup);
     obs::configure(obs::Config{});
     return result;
@@ -114,7 +114,7 @@ TEST(ObsDisabled, OutputIsByteIdentical)
 
     // Observation does not perturb the simulation.
     EXPECT_EQ(off.runtime, on.runtime);
-    EXPECT_EQ(off.core.walks, on.core.walks);
+    EXPECT_EQ(off.core().walks, on.core().walks);
     EXPECT_EQ(off.dramPtw, on.dramPtw);
     EXPECT_DOUBLE_EQ(off.energy.total(), on.energy.total());
     EXPECT_TRUE(on.report.has("obs.walks"));
@@ -210,12 +210,12 @@ TEST(ObsAudit, BreakdownsSumToAggregates)
             + r.report.get("obs.replay_row_hit")
             + r.report.get("obs.replay_array");
         EXPECT_EQ(static_cast<std::uint64_t>(replay_sum),
-                  r.core.replayAfterDramWalk);
+                  r.core().replayAfterDramWalk);
 
         EXPECT_EQ(r.report.get("obs.walks"),
-                  static_cast<double>(r.core.walks));
+                  static_cast<double>(r.core().walks));
         EXPECT_EQ(r.report.get("obs.walks_leaf_dram"),
-                  static_cast<double>(r.core.walksWithLeafDram));
+                  static_cast<double>(r.core().walksWithLeafDram));
 
         const double taxonomy = r.report.get("obs.prefetch_useful")
             + r.report.get("obs.prefetch_late")
@@ -228,6 +228,50 @@ TEST(ObsAudit, BreakdownsSumToAggregates)
                   r.report.get("mc.tempo.prefetches_dropped"));
         EXPECT_GT(r.report.get("obs.prefetch_issued"), 0.0);
     }
+}
+
+// A mix shares one session and one walk-id space: the audit keeps its
+// laws summed over the apps, and the sampler covers every core.
+TEST(ObsAudit, MixKeepsTheLaws)
+{
+    SystemConfig cfg = SystemConfig::skylakeScaled();
+    cli::applyConfigFile(std::string(TEMPO_CONFIG_DIR) + "/tempo_full.ini",
+                         cfg);
+    obs::Config obs_cfg;
+    obs_cfg.timeseriesWindow = 10000;
+    obs::configure(obs_cfg);
+    System system(cfg, makeMix({"xsbench", "astar.small"}, cfg.seed));
+    const RunResult r = system.run(kRefs / 2);
+    obs::configure(obs::Config{});
+
+    double replays = 0, walks = 0, leaf_walks = 0;
+    for (const char *app : {"app0.", "app1."}) {
+        replays += r.report.get(std::string(app) + "replay_after_dram_walk");
+        walks += r.report.get(std::string(app) + "walks");
+        leaf_walks += r.report.get(std::string(app) + "walks_with_leaf_dram");
+    }
+    EXPECT_GT(replays, 0.0);
+    EXPECT_EQ(r.report.get("obs.replay_private_hit")
+                  + r.report.get("obs.replay_llc_hit")
+                  + r.report.get("obs.replay_merged")
+                  + r.report.get("obs.replay_row_hit")
+                  + r.report.get("obs.replay_array"),
+              replays);
+    EXPECT_EQ(r.report.get("obs.walks"), walks);
+    EXPECT_EQ(r.report.get("obs.walks_leaf_dram"), leaf_walks);
+
+    const double issued = r.report.get("mc.tempo.prefetches_issued");
+    EXPECT_GT(issued, 0.0);
+    EXPECT_EQ(r.report.get("obs.prefetch_issued"), issued);
+    EXPECT_EQ(r.report.get("obs.prefetch_useful")
+                  + r.report.get("obs.prefetch_late")
+                  + r.report.get("obs.prefetch_useless"),
+              issued);
+    EXPECT_EQ(r.report.get("obs.prefetch_dropped"),
+              r.report.get("mc.tempo.prefetches_dropped"));
+
+    ASSERT_NE(r.obs, nullptr);
+    EXPECT_FALSE(r.obs->timeseries.empty());
 }
 
 // On a baseline (no-TEMPO) machine the taxonomy is exactly zero.

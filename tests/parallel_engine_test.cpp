@@ -128,12 +128,12 @@ void
 expectIdentical(const RunResult &a, const RunResult &b)
 {
     EXPECT_EQ(a.runtime, b.runtime);
-    EXPECT_EQ(a.core.refs, b.core.refs);
-    EXPECT_EQ(a.core.walks, b.core.walks);
-    EXPECT_EQ(a.core.ptDramAccesses, b.core.ptDramAccesses);
-    EXPECT_EQ(a.core.leafPtDramAccesses, b.core.leafPtDramAccesses);
-    EXPECT_EQ(a.core.replayAfterDramWalk, b.core.replayAfterDramWalk);
-    EXPECT_EQ(a.core.replayLlcHits, b.core.replayLlcHits);
+    EXPECT_EQ(a.core().refs, b.core().refs);
+    EXPECT_EQ(a.core().walks, b.core().walks);
+    EXPECT_EQ(a.core().ptDramAccesses, b.core().ptDramAccesses);
+    EXPECT_EQ(a.core().leafPtDramAccesses, b.core().leafPtDramAccesses);
+    EXPECT_EQ(a.core().replayAfterDramWalk, b.core().replayAfterDramWalk);
+    EXPECT_EQ(a.core().replayLlcHits, b.core().replayLlcHits);
     EXPECT_EQ(a.dramPtw, b.dramPtw);
     EXPECT_EQ(a.dramReplay, b.dramReplay);
     EXPECT_EQ(a.dramOther, b.dramOther);
@@ -182,18 +182,18 @@ TEST(Experiment, JsonEmissionIsByteIdenticalAcrossThreadCounts)
 TEST(Experiment, MixPointsAreDeterministicAcrossThreadCounts)
 {
     auto run = [](unsigned jobs) {
-        std::vector<MixPoint> points;
-        MixPoint mix;
-        mix.workloads = {"mcf", "xsbench"};
+        std::vector<ExperimentPoint> points;
+        ExperimentPoint mix;
+        mix.workload = {"mcf", "xsbench"};
         mix.config = SystemConfig::skylakeScaled();
-        mix.refsPerApp = kRefs / 2;
+        mix.refs = kRefs / 2;
         points.push_back(mix);
         mix.config.withTempo(true);
         points.push_back(mix);
-        return runMixExperiments(points, jobs);
+        return runExperiments(points, jobs);
     };
-    const std::vector<MultiResult> at1 = run(1);
-    const std::vector<MultiResult> at8 = run(8);
+    const std::vector<RunResult> at1 = run(1);
+    const std::vector<RunResult> at8 = run(8);
     ASSERT_EQ(at1.size(), at8.size());
     for (std::size_t i = 0; i < at1.size(); ++i) {
         EXPECT_EQ(at1[i].runtime, at8[i].runtime);
@@ -241,7 +241,7 @@ TEST(Experiment, ExplicitSeedZeroIsARealSeed)
     // The explicit 0 reaches the workload generator: the run matches a
     // direct simulation whose workload is seeded 0 under the same
     // config (config.seed still feeds the prefetcher RNG etc.).
-    TempoSystem direct(p.config, makeWorkload("mcf", 0));
+    System direct(p.config, makeWorkload("mcf", 0));
     expectIdentical(direct.run(kRefs), zero);
 }
 

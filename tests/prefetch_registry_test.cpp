@@ -10,7 +10,7 @@
 #include <stdexcept>
 
 #include "cli/config_file.hh"
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 #include "prefetch/registry.hh"
 
 namespace tempo {
@@ -159,9 +159,9 @@ TEST(PrefetcherRegistry, TaxonomySumsToIssued)
 {
     const RunResult result =
         runWorkload(allEnginesConfig(), "xsbench", 20000);
-    ASSERT_EQ(result.core.prefetchEngines.size(), 5u);
+    ASSERT_EQ(result.core().prefetchEngines.size(), 5u);
     std::uint64_t total_issued = 0;
-    for (const PrefetchEngineStats &es : result.core.prefetchEngines) {
+    for (const PrefetchEngineStats &es : result.core().prefetchEngines) {
         // useful/late classify completed prefetches; whatever remains
         // is useless. The partition must be exact, engine by engine.
         EXPECT_LE(es.useful + es.late, es.issued) << es.name;
@@ -188,11 +188,11 @@ TEST(PrefetcherRegistry, DeterministicAcrossRepeats)
     const RunResult a = runWorkload(cfg, "xsbench", 15000);
     const RunResult b = runWorkload(cfg, "xsbench", 15000);
     EXPECT_EQ(a.runtime, b.runtime);
-    ASSERT_EQ(a.core.prefetchEngines.size(),
-              b.core.prefetchEngines.size());
-    for (std::size_t i = 0; i < a.core.prefetchEngines.size(); ++i) {
-        const PrefetchEngineStats &ea = a.core.prefetchEngines[i];
-        const PrefetchEngineStats &eb = b.core.prefetchEngines[i];
+    ASSERT_EQ(a.core().prefetchEngines.size(),
+              b.core().prefetchEngines.size());
+    for (std::size_t i = 0; i < a.core().prefetchEngines.size(); ++i) {
+        const PrefetchEngineStats &ea = a.core().prefetchEngines[i];
+        const PrefetchEngineStats &eb = b.core().prefetchEngines[i];
         EXPECT_EQ(ea.issued, eb.issued) << ea.name;
         EXPECT_EQ(ea.useful, eb.useful) << ea.name;
         EXPECT_EQ(ea.late, eb.late) << ea.name;
@@ -214,8 +214,8 @@ TEST(PrefetcherRegistry, ExplicitImpMatchesLegacyFlag)
     EXPECT_EQ(flag.digest(), registry.digest());
     const RunResult run = runWorkload(flag, "xsbench", 15000);
     EXPECT_EQ(run.runtime, 1520774u);
-    EXPECT_EQ(run.core.impIssued, 7541u);
-    EXPECT_EQ(run.core.impFaults, 6656u);
+    EXPECT_EQ(run.core().impIssued, 7541u);
+    EXPECT_EQ(run.core().impFaults, 6656u);
     EXPECT_EQ(run.report.get("prefetch.imp.issued"), 7541.0);
 }
 
@@ -228,7 +228,7 @@ TEST(PrefetcherRegistry, ExplicitStrideMatchesLegacyFlag)
     EXPECT_EQ(flag.digest(), registry.digest());
     const RunResult run = runWorkload(flag, "sgms", 15000);
     EXPECT_EQ(run.runtime, 1542913u);
-    EXPECT_EQ(run.core.strideIssued, 6706u);
+    EXPECT_EQ(run.core().strideIssued, 6706u);
     EXPECT_EQ(run.report.get("prefetch.stride.issued"), 6706.0);
 }
 
@@ -236,15 +236,15 @@ TEST(PrefetcherRegistry, WarmupResetKeepsTaxonomyConsistent)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
     cfg.withPrefetchers("stride");
-    TempoSystem system(cfg, makeWorkload("sgms", cfg.seed));
+    System system(cfg, makeWorkload("sgms", cfg.seed));
     // The warmup reset must leave the taxonomy covering only the
     // measured window: no stale pre-warmup prefetch may classify as a
     // measured useful/late, which would break the partition.
     const RunResult measured = system.run(5000, 5000);
-    ASSERT_EQ(measured.core.prefetchEngines.size(), 1u);
-    const PrefetchEngineStats &es = measured.core.prefetchEngines[0];
+    ASSERT_EQ(measured.core().prefetchEngines.size(), 1u);
+    const PrefetchEngineStats &es = measured.core().prefetchEngines[0];
     EXPECT_EQ(es.useful + es.late + es.useless(), es.issued);
-    EXPECT_EQ(es.issued, measured.core.strideIssued);
+    EXPECT_EQ(es.issued, measured.core().strideIssued);
 }
 
 } // namespace

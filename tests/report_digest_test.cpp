@@ -21,7 +21,6 @@
 
 #include "cli/config_file.hh"
 #include "core/experiment.hh"
-#include "core/multi_system.hh"
 
 #ifndef TEMPO_CONFIG_DIR
 #error "TEMPO_CONFIG_DIR must point at the committed configs/"
@@ -129,8 +128,8 @@ TEST(ReportDigest, BlissMix8)
                          cfg);
     cfg.withSched(SchedKind::Bliss);
 
-    MultiSystem system(cfg, makeMix(mix, cfg.seed));
-    const MultiResult result = system.run(3000, 1000);
+    System system(cfg, makeMix(mix, cfg.seed));
+    const RunResult result = system.run(3000, 1000);
     ASSERT_EQ(result.appFinish.size(), mix.size());
 
     stats::Report report;

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cli/config_file.hh"
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 #include "prefetch/stride.hh"
 
 namespace tempo {
@@ -15,10 +15,10 @@ TEST(Stride, DisabledIssuesNothing)
     SystemConfig off = SystemConfig::skylakeScaled();
     cli::setConfigKey(off, "stride.enabled", "false");
     EXPECT_TRUE(off.prefetch.engines.empty());
-    EXPECT_EQ(runWorkload(off, "sgms", 5000).core.strideIssued, 0u);
+    EXPECT_EQ(runWorkload(off, "sgms", 5000).core().strideIssued, 0u);
     SystemConfig on = SystemConfig::skylakeScaled();
     cli::setConfigKey(on, "stride.enabled", "true");
-    EXPECT_GT(runWorkload(on, "sgms", 5000).core.strideIssued, 0u);
+    EXPECT_GT(runWorkload(on, "sgms", 5000).core().strideIssued, 0u);
 }
 
 TEST(Stride, DetectsConstantStride)
@@ -197,10 +197,10 @@ TEST(Stride, SystemRunWithStrideWorks)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
     cfg.withPrefetchers("stride");
-    TempoSystem system(cfg, makeWorkload("sgms", cfg.seed));
+    System system(cfg, makeWorkload("sgms", cfg.seed));
     const RunResult result = system.run(20000);
     // sgms has sequential sweeps: the stride prefetcher must fire.
-    EXPECT_GT(result.core.strideIssued, 0u);
+    EXPECT_GT(result.core().strideIssued, 0u);
 }
 
 TEST(Stride, TempoStillWinsWithStride)
@@ -218,16 +218,16 @@ TEST(TlbPrefetch, ExtensionFiresOnSequentialWorkloads)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
     cfg.tlbPrefetchNext = true;
-    TempoSystem system(cfg, makeWorkload("sgms", cfg.seed));
+    System system(cfg, makeWorkload("sgms", cfg.seed));
     const RunResult result = system.run(20000);
-    EXPECT_GT(result.core.tlbPrefetches, 0u);
+    EXPECT_GT(result.core().tlbPrefetches, 0u);
 }
 
 TEST(TlbPrefetch, OffByDefault)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
     const RunResult result = runWorkload(cfg, "sgms", 10000);
-    EXPECT_EQ(result.core.tlbPrefetches, 0u);
+    EXPECT_EQ(result.core().tlbPrefetches, 0u);
 }
 
 } // namespace

@@ -19,7 +19,7 @@
 #include "cli/config_file.hh"
 #include "common/rng.hh"
 #include "core/experiment.hh"
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 #include "stats/json.hh"
 #include "vm/assoc_array.hh"
 

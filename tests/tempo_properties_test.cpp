@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 #include "vm/translator.hh"
 
 namespace tempo {
@@ -68,7 +68,7 @@ TEST_P(BigDataProperty, TempoNeverHurtsEnergy)
 TEST_P(BigDataProperty, LeafPtesDominateDramPtTraffic)
 {
     const RunPair &runs = cachedRun(GetParam());
-    const CoreStats &core = runs.base.core;
+    const CoreStats &core = runs.base.core();
     ASSERT_GT(core.ptDramAccesses, 0u);
     // Paper Sec. 2.2: 96%+ of DRAM page table accesses are leaf PTEs.
     // Our scaled LLC evicts non-leaf L2 PTE lines more often than the
@@ -82,7 +82,7 @@ TEST_P(BigDataProperty, LeafPtesDominateDramPtTraffic)
 TEST_P(BigDataProperty, ReplaysFollowDramWalks)
 {
     const RunPair &runs = cachedRun(GetParam());
-    const CoreStats &core = runs.base.core;
+    const CoreStats &core = runs.base.core();
     ASSERT_GT(core.replayAfterDramWalk, 0u);
     // Paper Sec. 1: 98%+ of DRAM page table walks are followed by a
     // DRAM replay. (Cache-resident replays barely exist for cold data.)
@@ -94,7 +94,7 @@ TEST_P(BigDataProperty, ReplaysFollowDramWalks)
 TEST_P(BigDataProperty, TempoServesReplaysFromLlcOrRow)
 {
     const RunPair &runs = cachedRun(GetParam());
-    const CoreStats &core = runs.tempo.core;
+    const CoreStats &core = runs.tempo.core();
     ASSERT_GT(core.replayAfterDramWalk, 0u);
     const double aided = stats::ratio(
         core.replayLlcHits + core.replayMerged + core.replayRowHits
@@ -119,7 +119,7 @@ TEST_P(BigDataProperty, EveryReplayIsClassified)
     // in-flight prefetch, DRAM row-buffer hit, or DRAM array access.
     // Nothing is dropped and nothing is double-counted.
     const RunPair &runs = cachedRun(GetParam());
-    const CoreStats &core = runs.tempo.core;
+    const CoreStats &core = runs.tempo.core();
     ASSERT_GT(core.replayAfterDramWalk, 0u);
     EXPECT_EQ(core.replayLlcHits + core.replayPrivateHits
                   + core.replayMerged + core.replayRowHits
@@ -140,7 +140,7 @@ TEST_P(BigDataProperty, PrefetchesNeverExceedTaggedLeafAccesses)
     const RunPair &runs = cachedRun(GetParam());
     const auto issued = static_cast<std::uint64_t>(
         runs.tempo.report.get("mc.tempo.prefetches_issued"));
-    EXPECT_LE(issued, runs.tempo.core.leafPtDramAccesses);
+    EXPECT_LE(issued, runs.tempo.core().leafPtDramAccesses);
     EXPECT_GT(issued, 0u);
     // And the baseline machine must never prefetch at all.
     EXPECT_EQ(runs.base.report.get("mc.tempo.prefetches_issued"), 0.0);
@@ -150,12 +150,12 @@ TEST_P(BigDataProperty, PrefetchesAreNonSpeculative)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
     cfg.withTempo(true);
-    TempoSystem system(cfg, makeWorkload(GetParam(), cfg.seed));
+    System system(cfg, makeWorkload(GetParam(), cfg.seed));
     const RunResult result = system.run(kRefs);
     const auto &mc = system.machine().mc;
     EXPECT_EQ(mc.tempoPrefetchesIssued() + mc.tempoPrefetchesDropped()
                   + mc.tempoFaultSuppressed(),
-              result.core.leafPtDramAccesses);
+              result.core().leafPtDramAccesses);
     // Demand walks never fault in the MC (pages are touched first).
     EXPECT_EQ(mc.tempoFaultSuppressed(), 0u);
 }
@@ -205,11 +205,10 @@ TEST_P(SmallFootprintProperty, TempoDoesNoHarm)
     SystemConfig base_cfg = SystemConfig::skylakeScaled();
     SystemConfig tempo_cfg = SystemConfig::skylakeScaled();
     tempo_cfg.withTempo(true);
-    TempoSystem base_sys(base_cfg, makeWorkload(GetParam(),
-                                                base_cfg.seed));
+    System base_sys(base_cfg, makeWorkload(GetParam(), base_cfg.seed));
     const RunResult base = base_sys.run(kRefs / 2, kRefs / 4);
-    TempoSystem tempo_sys(tempo_cfg, makeWorkload(GetParam(),
-                                                  tempo_cfg.seed));
+    System tempo_sys(tempo_cfg,
+                     makeWorkload(GetParam(), tempo_cfg.seed));
     const RunResult with_tempo = tempo_sys.run(kRefs / 2, kRefs / 4);
     EXPECT_LE(with_tempo.runtime, base.runtime * 101 / 100);
     EXPECT_LE(with_tempo.energy.total(), base.energy.total() * 1.015);

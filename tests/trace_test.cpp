@@ -4,7 +4,7 @@
 #include <memory>
 #include <string>
 
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
 
@@ -85,17 +85,17 @@ TEST(Trace, ReplayedRunMatchesGeneratorRun)
     const std::uint64_t refs = 20000;
     SystemConfig cfg = SystemConfig::skylakeScaled();
 
-    TempoSystem live(cfg, makeWorkload("mcf", cfg.seed));
+    System live(cfg, makeWorkload("mcf", cfg.seed));
     const RunResult live_result = live.run(refs);
 
     auto source = makeWorkload("mcf", cfg.seed);
     Trace trace = recordTrace(*source, refs);
-    TempoSystem replay(cfg, std::make_unique<TraceWorkload>(
+    System replay(cfg, std::make_unique<TraceWorkload>(
                                 std::move(trace), source->mlpHint()));
     const RunResult replay_result = replay.run(refs);
 
     EXPECT_EQ(replay_result.runtime, live_result.runtime);
-    EXPECT_EQ(replay_result.core.walks, live_result.core.walks);
+    EXPECT_EQ(replay_result.core().walks, live_result.core().walks);
 }
 
 TEST(TraceDeathTest, MissingFileIsFatal)

@@ -20,7 +20,7 @@
 
 #include "common/rng.hh"
 #include "core/experiment.hh"
-#include "core/tempo_system.hh"
+#include "core/system.hh"
 #include "stats/json.hh"
 #include "vm/os_memory.hh"
 #include "vm/page_table.hh"

@@ -134,13 +134,14 @@ TEST(Workloads, DistinctRegionsPerWorkload)
 TEST(IndirectStream, DeliversDistancePairs)
 {
     int counter = 0;
-    IndirectStream stream([&] { return Addr(counter++) * 64; }, 4);
-    const auto [c0, f0] = stream.next();
-    EXPECT_EQ(c0, 0u);
-    EXPECT_EQ(f0, 4u * 64);
-    const auto [c1, f1] = stream.next();
-    EXPECT_EQ(c1, 64u);
-    EXPECT_EQ(f1, 5u * 64);
+    IndirectStream stream([&] { return Addr(counter++) * 64; });
+    // Three laps of the ring: target i comes with target i + distance.
+    for (Addr i = 0; i < 3 * kImpDistance; ++i) {
+        const auto [current, ahead] = stream.next();
+        EXPECT_EQ(current, i * 64);
+        EXPECT_EQ(ahead, (i + kImpDistance) * 64);
+    }
+    EXPECT_EQ(counter, 4 * int(kImpDistance));
 }
 
 } // namespace

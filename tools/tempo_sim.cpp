@@ -171,7 +171,7 @@ main(int argc, char **argv)
             const bool tempo_on =
                 points[i].config.mc.tempoEnabled;
             bench_points.push_back(toBenchPoint(
-                points[i].workload,
+                points[i].workload.front(),
                 {{"mc.tempo", tempo_on ? "true" : "false"}}, results[i]));
         }
         if (const int status =

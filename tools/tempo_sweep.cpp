@@ -257,7 +257,7 @@ main(int argc, char **argv)
         std::vector<stats::BenchPoint> bench_points;
         for (std::size_t i = 0; i < results.size(); ++i)
             bench_points.push_back(toBenchPoint(
-                points[i].workload, overrides[i], results[i]));
+                points[i].workload.front(), overrides[i], results[i]));
         if (const int status = cli::writeJson(
                 stderr, args.jsonPath, "tempo_sweep", args.refs,
                 SystemConfig::skylakeScaled().seed, bench_points))
