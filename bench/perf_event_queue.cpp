@@ -13,9 +13,9 @@
  *            overflow tier and its promotion path get exercised.
  *   fanout — bursts of same-cycle events (MSHR release storms).
  *
- * Callbacks capture ~32 bytes so std::function must heap-allocate in
- * the reference queue — the honest old cost — while the new queue's
- * inline storage absorbs them. Output is plain text plus a final
+ * Chain callbacks capture 48 bytes (EventQueue::kInlineBytes), so
+ * std::function must heap-allocate in the reference queue — the honest
+ * old cost — while the new queue's inline storage absorbs them. Output is plain text plus a final
  * geomean speedup line; the CI perf-smoke job prints it informationally.
  */
 
@@ -46,38 +46,40 @@ struct Rng {
     }
 };
 
-/** Per-event payload: big enough that std::function heap-allocates. */
+/** Per-event payload carried from event to event. */
 struct Payload {
     std::uint64_t acc = 0;
     std::uint64_t rngState = 0;
-    std::uint64_t spare[2] = {};
 };
 
 // Each pattern seeds `width` self-sustaining event chains and runs
-// until `target` events have executed. The callback captures the queue
-// pointer, a sink pointer, and a Payload (~32+ bytes total).
+// until `target` events have executed. The chain callback captures the
+// queue and sink pointers, a Payload, the limit and the delta knobs:
+// 48 bytes, the calendar queue's whole inline capacity.
 
 template <typename Queue>
 void
 chainEvent(Queue &eq, std::uint64_t *sink, Payload p, std::uint64_t limit,
-           Cycle delta, Cycle delta_near, unsigned far_percent)
+           Cycle delta, std::uint32_t delta_near, std::uint32_t far_percent)
 {
     eq.scheduleIn(
-        delta,
-        [&eq, sink, p, limit, delta_near, far_percent]() mutable {
-            *sink += p.acc;
-            if (eq.executed() >= limit)
-                return;
-            Rng rng{p.rngState};
-            p.rngState = rng.next();
-            p.acc ^= p.rngState;
-            // Delta drawn per event: mostly near, sometimes far.
-            Cycle next = 1 + (p.rngState % delta_near);
-            if (far_percent != 0 && (p.rngState % 100) < far_percent)
-                next = 2000 + (p.rngState % 100000);
-            chainEvent(eq, sink, p, limit, next, delta_near,
-                       far_percent);
-        });
+        delta, tempo::hotCapture<tempo::EventQueue::kInlineBytes>(
+                   [&eq, sink, p, limit, delta_near, far_percent]() mutable {
+                       *sink += p.acc;
+                       if (eq.executed() >= limit)
+                           return;
+                       Rng rng{p.rngState};
+                       p.rngState = rng.next();
+                       p.acc ^= p.rngState;
+                       // Delta drawn per event: mostly near, sometimes
+                       // far.
+                       Cycle next = 1 + (p.rngState % delta_near);
+                       if (far_percent != 0
+                           && (p.rngState % 100) < far_percent)
+                           next = 2000 + (p.rngState % 100000);
+                       chainEvent(eq, sink, p, limit, next, delta_near,
+                                  far_percent);
+                   }));
 }
 
 template <typename Queue>

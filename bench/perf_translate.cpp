@@ -15,14 +15,14 @@
  *                 direct-mapped memo should dominate;
  *   uniform     — uniform random pages: memo with collision evictions;
  *   mutating    — uniform with a protect() flip every 4K translations:
- *                 measures epoch-based bulk invalidation overhead;
+ *                 measures epoch-based bulk invalidation overhead.
  *
- * plus a structural-walk trial (the walker's plan() feed). Both paths
- * fold every result (frame, permission, size, step addresses) into a
- * checksum; a mismatch means the memo diverged from the functional
- * walk and the run exits non-zero. Output is plain text plus a final
- * geomean speedup line; the CI perf-smoke job prints it
- * informationally.
+ * Both paths fold every result (frame, permission, size) into a
+ * checksum; a mismatch means the packed memo diverged from the
+ * functional lookup and the run exits non-zero. Structural walks are
+ * not memoized (the walker reads PageTable::walkInto() directly), so
+ * there is no walk trial. Output is plain text plus a final geomean
+ * speedup line; the CI perf-smoke job prints it informationally.
  */
 
 #include <chrono>
@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "common/rng.hh"
@@ -42,7 +43,7 @@ namespace {
 using namespace tempo;
 
 struct TrialResult {
-    double rate = 0;         //!< translations (or walks) per second
+    double rate = 0;         //!< translations per second
     std::uint64_t check = 0; //!< folded results of every lookup
 };
 
@@ -183,27 +184,6 @@ runTranslate(Arena &arena, Translate translate,
     return result;
 }
 
-/** Time @p walk (Addr -> step count plus every PTE address) over
- * @p stream. */
-template <typename Walk>
-TrialResult
-runWalks(Walk walk, const std::vector<Addr> &stream, std::uint64_t ops)
-{
-    TrialResult result;
-    const auto start = std::chrono::steady_clock::now();
-    std::size_t pos = 0;
-    for (std::uint64_t i = 0; i < ops; ++i) {
-        const Addr vaddr = stream[pos];
-        pos = (pos + 1 == stream.size()) ? 0 : pos + 1;
-        result.check = fold(result.check, walk(vaddr));
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    const double secs =
-        std::chrono::duration<double>(stop - start).count();
-    result.rate = static_cast<double>(ops) / secs;
-    return result;
-}
-
 } // namespace
 
 int
@@ -241,7 +221,6 @@ main(int argc, char **argv)
 
     bool diverged = false;
     double geomean = 1.0;
-    std::size_t trials = 0;
 
     std::printf("%-12s %16s %16s %9s\n", "pattern", "table xlate/s",
                 "memo xlate/s", "speedup");
@@ -268,53 +247,11 @@ main(int argc, char **argv)
         }
         const double speedup = b.rate / a.rate;
         geomean *= speedup;
-        ++trials;
         std::printf("%-12s %16.0f %16.0f %8.2fx\n", row.name, a.rate,
                     b.rate, speedup);
     }
 
-    {
-        // Structural walks over the hot-set stream (the TLB-miss feed).
-        const std::vector<Addr> stream =
-            makeStream(arena, Pattern::HotSet);
-        Translator memo(arena.table);
-        const TrialResult a = runWalks(
-            [&](Addr vaddr) {
-                WalkStep steps[4];
-                Translation xlate;
-                const int count = arena.table.walkInto(vaddr, steps, xlate);
-                std::uint64_t acc = static_cast<std::uint64_t>(count);
-                for (int s = 0; s < count; ++s)
-                    acc += steps[s].pteAddr;
-                return acc;
-            },
-            stream, ops / 2);
-        const TrialResult b = runWalks(
-            [&](Addr vaddr) {
-                const CachedWalk &walk = memo.walk(vaddr);
-                std::uint64_t acc = static_cast<std::uint64_t>(walk.count);
-                for (int s = 0; s < walk.count; ++s)
-                    acc += walk.steps[s].pteAddr;
-                return acc;
-            },
-            stream, ops / 2);
-        if (a.check != b.check) {
-            std::fprintf(
-                stderr,
-                "FAIL: walk divergence "
-                "(table %016llx vs memo %016llx)\n",
-                static_cast<unsigned long long>(a.check),
-                static_cast<unsigned long long>(b.check));
-            diverged = true;
-        }
-        const double speedup = b.rate / a.rate;
-        geomean *= speedup;
-        ++trials;
-        std::printf("%-12s %16.0f %16.0f %8.2fx\n", "walks", a.rate,
-                    b.rate, speedup);
-    }
-
-    geomean = std::pow(geomean, 1.0 / static_cast<double>(trials));
+    geomean = std::pow(geomean, 1.0 / std::size(rows));
     std::printf("geomean speedup: %.2fx\n", geomean);
     return diverged ? 1 : 0;
 }

@@ -304,14 +304,22 @@ runBatch(const RunOptions &run, const std::string &label,
          std::vector<RunResult> &results)
 {
     obs::configure(run.obs);
-    if (!guarded([&] { results = runExperiments(points, run.engine); }))
-        return 2;
-    printFailures(label, results);
-
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto &run_obs = results[i].obs;
+    // Each trace is written, and its events released, as its point
+    // finishes; its line ("wrote ..." or "error: ...") waits for the
+    // batch so the lines print in point order after the failure lines.
+    struct TraceLine {
+        std::string text;
+        bool failed = false;
+    };
+    std::vector<TraceLine> lines(points.size());
+    ExperimentOptions engine = run.engine;
+    engine.onPointDone = [&, chained = run.engine.onPointDone](
+                             std::size_t i, const RunResult &result) {
+        if (chained)
+            chained(i, result);
+        const auto &run_obs = result.obs;
         if (!run_obs || !run_obs->cfg.trace)
-            continue; // obs off, or a point restored from a shard
+            return; // obs off
         std::string file;
         if (!run.tracePath.empty())
             file = i ? run.tracePath + "." + std::to_string(i) : run.tracePath;
@@ -319,13 +327,26 @@ runBatch(const RunOptions &run, const std::string &label,
             file = run.obs.traceDir + "/TRACE_" + label + "_"
                 + std::to_string(i) + ".json";
         else
-            continue;
-        if (!guarded([&] { obs::writeChromeTrace(file, *run_obs); }))
+            return;
+        try {
+            obs::writeChromeTrace(file, *run_obs);
+            lines[i].text = "wrote " + file + " ("
+                + std::to_string(run_obs->events.size()) + " events, "
+                + std::to_string(run_obs->droppedEvents) + " dropped)";
+        } catch (const std::exception &error) {
+            lines[i] = {std::string("error: ") + error.what(), true};
+        }
+        std::vector<obs::TraceEvent>().swap(run_obs->events);
+    };
+    if (!guarded([&] { results = runExperiments(points, engine); }))
+        return 2;
+    printFailures(label, results);
+
+    for (const TraceLine &line : lines) {
+        if (!line.text.empty())
+            std::fprintf(stderr, "%s\n", line.text.c_str());
+        if (line.failed)
             return 1;
-        std::fprintf(stderr, "wrote %s (%zu events, %llu dropped)\n",
-                     file.c_str(), run_obs->events.size(),
-                     static_cast<unsigned long long>(
-                         run_obs->droppedEvents));
     }
     return 0;
 }

@@ -86,7 +86,10 @@ std::string runFlagUsage(unsigned tool);
  * point as "LABEL point I: STATUS after N attempt(s): ERROR" and
  * write the traces, to run.tracePath or else as
  * TEMPO_TRACE_DIR/TRACE_<label>_<i>.json for point i (a figure is
- * one batch, so its points' names never collide).
+ * one batch, so its points' names never collide). A trace is written
+ * from run.engine's onPointDone hook (after any hook already set) as
+ * its point finishes, and the point's events are then released; the
+ * "wrote" lines print after the failure lines, in point order.
  * @return 0; 2 after an infrastructure error (an unusable fabric or
  *         checkpoint directory); 1 when a trace cannot be written.
  */

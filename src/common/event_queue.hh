@@ -17,9 +17,10 @@
  *    before any later insertion can target the same cycle — so global
  *    (when, insertion-seq) order is preserved exactly, bit-identical to
  *    a single ordered heap.
- *  - Event storage is allocation-free on the hot path: intrusive nodes
- *    with inline callback storage (InlineFunction), recycled through a
- *    freelist backed by a chunked arena.
+ *  - Event storage is allocation-free on the hot path: intrusive
+ *    64-byte nodes (a link plus an InlineFunction whose capture is
+ *    built in place by schedule()), recycled through a freelist backed
+ *    by a chunked arena. Only overflow entries carry (when, seq).
  */
 
 #ifndef TEMPO_COMMON_EVENT_QUEUE_HH
@@ -46,9 +47,10 @@ class EventQueue
 {
   public:
     /** Inline capture capacity: sized so every hot-path event in the
-     * simulator (issue slots, walk steps, MC kicks, completion slots,
-     * and submit wrappers carrying a MemRequest) stays in the node. */
-    static constexpr std::size_t kInlineBytes = 120;
+     * simulator (issue slots, walk steps, MC kicks, DRAM completions
+     * carrying a DramResult, TEMPO prefetch launches) stays in the
+     * node, and a node fills one 64-byte host cache line. */
+    static constexpr std::size_t kInlineBytes = 48;
 
     using Callback = InlineFunction<void(), kInlineBytes>;
 
@@ -64,28 +66,28 @@ class EventQueue
     /** Current simulation time. Monotonically non-decreasing. */
     Cycle now() const { return now_; }
 
-    /** Schedule @p cb to run at absolute time @p when (>= now()). */
+    /** Schedule @p fn to run at absolute time @p when (>= now()). The
+     * callable is built in its event node: no temporary Callback. */
+    template <typename F>
     void
-    schedule(Cycle when, Callback cb)
+    schedule(Cycle when, F &&fn)
     {
         TEMPO_ASSERT(when >= now_, "scheduling event in the past: ", when,
                      " < ", now_);
         Node *node = acquire();
-        node->when = when;
-        node->seq = seq_++;
-        node->next = nullptr;
-        node->cb = std::move(cb);
+        node->cb.emplace(std::forward<F>(fn));
         if (when - now_ < kWheelSlots)
-            appendToWheel(node);
+            appendToWheel(node, when);
         else
-            pushOverflow(node);
+            pushOverflow(node, when);
     }
 
-    /** Schedule @p cb to run @p delta cycles from now. */
+    /** Schedule @p fn to run @p delta cycles from now. */
+    template <typename F>
     void
-    scheduleIn(Cycle delta, Callback cb)
+    scheduleIn(Cycle delta, F &&fn)
     {
-        schedule(now_ + delta, std::move(cb));
+        schedule(now_ + delta, std::forward<F>(fn));
     }
 
     /** True when no events remain. */
@@ -100,7 +102,7 @@ class EventQueue
     {
         TEMPO_ASSERT(!empty(), "nextTime on empty queue");
         if (wheelCount_ == 0)
-            return overflow_.front()->when;
+            return overflow_.front().when;
         return nextWheelTime();
     }
 
@@ -155,11 +157,20 @@ class EventQueue
     static constexpr std::size_t kWords = kWheelSlots / 64;
     static constexpr std::size_t kChunkNodes = 256;
 
-    struct Node {
-        Cycle when;
-        std::uint64_t seq;
+    /** One host cache line. A wheel node's time is its slot (all wheel
+     * events lie within kWheelSlots of now()), so only overflow entries
+     * carry a time and a sequence number. */
+    struct alignas(64) Node {
         Node *next;
         Callback cb;
+    };
+    static_assert(sizeof(Node) == 64, "an event node is one cache line");
+
+    /** Far-future entry; (when, seq) keeps the global insertion order. */
+    struct Overflow {
+        Cycle when;
+        std::uint64_t seq;
+        Node *node;
     };
 
     struct Bucket {
@@ -169,11 +180,11 @@ class EventQueue
 
     /** Pops min-(when, seq) first. */
     static bool
-    overflowAfter(const Node *a, const Node *b)
+    overflowAfter(const Overflow &a, const Overflow &b)
     {
-        if (a->when != b->when)
-            return a->when > b->when;
-        return a->seq > b->seq;
+        if (a.when != b.when)
+            return a.when > b.when;
+        return a.seq > b.seq;
     }
 
     Node *
@@ -206,12 +217,13 @@ class EventQueue
     }
 
     void
-    appendToWheel(Node *node)
+    appendToWheel(Node *node, Cycle when)
     {
-        Bucket &bucket = buckets_[node->when & kMask];
+        node->next = nullptr;
+        Bucket &bucket = buckets_[when & kMask];
         if (bucket.tail == nullptr) {
             bucket.head = node;
-            setBit(node->when & kMask);
+            setBit(when & kMask);
         } else {
             bucket.tail->next = node;
         }
@@ -220,9 +232,9 @@ class EventQueue
     }
 
     void
-    pushOverflow(Node *node)
+    pushOverflow(Node *node, Cycle when)
     {
-        overflow_.push_back(node);
+        overflow_.push_back(Overflow{when, overflowSeq_++, node});
         std::push_heap(overflow_.begin(), overflow_.end(), overflowAfter);
     }
 
@@ -237,13 +249,12 @@ class EventQueue
     {
         now_ = t;
         while (!overflow_.empty()
-               && overflow_.front()->when - now_ < kWheelSlots) {
+               && overflow_.front().when - now_ < kWheelSlots) {
             std::pop_heap(overflow_.begin(), overflow_.end(),
                           overflowAfter);
-            Node *node = overflow_.back();
+            const Overflow entry = overflow_.back();
             overflow_.pop_back();
-            node->next = nullptr;
-            appendToWheel(node);
+            appendToWheel(entry.node, entry.when);
         }
     }
 
@@ -283,13 +294,13 @@ class EventQueue
     Bucket buckets_[kWheelSlots];
     std::uint64_t occupied_[kWords] = {};
     std::size_t wheelCount_ = 0;
-    std::vector<Node *> overflow_;
+    std::vector<Overflow> overflow_;
 
     std::vector<std::unique_ptr<Node[]>> chunks_;
     Node *free_ = nullptr;
 
     Cycle now_ = 0;
-    std::uint64_t seq_ = 0;
+    std::uint64_t overflowSeq_ = 0;
     std::uint64_t executed_ = 0;
 };
 

@@ -92,7 +92,29 @@ class InlineFunction<R(Args...), Capacity>
     /** True when the callable lives in the inline buffer (not heap). */
     bool inlineStored() const noexcept { return ops_ && ops_->isInline; }
 
+    /** Build @p fn in place; this function must be empty. Lets an
+     * owner of the storage (an event node) take a callable with no
+     * temporary InlineFunction and no relocation. */
+    template <typename F>
+    void
+    emplace(F &&fn)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (storedInline<Fn>) {
+            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
+            ops_ = &InlineModel<Fn>::ops;
+        } else {
+            Fn *heap = new Fn(std::forward<F>(fn));
+            std::memcpy(buf_, &heap, sizeof(heap));
+            ops_ = &HeapModel<Fn>::ops;
+        }
+    }
+
   private:
+    /** Buffer alignment: pointer-sized, so the buffer follows ops_ with
+     * no padding. Over-aligned callables take the heap fallback. */
+    static constexpr std::size_t kAlign = alignof(void *);
+
     /** Per-callable-type operations. A null relocate means the stored
      * bytes move with memcpy; a null destroy means nothing to run. */
     struct Ops {
@@ -104,7 +126,7 @@ class InlineFunction<R(Args...), Capacity>
 
     template <typename Fn>
     static constexpr bool storedInline =
-        sizeof(Fn) <= Capacity && alignof(Fn) <= alignof(std::max_align_t)
+        sizeof(Fn) <= Capacity && alignof(Fn) <= kAlign
         && std::is_nothrow_move_constructible_v<Fn>;
 
     template <typename Fn>
@@ -157,21 +179,6 @@ class InlineFunction<R(Args...), Capacity>
         static constexpr Ops ops{&invoke, nullptr, &destroy, false};
     };
 
-    template <typename F>
-    void
-    emplace(F &&fn)
-    {
-        using Fn = std::decay_t<F>;
-        if constexpr (storedInline<Fn>) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
-            ops_ = &InlineModel<Fn>::ops;
-        } else {
-            Fn *heap = new Fn(std::forward<F>(fn));
-            std::memcpy(buf_, &heap, sizeof(heap));
-            ops_ = &HeapModel<Fn>::ops;
-        }
-    }
-
     void
     moveFrom(InlineFunction &other) noexcept
     {
@@ -186,7 +193,7 @@ class InlineFunction<R(Args...), Capacity>
     }
 
     const Ops *ops_ = nullptr;
-    alignas(std::max_align_t) unsigned char buf_[Capacity];
+    alignas(kAlign) unsigned char buf_[Capacity];
 };
 
 /** Capture budget of the simulator's per-reference path: `this`, a
@@ -195,9 +202,10 @@ inline constexpr std::size_t kHotCaptureBytes = 24;
 
 /**
  * Return @p fn unchanged. Fails to compile unless @p fn is trivially
- * copyable and at most @p Bytes (by default kHotCaptureBytes), so
- * storing it in any InlineFunction of at least that capacity can never
- * take the heap fallback and always relocates with memcpy.
+ * copyable, at most @p Bytes (by default kHotCaptureBytes) and at most
+ * pointer-aligned, so storing it in any InlineFunction of at least that
+ * capacity can never take the heap fallback and always relocates with
+ * memcpy.
  */
 template <std::size_t Bytes = kHotCaptureBytes, typename F>
 constexpr F
@@ -208,6 +216,8 @@ hotCapture(F fn)
                   "a record index instead of the record");
     static_assert(std::is_trivially_copyable_v<F>,
                   "hot-path capture must be trivially copyable");
+    static_assert(alignof(F) <= alignof(void *),
+                  "hot-path capture must be at most pointer-aligned");
     return fn;
 }
 

@@ -5,9 +5,11 @@
 namespace tempo {
 
 RowPredictor::RowPredictor(unsigned sets, unsigned ways)
-    : sets_(sets), ways_(ways)
+    : sets_(sets), ways_(ways), setMask_(sets - 1)
 {
-    TEMPO_ASSERT(sets > 0 && ways > 0, "empty predictor");
+    TEMPO_ASSERT(isPow2(sets) && ways > 0,
+                 "predictor needs a power-of-two set count and ways, got ",
+                 sets, " x ", ways);
 }
 
 const RowPredictor::Entry *
@@ -16,11 +18,10 @@ RowPredictor::find(Addr row) const
     ++lookups_;
     if (entries_.empty())
         return nullptr; // nothing learnt yet
-    const unsigned set = static_cast<unsigned>(row % sets_);
+    const Entry *set = &entries_[setBase(row)];
     for (unsigned w = 0; w < ways_; ++w) {
-        const Entry &e = entries_[set * ways_ + w];
-        if (e.valid && e.row == row)
-            return &e;
+        if (set[w].valid() && set[w].row == row)
+            return &set[w];
     }
     return nullptr;
 }
@@ -30,18 +31,17 @@ RowPredictor::findOrAllocate(Addr row)
 {
     if (entries_.empty())
         entries_.resize(static_cast<std::size_t>(sets_) * ways_);
-    const unsigned set = static_cast<unsigned>(row % sets_);
+    Entry *set = &entries_[setBase(row)];
     Entry *victim = nullptr;
     for (unsigned w = 0; w < ways_; ++w) {
-        Entry &e = entries_[set * ways_ + w];
-        if (e.valid && e.row == row)
+        Entry &e = set[w];
+        if (e.valid() && e.row == row)
             return &e;
-        if (!victim || !e.valid
-            || (victim->valid && e.lastUse < victim->lastUse)) {
+        if (!victim || !e.valid()
+            || (victim->valid() && e.lastUse < victim->lastUse)) {
             victim = &e;
         }
     }
-    victim->valid = true;
     victim->row = row;
     victim->counter = 2;
     return victim;

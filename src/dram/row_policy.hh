@@ -27,6 +27,8 @@ namespace tempo {
 class RowPredictor
 {
   public:
+    /** @p sets must be a power of two (rows index sets by their low
+     * bits). */
     RowPredictor(unsigned sets, unsigned ways);
 
     /** Should a just-accessed instance of @p row stay open? Unknown rows
@@ -40,18 +42,28 @@ class RowPredictor
     std::uint64_t lookups() const { return lookups_; }
 
   private:
+    /** update() stamps every entry findOrAllocate() hands out, so an
+     * entry is valid exactly when its lastUse is non-zero. */
     struct Entry {
-        bool valid = false;
         Addr row = 0;
-        std::uint8_t counter = 2; // weakly keep-open
-        std::uint64_t lastUse = 0;
+        std::uint64_t lastUse : 56 = 0;
+        std::uint64_t counter : 8 = 2; // weakly keep-open
+
+        bool valid() const { return lastUse != 0; }
     };
+    static_assert(sizeof(Entry) == 16, "a predictor entry is 16 bytes");
 
     const Entry *find(Addr row) const;
     Entry *findOrAllocate(Addr row);
+    std::size_t
+    setBase(Addr row) const
+    {
+        return static_cast<std::size_t>(row & setMask_) * ways_;
+    }
 
     unsigned sets_;
     unsigned ways_;
+    Addr setMask_;
     std::vector<Entry> entries_; //!< empty until the first update()
     std::uint64_t tick_ = 0;
     mutable std::uint64_t lookups_ = 0;

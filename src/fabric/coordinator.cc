@@ -296,15 +296,20 @@ workerLoop(const ExperimentOptions &opts,
                         if (!claims.tryClaim(digest))
                             continue;
                     } else {
+                        // An owner whose process exited on this host
+                        // (say, a default-id worker killed and
+                        // restarted under a new pid) is stale at once;
+                        // other owners go stale by age.
                         const double hbAge =
                             Heartbeat::ageSec(dir, owner);
                         const bool stale =
-                            hbAge ==
-                                    std::numeric_limits<
-                                        double>::infinity()
-                                ? claims.ageSec(digest) >
-                                      opts.fabricStaleSec
-                                : hbAge > opts.fabricStaleSec;
+                            Heartbeat::ownerExited(dir, owner)
+                            || (hbAge ==
+                                        std::numeric_limits<
+                                            double>::infinity()
+                                    ? claims.ageSec(digest) >
+                                          opts.fabricStaleSec
+                                    : hbAge > opts.fabricStaleSec);
                         if (!stale)
                             continue;
                         claims.remove(digest);

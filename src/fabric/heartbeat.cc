@@ -1,9 +1,13 @@
 #include "fabric/heartbeat.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <filesystem>
+#include <fstream>
 
+#include <signal.h>
 #include <unistd.h>
 
 #include "fabric/claim.hh"
@@ -12,13 +16,32 @@ namespace tempo::fabric {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+std::string
+hostName()
+{
+    char name[HOST_NAME_MAX + 1] = {};
+    if (::gethostname(name, sizeof(name) - 1) != 0)
+        return "";
+    return name;
+}
+
+/** What a beat writes: "<hostname> <pid>". */
+std::string
+beatContent()
+{
+    return hostName() + " " + std::to_string(::getpid()) + "\n";
+}
+
+} // namespace
+
 Heartbeat::Heartbeat(std::string dir, std::string workerId,
                      double periodSec)
     : dir_(std::move(dir)), worker_(std::move(workerId)),
       periodSec_(periodSec > 0 ? periodSec : 1.0)
 {
-    writeFileAtomic(path(dir_, worker_),
-                    std::to_string(::getpid()) + "\n");
+    writeFileAtomic(path(dir_, worker_), beatContent());
     thread_ = std::thread([this] { beatLoop(); });
 }
 
@@ -50,8 +73,7 @@ Heartbeat::beatLoop()
             return;
         lock.unlock();
         try {
-            writeFileAtomic(path(dir_, worker_),
-                            std::to_string(::getpid()) + "\n");
+            writeFileAtomic(path(dir_, worker_), beatContent());
         } catch (const std::exception &) {
             // A transiently unwritable directory must not kill the
             // worker; the next beat retries, and persistent failure
@@ -71,6 +93,17 @@ double
 Heartbeat::ageSec(const std::string &dir, const std::string &workerId)
 {
     return fileAgeSec(path(dir, workerId));
+}
+
+bool
+Heartbeat::ownerExited(const std::string &dir, const std::string &workerId)
+{
+    std::ifstream in(path(dir, workerId), std::ios::binary);
+    std::string host;
+    long long pid = 0;
+    if (!(in >> host >> pid) || pid <= 0 || host != hostName())
+        return false;
+    return ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
 }
 
 std::vector<std::string>

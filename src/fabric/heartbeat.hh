@@ -2,10 +2,14 @@
  * @file
  * Worker liveness for the sweep fabric: each worker rewrites
  * `hb_<workerId>` in the shared directory every period, and everyone
- * else judges liveness purely by that file's age. No sockets, no
+ * else judges liveness by that file's age. No sockets, no
  * registration — a worker that stops beating (crash, kill -9, network
  * partition from the shared filesystem) simply goes stale, and its
  * claims become reclaimable (see claim.hh).
+ *
+ * The file holds "<hostname> <pid>", so a worker on the same host can
+ * tell at once that an owner's process has exited (ownerExited())
+ * instead of waiting for its heartbeat to age.
  */
 
 #ifndef TEMPO_FABRIC_HEARTBEAT_HH
@@ -43,6 +47,13 @@ class Heartbeat
      * wrote a heartbeat. */
     static double ageSec(const std::string &dir,
                          const std::string &workerId);
+
+    /** True when @p workerId's heartbeat names this host and a process
+     * id that no longer exists (kill(pid, 0) fails with ESRCH). False
+     * for owners on other hosts, live (or reused) process ids and
+     * missing or unreadable heartbeats: they keep the age rule. */
+    static bool ownerExited(const std::string &dir,
+                            const std::string &workerId);
 
     /** Every worker id that ever wrote a heartbeat here, sorted. */
     static std::vector<std::string> listWorkers(const std::string &dir);

@@ -36,14 +36,8 @@ MemoryController::MemoryController(EventQueue &eq, DramDevice &dram,
 void
 MemoryController::submit(MemRequest &&req)
 {
-    const DramCoord coord = dram_.map().decode(req.paddr);
-    submitDecoded(std::move(req), coord);
-}
-
-void
-MemoryController::submitDecoded(MemRequest &&req, const DramCoord &coord)
-{
     prof::Scope prof_scope(prof::Component::Mc);
+    const DramCoord coord = dram_.map().decode(req.paddr);
     const unsigned ch = coord.channel;
     Channel &channel = channels_[ch];
 
@@ -202,12 +196,13 @@ MemoryController::firePrefetch(const QueuedRequest &pt_entry, Cycle when)
     const Addr target = pt_entry.req.tempo.replayPaddr;
     TEMPO_ASSERT(target != kInvalidAddr, "tagged PT without target");
 
-    // Decode the prefetch line once: the drop check and the delayed
-    // submit share the coordinates (lineAddr only clears offset bits
-    // below the column field, so the decode matches the full target's).
+    // The drop check decodes the line's channel here; the delayed
+    // submit decodes it again rather than carry the coordinates in its
+    // event (lineAddr only clears offset bits below the column field,
+    // so both decodes match the full target's).
     const Addr line = lineAddr(target);
-    const DramCoord coord = dram_.map().decode(line);
-    if (txq_.size(coord.channel) >= cfg_.prefetchDropDepth) {
+    if (txq_.size(dram_.map().decode(line).channel)
+        >= cfg_.prefetchDropDepth) {
         ++pfDropped_;
         if (auto *o = obs::session())
             o->prefetchDrop(when, pt_entry.req.walkId, line);
@@ -220,7 +215,7 @@ MemoryController::firePrefetch(const QueuedRequest &pt_entry, Cycle when)
 
     eq_.schedule(when + cfg_.prefetchEngineDelay,
                  hotCapture<EventQueue::kInlineBytes>(
-                     [this, line, coord, app = pt_entry.req.app,
+                     [this, line, app = pt_entry.req.app,
                       walk = pt_entry.req.walkId] {
                          MemRequest pf;
                          pf.paddr = line;
@@ -228,7 +223,7 @@ MemoryController::firePrefetch(const QueuedRequest &pt_entry, Cycle when)
                          pf.kind = ReqKind::TempoPrefetch;
                          pf.app = app;
                          pf.walkId = walk;
-                         submitDecoded(std::move(pf), coord);
+                         submit(std::move(pf));
                      }));
 }
 

@@ -145,10 +145,6 @@ class MemoryController
         bool kickPending = false;
     };
 
-    /** Submit with the target's DRAM coordinates already decoded (the
-     * prefetch engine decodes once for its drop check and reuses it). */
-    void submitDecoded(MemRequest &&req, const DramCoord &coord);
-
     void kick(unsigned ch);
     void scheduleKick(unsigned ch, Cycle when);
     void dispatch(unsigned ch, std::uint32_t id);

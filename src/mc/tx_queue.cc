@@ -54,7 +54,7 @@ TxQueue::appIndex(AppId app)
 }
 
 std::uint32_t
-TxQueue::enqueue(QueuedRequest entry, const DramCoord &coord)
+TxQueue::enqueue(QueuedRequest &&entry, const DramCoord &coord)
 {
     const std::uint32_t id = alloc();
     Slot &slot = slots_[id];

@@ -96,15 +96,15 @@ class TxQueue : public RowTransitionListener
      * non-decreasing arrival order (the index relies on sub-FIFOs being
      * age-sorted). Returns the slot id.
      */
-    std::uint32_t enqueue(QueuedRequest entry)
+    std::uint32_t enqueue(QueuedRequest &&entry)
     {
         const DramCoord coord = dram_.map().decode(entry.req.paddr);
         return enqueue(std::move(entry), coord);
     }
 
     /** Enqueue with a coordinate the caller already decoded (the
-     * prefetch engine decodes the target for its drop check). */
-    std::uint32_t enqueue(QueuedRequest entry, const DramCoord &coord);
+     * memory controller decodes the target to pick its channel). */
+    std::uint32_t enqueue(QueuedRequest &&entry, const DramCoord &coord);
 
     /**
      * Unlink slot @p id from every scheduling index; the slot stays

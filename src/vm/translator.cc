@@ -12,37 +12,53 @@ Translator::Translator(const PageTable &table, const TranslatorConfig &cfg)
 }
 
 void
-Translator::allocateTables()
+Translator::allocateTable()
 {
     if (!memo_.empty())
         return;
     memo_.resize(cfg_.memoSlots);
-    walkMemo_.resize(cfg_.walkSlots);
     slots_ = memo_.data();
-    wslots_ = walkMemo_.data();
     slotMask_ = cfg_.memoSlots - 1;
-    wslotMask_ = cfg_.walkSlots - 1;
 }
 
 std::string
 Translator::configError(const TranslatorConfig &cfg)
 {
-    if (!isPow2(cfg.memoSlots) || !isPow2(cfg.walkSlots))
-        return "memo slot counts must be powers of 2, got "
-            + std::to_string(cfg.memoSlots) + " and "
-            + std::to_string(cfg.walkSlots);
+    if (!isPow2(cfg.memoSlots))
+        return "memo slot count must be a power of 2, got "
+            + std::to_string(cfg.memoSlots);
     return {};
 }
 
-void
-Translator::refillLast(Addr vaddr, const Translation &xlate,
-                       std::uint64_t stamp)
+std::uint64_t
+Translator::pack(const Translation &xlate)
 {
-    const Addr bytes = pageBytes(xlate.size);
+    TEMPO_ASSERT((xlate.pframe & kFlagMask) == 0,
+                 "frame not page-aligned: ", xlate.pframe);
+    return xlate.pframe
+        | (static_cast<std::uint64_t>(xlate.size) << kSizeShift)
+        | (xlate.writable ? kWritable : 0);
+}
+
+Translation
+Translator::unpack(std::uint64_t word)
+{
+    Translation xlate;
+    xlate.valid = true;
+    xlate.writable = (word & kWritable) != 0;
+    xlate.pframe = word & ~kFlagMask;
+    xlate.size = static_cast<PageSize>((word >> kSizeShift) & 3);
+    return xlate;
+}
+
+void
+Translator::refillLast(Addr vaddr, std::uint64_t word, std::uint64_t stamp)
+{
+    const Addr bytes = pageBytes(unpack(word).size);
     last_.base = alignDown(vaddr, bytes);
     last_.pageMask = ~(bytes - 1);
     last_.stamp = stamp;
-    last_.xlate = xlate;
+    last_.word = word;
 }
 
 Translation
@@ -52,13 +68,12 @@ Translator::translateMiss(Addr vaddr, std::uint64_t stamp)
     if (xlate.valid) {
         // Negative results are never memoized: map() does not bump the
         // mutation epoch, so a cached "unmapped" answer could go stale.
-        allocateTables();
+        allocateTable();
         Slot &slot = slotFor(vpn4K(vaddr));
         slot.tag = vpn4K(vaddr);
         slot.stamp = stamp;
-        slot.touched = 0;
-        slot.xlate = xlate;
-        refillLast(vaddr, xlate, stamp);
+        slot.word = pack(xlate);
+        refillLast(vaddr, slot.word, stamp);
     }
     return xlate;
 }
@@ -72,48 +87,19 @@ Translator::translate(Addr vaddr)
     if (((vaddr & last_.pageMask) == last_.base)
         & (last_.stamp == stamp)) {
         ++hits_;
-        return last_.xlate;
+        return unpack(last_.word);
     }
 
     const Addr vpn = vpn4K(vaddr);
-    Slot &slot = slotFor(vpn);
+    const Slot &slot = slotFor(vpn);
     if ((slot.tag == vpn) & (slot.stamp == stamp)) {
         ++hits_;
-        refillLast(vaddr, slot.xlate, stamp);
-        return slot.xlate;
+        refillLast(vaddr, slot.word, stamp);
+        return unpack(slot.word);
     }
 
     ++misses_;
     return translateMiss(vaddr, stamp);
-}
-
-const CachedWalk &
-Translator::walk(Addr vaddr)
-{
-    const Addr vpn = vpn4K(vaddr);
-    WalkSlot &slot = wslots_[vpn & wslotMask_];
-    const std::uint64_t stamp = currentStamp();
-    if ((slot.tag == vpn) & (slot.stamp == stamp)) {
-        ++walkHits_;
-        return slot.walk;
-    }
-
-    ++walkMisses_;
-    // The TLB filters out most reuse before it reaches the walker, so
-    // walk() misses dominate; the refill writes into fixed-size slots
-    // and never allocates once the tables exist.
-    scratch_.count =
-        table_.walkInto(vaddr, scratch_.steps, scratch_.xlate);
-    if (!scratch_.xlate.valid) {
-        // Faulting walks stay unmemoized (see translateMiss).
-        return scratch_;
-    }
-    allocateTables();
-    WalkSlot &fill = wslots_[vpn & wslotMask_];
-    fill.tag = vpn;
-    fill.stamp = stamp;
-    fill.walk = scratch_;
-    return fill.walk;
 }
 
 bool
@@ -122,8 +108,8 @@ Translator::touchedFast(Addr vaddr)
     const std::uint64_t stamp = currentStamp();
     const Addr vpn = vpn4K(vaddr);
     const Slot &slot = slotFor(vpn);
-    const bool hit =
-        (slot.tag == vpn) & (slot.stamp == stamp) & (slot.touched != 0);
+    const bool hit = (slot.tag == vpn) & (slot.stamp == stamp)
+        & ((slot.word & kTouched) != 0);
     hits_ += hit;
     return hit;
 }
@@ -139,7 +125,7 @@ Translator::noteTouched(Addr vaddr)
         if (!translateMiss(vaddr, stamp).valid)
             return; // unmapped granule: nothing to mark
     }
-    slotFor(vpn).touched = 1; // the refill may have replaced the table
+    slotFor(vpn).word |= kTouched; // the refill may have replaced the table
 }
 
 void

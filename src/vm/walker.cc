@@ -6,7 +6,7 @@
 namespace tempo {
 
 Walker::Walker(Translator &translator, MmuCache &mmu)
-    : translator_(translator), mmu_(mmu)
+    : table_(translator.table()), mmu_(mmu)
 {
 }
 
@@ -15,15 +15,15 @@ Walker::plan(Addr vaddr)
 {
     prof::Scope prof_scope(prof::Component::Walker);
     ++walks_;
-    const CachedWalk &full = translator_.walk(vaddr);
+    WalkStep steps[4];
+    WalkPlan plan;
+    const int count = table_.walkInto(vaddr, steps, plan.xlate);
     // deepestCached == L means the PT entry at level L is cached, so the
     // walk resumes at level L-1; 5 means start from the root (L4).
     const int deepest = mmu_.deepestCached(vaddr);
 
-    WalkPlan plan;
-    plan.xlate = full.xlate;
-    for (int i = 0; i < full.count; ++i) {
-        const WalkStep &step = full.steps[i];
+    for (int i = 0; i < count; ++i) {
+        const WalkStep &step = steps[i];
         if (step.level < deepest) {
             plan.fetches.push_back(step);
             ++ptRefs_;

@@ -69,9 +69,9 @@ struct WalkPlan {
 class Walker
 {
   public:
-    /** Plans walks through @p translator, the memoized (or reference)
-     * front end over the page table (vm/translator.hh). The fetch
-     * plans, MMU-cache probes and statistics are identical either way. */
+    /** Plans walks over @p translator's page table (walks read
+     * PageTable::walkInto() directly; the translation memo is not
+     * consulted) and probes @p mmu. */
     Walker(Translator &translator, MmuCache &mmu);
 
     /** Build the fetch plan for @p vaddr (probes the MMU caches). */
@@ -86,7 +86,7 @@ class Walker
     std::uint64_t ptRefsSkipped() const { return ptRefsSkipped_; }
 
   private:
-    Translator &translator_;
+    const PageTable &table_;
     MmuCache &mmu_;
     std::uint64_t walks_ = 0;
     std::uint64_t ptRefs_ = 0;

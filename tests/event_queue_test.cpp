@@ -272,16 +272,19 @@ TEST(EventQueue, RandomizedStressMatchesReferenceHeap)
 TEST(EventQueue, InlineCallbacksDoNotAllocatePerEvent)
 {
     // Capture sizes up to EventQueue::kInlineBytes stay in the node's
-    // inline buffer (the hot path's allocation-free guarantee).
-    struct Big {
-        std::uint64_t words[12]; // 96 bytes < kInlineBytes
+    // inline buffer (the hot path's allocation-free guarantee); one
+    // word more takes the heap fallback.
+    struct Fits {
+        std::uint64_t words[EventQueue::kInlineBytes / 8];
     };
-    EventQueue::Callback cb{[big = Big{}] { (void)big; }};
+    static_assert(sizeof(Fits) == EventQueue::kInlineBytes);
+    EventQueue::Callback cb{[big = Fits{}] { (void)big; }};
     EXPECT_TRUE(cb.inlineStored());
 
     struct TooBig {
-        std::uint64_t words[32]; // 256 bytes > kInlineBytes
+        std::uint64_t words[EventQueue::kInlineBytes / 8 + 1];
     };
+    static_assert(sizeof(TooBig) == EventQueue::kInlineBytes + 8);
     EventQueue::Callback fat{[big = TooBig{}] { (void)big; }};
     EXPECT_FALSE(fat.inlineStored());
 }

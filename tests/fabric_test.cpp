@@ -20,6 +20,10 @@
 #include <sstream>
 #include <thread>
 
+#include <climits>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "core/checkpoint.hh"
 #include "core/experiment.hh"
 #include "fabric/claim.hh"
@@ -199,6 +203,51 @@ TEST(FabricHeartbeat, StalenessIsFileAge)
     // A worker that never wrote a heartbeat reads +infinity.
     EXPECT_EQ(Heartbeat::ageSec(dir.path, "ghost"),
               std::numeric_limits<double>::infinity());
+}
+
+std::string
+thisHost()
+{
+    char name[HOST_NAME_MAX + 1] = {};
+    EXPECT_EQ(::gethostname(name, sizeof(name) - 1), 0);
+    return name;
+}
+
+/** The id of a process that has exited and been reaped. */
+pid_t
+exitedPid()
+{
+    const pid_t pid = ::fork();
+    if (pid == 0)
+        ::_exit(0);
+    EXPECT_GT(pid, 0);
+    int status = 0;
+    EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+    return pid;
+}
+
+TEST(FabricHeartbeat, NamesHostAndPidSoExitedOwnersShow)
+{
+    TempDir dir("heartbeat_owner");
+    const std::string host = thisHost();
+    {
+        Heartbeat hb(dir.path, "live", 10.0);
+        EXPECT_EQ(readFile(Heartbeat::path(dir.path, "live")),
+                  host + " " + std::to_string(::getpid()) + "\n");
+        EXPECT_FALSE(Heartbeat::ownerExited(dir.path, "live"));
+    }
+    const std::string dead = std::to_string(exitedPid());
+    fabric::writeFileAtomic(Heartbeat::path(dir.path, "dead"),
+                            host + " " + dead + "\n");
+    EXPECT_TRUE(Heartbeat::ownerExited(dir.path, "dead"));
+    // Another host's pid says nothing here; nor does an old-format or
+    // missing heartbeat.
+    fabric::writeFileAtomic(Heartbeat::path(dir.path, "remote"),
+                            host + ".elsewhere " + dead + "\n");
+    EXPECT_FALSE(Heartbeat::ownerExited(dir.path, "remote"));
+    fabric::writeFileAtomic(Heartbeat::path(dir.path, "old"), dead + "\n");
+    EXPECT_FALSE(Heartbeat::ownerExited(dir.path, "old"));
+    EXPECT_FALSE(Heartbeat::ownerExited(dir.path, "ghost"));
 }
 
 TEST(FabricScanner, ConsumesOnlyCompleteLines)
@@ -552,6 +601,32 @@ soloWorker(const std::string &dir, const char *id, unsigned jobs)
     opts.fabricWorkerId = id;
     opts.fabricHeartbeatSec = 0.1;
     return opts;
+}
+
+TEST(FabricEndToEnd, ClaimsOfAnExitedOwnerOnThisHostAreReclaimedAtOnce)
+{
+    // A default-id worker (w<pid>) killed and restarted comes back under
+    // a new id; its old claims, with a heartbeat still fresh, must not
+    // wait out the stale age.
+    const std::vector<ExperimentPoint> points = sweepPoints();
+    TempDir dir("exited_owner");
+    ClaimDir claims(dir.path, "wDead");
+    for (std::size_t i = 0; i < points.size(); i += 2)
+        ASSERT_TRUE(claims.tryClaim(pointDigest(points[i], i)));
+    fabric::writeFileAtomic(Heartbeat::path(dir.path, "wDead"),
+                            thisHost() + " "
+                                + std::to_string(exitedPid()) + "\n");
+
+    ExperimentOptions opts = soloWorker(dir.path, "wNew", 1);
+    opts.fabricStaleSec = 30;
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::vector<RunResult> results = runExperiments(points, opts);
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    for (const RunResult &result : results)
+        EXPECT_TRUE(result.status.ok());
+    EXPECT_LT(secs, 10.0);
 }
 
 TEST(FabricWorker, OnPointDoneFiresForThePointsItRan)

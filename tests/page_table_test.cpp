@@ -6,20 +6,26 @@
 #include "common/rng.hh"
 #include "oracles/tree_page_table.hh"
 #include "vm/page_table.hh"
-#include "vm/translator.hh"
 
 namespace tempo {
 namespace {
+
+/** PageTable::walkInto()'s steps and outcome. */
+struct TableWalk {
+    Translation xlate;
+    int count = 0;
+    WalkStep steps[4] = {};
+};
 
 struct PageTableFixture : public ::testing::Test {
     OsMemory os{OsMemoryConfig{}};
     PageTable table{os};
 
     /** The structural walk of @p vaddr, through walkInto(). */
-    CachedWalk
+    TableWalk
     walkOf(Addr vaddr) const
     {
-        CachedWalk out;
+        TableWalk out;
         out.count = table.walkInto(vaddr, out.steps, out.xlate);
         return out;
     }
@@ -28,7 +34,7 @@ struct PageTableFixture : public ::testing::Test {
     WalkStep
     lastStep(Addr vaddr) const
     {
-        const CachedWalk out = walkOf(vaddr);
+        const TableWalk out = walkOf(vaddr);
         return out.steps[out.count - 1];
     }
 };
@@ -74,7 +80,7 @@ TEST_F(PageTableFixture, FullWalkHasFourLevels)
 {
     const Addr frame = os.allocFrame(PageSize::Page4K);
     table.map(0x1234000, PageSize::Page4K, frame);
-    const CachedWalk walk = walkOf(0x1234000);
+    const TableWalk walk = walkOf(0x1234000);
     ASSERT_TRUE(walk.xlate.valid);
     ASSERT_EQ(walk.count, 4);
     EXPECT_EQ(walk.steps[0].level, 4);
@@ -101,7 +107,7 @@ TEST_F(PageTableFixture, PteAddressesMatchIndices)
 {
     const Addr vaddr = 0x1234000;
     table.map(vaddr, PageSize::Page4K, os.allocFrame(PageSize::Page4K));
-    const CachedWalk walk = walkOf(vaddr);
+    const TableWalk walk = walkOf(vaddr);
     for (int i = 0; i < walk.count; ++i) {
         const WalkStep &step = walk.steps[i];
         // Each PTE sits at node_base + index*8; check the offset part.
@@ -117,7 +123,7 @@ TEST_F(PageTableFixture, FaultingWalkStopsAtMissingLevel)
     // down to the missing L3 entry and stops.
     table.map(0x0, PageSize::Page4K, os.allocFrame(PageSize::Page4K));
     const Addr cousin = Addr{1} << 30; // same L4 index, different L3
-    const CachedWalk walk = walkOf(cousin);
+    const TableWalk walk = walkOf(cousin);
     EXPECT_FALSE(walk.xlate.valid);
     EXPECT_EQ(walk.count, 2); // read L4 (present), L3 (absent)
 }
@@ -125,7 +131,7 @@ TEST_F(PageTableFixture, FaultingWalkStopsAtMissingLevel)
 TEST_F(PageTableFixture, NodesGetDistinctFrames)
 {
     table.map(0x0, PageSize::Page4K, os.allocFrame(PageSize::Page4K));
-    const CachedWalk walk = walkOf(0x0);
+    const TableWalk walk = walkOf(0x0);
     for (int i = 0; i < walk.count; ++i) {
         for (int j = i + 1; j < walk.count; ++j) {
             EXPECT_NE(alignDown(walk.steps[i].pteAddr, kPageBytes),

@@ -3,13 +3,17 @@
  * Table-wide checks of the run-option table: every TEMPO_* variable and
  * every run flag rejects malformed values with an error that names it,
  * a flag always wins over the variable it mirrors, each tool takes only
- * its own flags and each reader only its own variables.
+ * its own flags and each reader only its own variables. runBatch()
+ * writes each trace as its point finishes.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -234,6 +238,82 @@ TEST(RunOptions, EachReaderReadsOnlyItsVariables)
     const ScopedVar retries("TEMPO_RETRIES", "x");
     EXPECT_NO_THROW((void)obs::configFromEnv());
     EXPECT_THROW((void)ExperimentOptions::fromEnv(), std::invalid_argument);
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
+TEST(RunOptions, BatchWritesEachTraceAsItsPointFinishes)
+{
+    namespace fs = std::filesystem;
+    const std::string dir = "run_options_test_traces";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    // The longest point first, so at two jobs the points finish out of
+    // index order.
+    std::vector<ExperimentPoint> points;
+    for (const auto &[workload, refs] :
+         std::vector<std::pair<const char *, std::uint64_t>>{
+             {"xsbench", 6000}, {"mcf", 2000}, {"astar.small", 2000},
+             {"gcc.small", 1000}}) {
+        ExperimentPoint point;
+        point.workload = workload;
+        point.config = SystemConfig::skylakeScaled();
+        point.config.withTempo(true);
+        point.refs = refs;
+        points.push_back(point);
+    }
+
+    RunOptions run;
+    run.engine.jobs = 2;
+    run.obs.trace = true;
+    run.obs.traceCapacity = 1u << 14;
+    run.obs.traceDir = dir;
+    std::vector<std::size_t> hooked;
+    run.engine.onPointDone = [&](std::size_t i, const RunResult &) {
+        hooked.push_back(i);
+    };
+
+    std::vector<RunResult> results;
+    ::testing::internal::CaptureStderr();
+    const int rc = runBatch(run, "batch", points, results);
+    const std::string lines = ::testing::internal::GetCapturedStderr();
+    ASSERT_EQ(rc, 0) << lines;
+    EXPECT_EQ(hooked.size(), points.size()); // the caller's hook chained
+
+    // The reference: the same points, their traces written once the
+    // whole batch has run.
+    obs::configure(run.obs);
+    ExperimentOptions serial;
+    serial.jobs = 1;
+    const std::vector<RunResult> reference = runExperiments(points, serial);
+    obs::configure(obs::Config{});
+
+    std::string want_lines;
+    ASSERT_EQ(results.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        ASSERT_TRUE(results[i].obs && reference[i].obs) << i;
+        EXPECT_EQ(results[i].obs->events.capacity(), 0u) << i;
+        const obs::RunObs &want = *reference[i].obs;
+        ASSERT_FALSE(want.events.empty()) << i;
+        const std::string file =
+            dir + "/TRACE_batch_" + std::to_string(i) + ".json";
+        const std::string want_file = dir + "/want_" + std::to_string(i);
+        obs::writeChromeTrace(want_file, want);
+        EXPECT_EQ(slurp(file), slurp(want_file)) << file;
+        want_lines += "wrote " + file + " ("
+            + std::to_string(want.events.size()) + " events, "
+            + std::to_string(want.droppedEvents) + " dropped)\n";
+    }
+    EXPECT_EQ(lines, want_lines);
+    fs::remove_all(dir);
 }
 
 } // namespace

@@ -41,29 +41,6 @@ expectSameXlate(const Translation &got, const Translation &want,
     EXPECT_EQ(got.size, want.size) << what << " @ " << vaddr;
 }
 
-/** The unmemoized walk of @p vaddr: the oracle for Translator::walk(). */
-CachedWalk
-tableWalk(const PageTable &table, Addr vaddr)
-{
-    CachedWalk out;
-    out.count = table.walkInto(vaddr, out.steps, out.xlate);
-    return out;
-}
-
-void
-expectSameWalk(const CachedWalk &got, const CachedWalk &want,
-               const char *what, Addr vaddr)
-{
-    expectSameXlate(got.xlate, want.xlate, what, vaddr);
-    ASSERT_EQ(got.count, want.count) << what << " @ " << vaddr;
-    for (int i = 0; i < got.count; ++i) {
-        EXPECT_EQ(got.steps[i].level, want.steps[i].level)
-            << what << " step " << i << " @ " << vaddr;
-        EXPECT_EQ(got.steps[i].pteAddr, want.steps[i].pteAddr)
-            << what << " step " << i << " @ " << vaddr;
-    }
-}
-
 /**
  * One address space under differential test: the table (the oracle), a
  * memoized translator over it, and a model of the mapped leaves so the
@@ -155,10 +132,8 @@ TEST_P(TranslatorDifferential, MemoMatchesFunctionalWalkUnderMutation)
     OsMemory os{OsMemoryConfig{}};
 
     TranslatorConfig memo_cfg;
-    if (param.tiny) {
+    if (param.tiny)
         memo_cfg.memoSlots = 2;
-        memo_cfg.walkSlots = 2;
-    }
     DiffSpace space_a(os, memo_cfg);
     DiffSpace space_b(os, memo_cfg);
     DiffSpace *spaces[] = {&space_a, &space_b};
@@ -192,19 +167,13 @@ TEST_P(TranslatorDifferential, MemoMatchesFunctionalWalkUnderMutation)
         DiffSpace &s = *spaces[rng.below(2)];
         const std::uint64_t action = rng.below(100);
 
-        if (action < 40) {
+        if (action < 55) {
             // Pure translation, often twice so the last-slot path and
             // the memo-hit path both fire.
             const Addr vaddr = pickVaddr(s);
             probe(s, vaddr);
             if (rng.chance(0.5))
                 probe(s, vaddr);
-        } else if (action < 55) {
-            // Structural walk (valid or faulting).
-            const Addr vaddr = pickVaddr(s);
-            const CachedWalk want = tableWalk(s.table, vaddr);
-            expectSameWalk(s.memo.walk(vaddr), want, "walk", vaddr);
-            expectSameWalk(s.memo.walk(vaddr), want, "rewalk", vaddr);
         } else if (action < 67) {
             // map() a fresh page. Probe the address *before* mapping
             // too: a memoized negative must not mask the new mapping.
@@ -297,9 +266,6 @@ TEST_P(TranslatorDifferential, MemoMatchesFunctionalWalkUnderMutation)
                 for (const auto &[base, size] : sp->leaves) {
                     probe(*sp, base);
                     probe(*sp, base + rng.below(pageBytes(size)));
-                    const CachedWalk want = tableWalk(sp->table, base);
-                    expectSameWalk(sp->memo.walk(base), want, "sweep",
-                                   base);
                 }
             }
         }
@@ -309,6 +275,94 @@ TEST_P(TranslatorDifferential, MemoMatchesFunctionalWalkUnderMutation)
     // every lookup missed through to the table).
     EXPECT_GT(space_a.memo.hits() + space_b.memo.hits(), 0u);
     EXPECT_GT(space_a.memo.misses() + space_b.memo.misses(), 0u);
+}
+
+/**
+ * The packed memo slot keeps the frame, the permission bit, the page
+ * size and the touched bit in one word. Every page size with either
+ * permission goes through each mutation that rewrites a live leaf; the
+ * memo must agree with the table field by field, and the touched bit
+ * must never leak into the frame or outlive the slot's stamp.
+ */
+TEST_P(TranslatorDifferential, PackedSlotsMatchTableForEveryPageSize)
+{
+    const HarnessParam param = GetParam();
+    Rng rng(param.seed);
+    TranslatorConfig memo_cfg;
+    if (param.tiny)
+        memo_cfg.memoSlots = 2;
+
+    const PageSize kSizes[] = {PageSize::Page4K, PageSize::Page2M,
+                               PageSize::Page1G};
+    for (const PageSize size : kSizes) {
+        for (const bool writable : {false, true}) {
+            OsMemory os{OsMemoryConfig{}};
+            DiffSpace s(os, memo_cfg);
+            const Addr bytes = pageBytes(size);
+            const Addr base =
+                alignDown(rng.below(Addr{8} << 30), bytes);
+            s.table.map(base, size, os.allocFrame(size), writable);
+            // A page far away: translating it moves the last-translation
+            // slot off the page under test, so the next lookup reads the
+            // packed memo slot.
+            const Addr decoy = Addr{1} << 45;
+            s.table.map(decoy, PageSize::Page4K,
+                        os.allocFrame(PageSize::Page4K));
+
+            // Both ends of the page and an interior address, each
+            // translated as a refill, from the memo slot and from the
+            // last-translation slot.
+            const auto check = [&](const char *what) {
+                for (const Addr va : {base, base + bytes - 1,
+                                      base + rng.below(bytes)}) {
+                    const Translation want = s.table.translate(va);
+                    ASSERT_TRUE(want.valid) << what;
+                    for (int i = 0; i < 3; ++i) {
+                        if (i == 1) {
+                            ASSERT_TRUE(s.memo.translate(decoy).valid);
+                        }
+                        const Translation got = s.memo.translate(va);
+                        expectSameXlate(got, want, what, va);
+                        EXPECT_EQ(got.physAddr(va), want.physAddr(va))
+                            << what << " @ " << va;
+                    }
+                }
+            };
+            // noteTouched() sets the bit of one 4KB granule only; a
+            // mutation's new stamp clears it.
+            const auto touch = [&](const char *what) {
+                const Addr va = base + rng.below(bytes);
+                EXPECT_FALSE(s.memo.touchedFast(va)) << what;
+                s.memo.noteTouched(va);
+                EXPECT_TRUE(s.memo.touchedFast(va)) << what;
+                if (size != PageSize::Page4K) {
+                    const Addr other = va ^ kPageBytes;
+                    EXPECT_FALSE(s.memo.touchedFast(other)) << what;
+                }
+                check(what);
+            };
+
+            check("map");
+            touch("map");
+            ASSERT_TRUE(s.table.protect(base, !writable));
+            check("protect");
+            touch("protect");
+            s.table.remap(base, size, os.allocFrame(size), writable);
+            check("remap");
+            touch("remap");
+            const PageSize bigger =
+                size == PageSize::Page4K ? PageSize::Page2M
+                                         : PageSize::Page1G;
+            s.table.promote(base, bigger, os.allocFrame(bigger),
+                            !writable);
+            check("promote");
+            EXPECT_EQ(s.memo.translate(base).size, bigger);
+            touch("promote");
+            s.memo.invalidateAll();
+            check("invalidateAll");
+            touch("invalidateAll");
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -369,7 +423,6 @@ TEST_F(TranslatorFixture, PromotionCoversWarm4KEntries)
     for (const Addr va : vas) {
         map4K(va);
         ASSERT_TRUE(memo.translate(va).valid); // warm the memo
-        memo.walk(va);                         // and the walk memo
     }
 
     const Addr super = os.allocFrame(PageSize::Page2M);
@@ -380,9 +433,6 @@ TEST_F(TranslatorFixture, PromotionCoversWarm4KEntries)
         ASSERT_TRUE(t.valid) << va;
         EXPECT_EQ(t.size, PageSize::Page2M) << va;
         EXPECT_EQ(t.pframe, super) << va;
-        const CachedWalk &walk = memo.walk(va);
-        EXPECT_EQ(walk.count, 3) << va; // walk now ends at L2
-        EXPECT_EQ(walk.steps[walk.count - 1].level, 2) << va;
     }
 }
 
@@ -418,8 +468,6 @@ TEST_F(TranslatorFixture, NegativeResultsAreNeverMemoized)
     // Miss on an unmapped page, repeatedly: nothing may be cached.
     EXPECT_FALSE(memo.translate(va).valid);
     EXPECT_FALSE(memo.translate(va).valid);
-    const CachedWalk &faulting = memo.walk(va);
-    EXPECT_FALSE(faulting.xlate.valid);
 
     // map() does not bump the mutation epoch — only the no-negative-
     // memoization invariant makes this correct.
@@ -427,9 +475,6 @@ TEST_F(TranslatorFixture, NegativeResultsAreNeverMemoized)
     const Translation t = memo.translate(va);
     ASSERT_TRUE(t.valid);
     EXPECT_EQ(t.pframe, frame);
-    const CachedWalk &walk = memo.walk(va);
-    ASSERT_TRUE(walk.xlate.valid);
-    EXPECT_EQ(walk.count, 4);
 }
 
 TEST_F(TranslatorFixture, MapDoesNotInvalidateWarmEntries)
@@ -476,7 +521,6 @@ TEST_F(TranslatorFixture, DirectMappedCollisionsStayCorrect)
 {
     TranslatorConfig tiny;
     tiny.memoSlots = 2;
-    tiny.walkSlots = 2;
     Translator small{table, tiny};
 
     // Four pages whose 4K VPNs all collide in a 2-slot memo.
@@ -527,7 +571,6 @@ TEST(TranslatorByteIdentity, BenchJsonIdenticalMemoVsReference)
             cfg.withTempo(tempo_on);
             SystemConfig ref_cfg = cfg;
             ref_cfg.translator.memoSlots = 1;
-            ref_cfg.translator.walkSlots = 1;
 
             const RunResult memo_run = runWorkload(cfg, workload, kRefs);
             const RunResult ref_run =
