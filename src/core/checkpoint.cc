@@ -10,14 +10,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "fabric/claim.hh"
-
 namespace tempo {
 
 namespace {
 
 using stats::Json;
-using stats::JsonValue;
 
 /**
  * One field-visitor enumerates CoreStats for both encode and decode so
@@ -72,7 +69,7 @@ struct CoreEncoder {
 };
 
 struct CoreDecoder {
-    const JsonValue &obj;
+    const Json &obj;
     void
     operator()(const char *name, std::uint64_t &v)
     {
@@ -156,19 +153,19 @@ encodeRunResult(const RunResult &result)
 }
 
 RunResult
-decodeRunResult(const stats::JsonValue &value)
+decodeRunResult(const stats::Json &value)
 {
     RunResult result;
     result.runtime = value.at("runtime").asUint64();
 
-    const JsonValue &energy = value.at("energy");
+    const Json &energy = value.at("energy");
     result.energy.coreStatic = energy.at("core_static").asDouble();
     result.energy.dramStatic = energy.at("dram_static").asDouble();
     result.energy.dramDynamic = energy.at("dram_dynamic").asDouble();
     result.energy.mcDynamic = energy.at("mc_dynamic").asDouble();
 
-    if (const JsonValue *apps = value.find("apps")) {
-        for (const JsonValue &app : apps->elements) {
+    if (const Json *apps = value.find("apps")) {
+        for (const Json &app : apps->elements()) {
             result.appFinish.push_back(app.at("finish").asUint64());
             CoreDecoder dec{app};
             visitCoreStats(result.appStats.emplace_back(), dec);
@@ -186,29 +183,29 @@ decodeRunResult(const stats::JsonValue &value)
     result.dramReplay = value.at("dram_replay").asUint64();
     result.dramOther = value.at("dram_other").asUint64();
 
-    const JsonValue &report = value.at("report");
-    if (report.kind != JsonValue::Kind::Array)
+    const Json &report = value.at("report");
+    if (report.kind() != Json::Kind::Array)
         throw std::runtime_error("journal: report is not an array");
-    for (const JsonValue &entry : report.elements) {
-        if (entry.kind != JsonValue::Kind::Array ||
-            entry.elements.size() != 2)
+    for (const Json &entry : report.elements()) {
+        if (entry.kind() != Json::Kind::Array ||
+            entry.elements().size() != 2)
             throw std::runtime_error("journal: bad report entry");
-        result.report.add(entry.elements[0].asString(),
-                          entry.elements[1].asDouble());
+        result.report.add(entry.elements()[0].asString(),
+                          entry.elements()[1].asDouble());
     }
 
-    if (const JsonValue *timeseries = value.find("timeseries")) {
+    if (const Json *timeseries = value.find("timeseries")) {
         // Restored observability carries the time series only; cfg stays
         // default (trace=false), so resume never rewrites trace files.
         auto obs = std::make_shared<obs::RunObs>();
-        for (const auto &[key, column] : timeseries->members) {
+        for (const auto &[key, column] : timeseries->members()) {
             if (key == "window_cycles") {
                 obs->timeseries.windowCycles = column.asUint64();
                 continue;
             }
             std::vector<double> values;
-            values.reserve(column.elements.size());
-            for (const JsonValue &v : column.elements)
+            values.reserve(column.elements().size());
+            for (const Json &v : column.elements())
                 values.push_back(v.asDouble());
             obs->timeseries.columns.emplace_back(key, std::move(values));
         }
@@ -222,7 +219,7 @@ encodeJournalLine(std::uint64_t digest, const RunResult &result)
 {
     Json doc = Json::object();
     doc.set("v", std::uint64_t(1));
-    doc.set("digest", fabric::digestHex(digest));
+    doc.set("digest", stats::digestHex(digest));
     if (!result.status.ok()) {
         doc.set("status", result.status.codeName());
         doc.set("error", result.status.error);
@@ -236,12 +233,12 @@ encodeJournalLine(std::uint64_t digest, const RunResult &result)
 JournalRecord
 decodeJournalLine(const std::string &line)
 {
-    const JsonValue doc = stats::parseJson(line);
+    const Json doc = stats::parseJson(line);
     JournalRecord record;
-    record.digest = fabric::parseDigestHex(doc.at("digest").asString());
+    record.digest = stats::parseDigestHex(doc.at("digest").asString());
     record.result = decodeRunResult(doc.at("result"));
     RunStatus &status = record.result.status;
-    if (const JsonValue *code = doc.find("status")) {
+    if (const Json *code = doc.find("status")) {
         const std::string &name = code->asString();
         if (name == "ok")
             status.code = RunStatus::Code::Ok;
@@ -251,7 +248,7 @@ decodeJournalLine(const std::string &line)
             status.code = RunStatus::Code::TimedOut;
         else
             throw std::runtime_error("journal: unknown status " + name);
-        if (const JsonValue *error = doc.find("error"))
+        if (const Json *error = doc.find("error"))
             status.error = error->asString();
     }
     status.attempts =

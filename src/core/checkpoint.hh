@@ -37,7 +37,7 @@ stats::Json encodeRunResult(const RunResult &result);
  * Rebuild a RunResult from encodeRunResult() output.
  * @throws std::runtime_error on schema mismatch.
  */
-RunResult decodeRunResult(const stats::JsonValue &value);
+RunResult decodeRunResult(const stats::Json &value);
 
 /**
  * Encode one complete record as a single JSONL line (no trailing

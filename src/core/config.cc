@@ -1,45 +1,13 @@
 #include "core/config.hh"
 
-#include <bit>
 #include <stdexcept>
 
+#include "common/fnv.hh"
 #include "prefetch/registry.hh"
 
 namespace tempo {
 
 namespace {
-
-/** FNV-1a accumulator for the config digest. Doubles are hashed by
- * bit pattern, so any representable change to a knob changes the
- * digest and two equal configs always agree. */
-struct Fnv1a {
-    std::uint64_t state = 1469598103934665603ull;
-
-    void
-    bytes(const void *data, std::size_t n)
-    {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            state ^= p[i];
-            state *= 1099511628211ull;
-        }
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        bytes(&v, sizeof(v));
-    }
-
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-    template <typename E>
-    void
-    e(E v)
-    {
-        u64(static_cast<std::uint64_t>(v));
-    }
-};
 
 void
 hashCacheLevel(Fnv1a &h, const CacheLevelConfig &c)

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/fnv.hh"
 #include "common/thread_pool.hh"
 #include "common/watchdog.hh"
 #include "fabric/coordinator.hh"
@@ -26,27 +27,6 @@ namespace {
 /** Retry attempts reseed far away from the per-point index series so a
  * retried point never collides with another point's derived seed. */
 constexpr std::uint64_t kRetrySalt = 0x7265747279ull; // "retry"
-
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    const auto *p = reinterpret_cast<const unsigned char *>(&v);
-    for (std::size_t i = 0; i < sizeof(v); ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-std::uint64_t
-mix(std::uint64_t h, const std::string &s)
-{
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return mix(h, s.size());
-}
 
 /** Honor a FaultInjection targeting @p index, if any. Runs inside the
  * barrier with the watchdog already armed. */
@@ -151,16 +131,18 @@ rethrowFirstFailure(const std::vector<RunResult> &results)
 std::uint64_t
 pointDigest(const ExperimentPoint &point, std::size_t index)
 {
-    std::uint64_t h = 1469598103934665603ull; // FNV-1a offset basis
-    for (const std::string &name : point.workload)
-        h = mix(h, name);
-    h = mix(h, point.refs);
-    h = mix(h, point.warmup);
-    h = mix(h, std::uint64_t(point.seed.has_value()));
-    h = mix(h, point.seed.value_or(0));
-    h = mix(h, point.config.digest());
-    h = mix(h, std::uint64_t(index));
-    return h;
+    Fnv1a h;
+    for (const std::string &name : point.workload) {
+        h.bytes(name.data(), name.size());
+        h.u64(name.size());
+    }
+    h.u64(point.refs);
+    h.u64(point.warmup);
+    h.u64(point.seed.has_value());
+    h.u64(point.seed.value_or(0));
+    h.u64(point.config.digest());
+    h.u64(index);
+    return h.state;
 }
 
 std::vector<std::unique_ptr<Workload>>

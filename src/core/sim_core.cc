@@ -202,7 +202,7 @@ SimCore::newWalk(obs::WalkKind kind, std::uint32_t owner, Addr vaddr)
     walk.plan = walker.plan(vaddr);
     if (auto *o = obs::session()) {
         walk.plan.obsWalkId =
-            o->walkBegin(machine_.eq.now(), vaddr, kind,
+            o->walkBegin(machine_.eq.now(), app_, vaddr, kind,
                          walk.plan.fetches.size(), walk.plan.skipped);
     }
     return w;

@@ -147,14 +147,21 @@ System::run(std::uint64_t refs_per_app, std::uint64_t warmup_per_app)
     std::vector<Cycle> measure_from(n, 0);
     std::size_t warmed = 0;
     if (warmup_per_app > 0) {
+        if (obs::Session *s = obs_run.session())
+            s->warmUp(n);
         for (std::size_t i = 0; i < n; ++i) {
             cores_[i]->setWarmupCallback(
                 warmup_per_app, [this, i, &warmed, &measure_from] {
                     measure_from[i] = machine_.eq.now();
                     cores_[i]->resetStats();
+                    // Walk and replay audits follow each app's window;
+                    // the rest follows the machine's (the last app's).
+                    obs::Session *o = obs::session();
+                    if (o)
+                        o->startMeasuring(static_cast<AppId>(i));
                     if (++warmed < cores_.size())
                         return;
-                    if (auto *o = obs::session())
+                    if (o)
                         o->resetCounters();
                     machine_.mc.resetStats();
                     machine_.dram.resetStats();
@@ -236,19 +243,6 @@ System::run(std::uint64_t refs_per_app, std::uint64_t warmup_per_app)
     if (obs_run.session()) {
         stats::Report obs_report;
         result.obs = obs_run.finish(obs_report);
-        // Per-engine lifecycle taxonomy in the audit namespace. The
-        // TEMPO engine's obs.prefetch_* counters are untouched — they
-        // keep summing to mc.tempo.prefetches_issued.
-        for (std::size_t i = 0; i < n; ++i) {
-            for (const auto &e : result.appStats[i].prefetchEngines) {
-                const std::string p = prefix[i] + "prefetch." + e.name + ".";
-                obs_report.add(p + "issued", e.issued);
-                obs_report.add(p + "useful", e.useful);
-                obs_report.add(p + "late", e.late);
-                obs_report.add(p + "useless", e.useless());
-                obs_report.add(p + "dropped", e.dropped);
-            }
-        }
         report.merge("obs.", obs_report);
     }
 

@@ -2,9 +2,7 @@
 
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -15,30 +13,12 @@
 
 #include <unistd.h>
 
+#include "stats/json.hh"
+
 namespace tempo::fabric {
 
 namespace fs = std::filesystem;
-
-std::string
-digestHex(std::uint64_t digest)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(digest));
-    return buf;
-}
-
-std::uint64_t
-parseDigestHex(const std::string &text)
-{
-    std::uint64_t out = 0;
-    const auto [p, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), out, 16);
-    if (ec != std::errc() || p != text.data() + text.size() ||
-        text.empty())
-        throw std::runtime_error("fabric: bad digest " + text);
-    return out;
-}
+using stats::digestHex;
 
 void
 writeFileAtomic(const std::string &path, const std::string &content)

@@ -2,7 +2,7 @@
  * @file
  * Point claiming for the scale-out sweep fabric, plus the small
  * filesystem helpers every fabric module shares (atomic file publish,
- * digest hex codec, file-age queries).
+ * file-age queries).
  *
  * A claim is a file `claim_<16-hex digest>` in the shared fabric
  * directory whose content names the owning worker. Publication is a
@@ -22,13 +22,6 @@
 #include <string>
 
 namespace tempo::fabric {
-
-/** 16-hex-digit lowercase digest spelling (fabric file names and
- * snapshot JSON use the same spelling as the checkpoint journal). */
-std::string digestHex(std::uint64_t digest);
-
-/** Inverse of digestHex(). @throws std::runtime_error on bad input. */
-std::uint64_t parseDigestHex(const std::string &text);
 
 /** Write @p content to @p path via a per-call unique temp file and
  * rename, so readers only ever see complete contents.

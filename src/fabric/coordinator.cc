@@ -17,6 +17,7 @@
 #include <sys/file.h>
 #include <unistd.h>
 
+#include "common/fnv.hh"
 #include "common/thread_pool.hh"
 #include "core/checkpoint.hh"
 #include "fabric/claim.hh"
@@ -27,22 +28,10 @@ namespace tempo::fabric {
 
 namespace fs = std::filesystem;
 using stats::Json;
-using stats::JsonValue;
+using stats::digestHex;
+using stats::parseDigestHex;
 
 namespace {
-
-std::uint64_t
-fnv1a64(const void *data, std::size_t size, std::uint64_t h)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= bytes[i];
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
 
 std::vector<std::string>
 listManifests(const std::string &dir)
@@ -70,10 +59,10 @@ std::string
 manifestPath(const std::string &dir,
              const std::vector<std::uint64_t> &digests)
 {
-    std::uint64_t h = kFnvBasis;
+    Fnv1a h;
     for (std::uint64_t digest : digests)
-        h = fnv1a64(&digest, sizeof(digest), h);
-    return dir + "/manifest_" + digestHex(h) + ".json";
+        h.u64(digest);
+    return dir + "/manifest_" + digestHex(h.state) + ".json";
 }
 
 void
@@ -114,10 +103,10 @@ readManifest(const std::string &dir, Manifest &out, double *ageSec)
     std::ifstream in(path, std::ios::binary);
     std::ostringstream text;
     text << in.rdbuf();
-    const JsonValue doc = stats::parseJson(text.str());
+    const Json doc = stats::parseJson(text.str());
     out.sweep = doc.at("sweep").asString();
     out.digests.clear();
-    for (const JsonValue &digest : doc.at("digests").elements)
+    for (const Json &digest : doc.at("digests").elements())
         out.digests.push_back(parseDigestHex(digest.asString()));
     if (ageSec)
         *ageSec = fileAgeSec(path);
@@ -257,9 +246,9 @@ workerLoop(const ExperimentOptions &opts,
     std::exception_ptr firstError;
     std::mutex errorMutex;
 
-    const std::uint64_t scanStart =
-        total ? fnv1a64(worker.data(), worker.size(), kFnvBasis) % total
-              : 0;
+    Fnv1a workerHash;
+    workerHash.bytes(worker.data(), worker.size());
+    const std::uint64_t scanStart = total ? workerHash.state % total : 0;
 
     auto body = [&] {
         while (!abort.load(std::memory_order_relaxed)) {

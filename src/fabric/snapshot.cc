@@ -18,39 +18,14 @@ namespace tempo::fabric {
 
 namespace fs = std::filesystem;
 using stats::Json;
-using stats::JsonValue;
+using stats::digestHex;
+using stats::parseDigestHex;
 
 namespace {
-
-/** References a finished point simulated, over all its apps. */
-std::uint64_t
-refsOf(const RunResult &result)
-{
-    std::uint64_t refs = 0;
-    for (const CoreStats &app : result.appStats)
-        refs += app.refs;
-    return refs;
-}
 
 /** Cap on the failures array in snapshots (the dashboard feed; the
  * bench JSON still reports every failure). */
 constexpr std::size_t kMaxSnapshotFailures = 50;
-
-void
-rollupTimeseries(
-    std::map<std::string, std::pair<std::uint64_t, double>> &rollup,
-    const RunResult &result)
-{
-    if (!result.obs)
-        return;
-    for (const auto &[column, values] : result.obs->timeseries.columns) {
-        if (column == "cycle") // the x axis, not a metric
-            continue;
-        auto &[count, sum] = rollup[column];
-        count += values.size();
-        sum = std::accumulate(values.begin(), values.end(), sum);
-    }
-}
 
 Json
 timeseriesJson(
@@ -97,34 +72,34 @@ rate(double numerator, double seconds)
  * and in-flight counts are capped and pending is the remainder, so
  * ok + failed + timed_out + in_flight + pending == points exactly. */
 void
-setCounts(Json &doc, std::size_t points, std::size_t ok,
-          std::size_t failed, std::size_t timedOut, std::size_t inFlight,
-          std::uint64_t retries, std::uint64_t refsDone, double elapsed)
+setCounts(Json &doc, std::size_t points, const OutcomeTally &outcome,
+          std::size_t inFlight, double elapsed)
 {
-    const std::size_t done = std::min(ok + failed + timedOut, points);
+    const std::size_t done =
+        std::min<std::size_t>(outcome.done(), points);
     const std::size_t inflight = std::min(inFlight, points - done);
     const std::size_t pending = points - done - inflight;
     const double pps = rate(static_cast<double>(done), elapsed);
     doc.set("points", std::uint64_t(points));
-    doc.set("ok", std::uint64_t(ok));
-    doc.set("failed", std::uint64_t(failed));
-    doc.set("timed_out", std::uint64_t(timedOut));
+    doc.set("ok", outcome.ok);
+    doc.set("failed", outcome.failed);
+    doc.set("timed_out", outcome.timedOut);
     doc.set("in_flight", std::uint64_t(inflight));
     doc.set("pending", std::uint64_t(pending));
-    doc.set("retries", retries);
+    doc.set("retries", outcome.retries);
     doc.set("elapsed_sec", elapsed);
     doc.set("eta_sec",
             pps > 0 ? static_cast<double>(pending + inflight) / pps
                     : 0.0);
     doc.set("points_per_sec", pps);
     doc.set("events_per_sec",
-            rate(static_cast<double>(refsDone), elapsed));
+            rate(static_cast<double>(outcome.refsDone), elapsed));
 }
 
 } // namespace
 
 void
-WorkerTally::add(const RunResult &result, double pointWallSec)
+OutcomeTally::add(const RunResult &result)
 {
     switch (result.status.code) {
       case RunStatus::Code::Ok: ++ok; break;
@@ -132,11 +107,25 @@ WorkerTally::add(const RunResult &result, double pointWallSec)
       case RunStatus::Code::TimedOut: ++timedOut; break;
     }
     retries += result.status.attempts > 0 ? result.status.attempts - 1 : 0;
-    ++pointsRun;
-    refsDone += refsOf(result);
+    for (const CoreStats &app : result.appStats)
+        refsDone += app.refs;
+    if (!result.obs)
+        return;
+    for (const auto &[column, values] : result.obs->timeseries.columns) {
+        if (column == "cycle") // the x axis, not a metric
+            continue;
+        auto &[count, sum] = timeseries[column];
+        count += values.size();
+        sum = std::accumulate(values.begin(), values.end(), sum);
+    }
+}
+
+void
+WorkerTally::add(const RunResult &result, double pointWallSec)
+{
+    outcome.add(result);
     wallSec += pointWallSec;
     lastWallSec = pointWallSec;
-    rollupTimeseries(timeseries, result);
 }
 
 Json
@@ -146,21 +135,21 @@ WorkerTally::toJson() const
     doc.set("schema", "tempo-fabric-worker-1");
     doc.set("worker", worker);
     doc.set("sweep", sweep);
-    doc.set("ok", ok);
-    doc.set("failed", failed);
-    doc.set("timed_out", timedOut);
-    doc.set("retries", retries);
-    doc.set("points_run", pointsRun);
-    doc.set("refs_done", refsDone);
+    doc.set("ok", outcome.ok);
+    doc.set("failed", outcome.failed);
+    doc.set("timed_out", outcome.timedOut);
+    doc.set("retries", outcome.retries);
+    doc.set("points_run", outcome.done());
+    doc.set("refs_done", outcome.refsDone);
     doc.set("wall_sec", wallSec);
     doc.set("last_wall_sec", lastWallSec);
     doc.set("events_per_sec",
-            rate(static_cast<double>(refsDone), wallSec));
+            rate(static_cast<double>(outcome.refsDone), wallSec));
     Json inflight = Json::array();
     for (std::uint64_t digest : inFlight)
         inflight.push(digestHex(digest));
     doc.set("in_flight", std::move(inflight));
-    doc.set("timeseries", timeseriesJson(timeseries));
+    doc.set("timeseries", timeseriesJson(outcome.timeseries));
     return doc;
 }
 
@@ -198,24 +187,15 @@ SweepProgress::done(std::size_t, const RunResult &result)
     const std::lock_guard<std::mutex> lock(mutex_);
     if (inFlight_ > 0)
         --inFlight_;
-    ++done_;
-    switch (result.status.code) {
-      case RunStatus::Code::Ok: ++ok_; break;
-      case RunStatus::Code::Failed: ++failed_; break;
-      case RunStatus::Code::TimedOut: ++timedOut_; break;
-    }
-    retries_ +=
-        result.status.attempts > 0 ? result.status.attempts - 1 : 0;
-    refsDone_ += refsOf(result);
+    outcome_.add(result);
     if (!result.status.ok() && failures_.size() < kMaxSnapshotFailures) {
         RunStatus status = result.status;
         status.exception = nullptr; // snapshots never rethrow
         failures_.push_back(std::move(status));
     }
-    rollupTimeseries(timeseries_, result);
     if (!haveGlobal_)
-        maybePrint(done_, failed_ + timedOut_, total_,
-                   done_ == total_);
+        maybePrint(outcome_.done(), outcome_.failed + outcome_.timedOut,
+                   total_, outcome_.done() == total_);
 }
 
 void
@@ -264,14 +244,13 @@ SweepProgress::snapshotJson() const
     Json doc = Json::object();
     doc.set("schema", "tempo-fabric-snapshot-1");
     doc.set("sweep", label_);
-    setCounts(doc, total_, ok_, failed_, timedOut_, inFlight_, retries_,
-              refsDone_, elapsed);
+    setCounts(doc, total_, outcome_, inFlight_, elapsed);
     doc.set("workers", Json::array());
     std::vector<const RunStatus *> failures;
     for (const RunStatus &status : failures_)
         failures.push_back(&status);
     doc.set("failures", failuresJson(std::move(failures)));
-    doc.set("timeseries", timeseriesJson(timeseries_));
+    doc.set("timeseries", timeseriesJson(outcome_.timeseries));
     return doc.dump();
 }
 
@@ -291,13 +270,11 @@ buildDirSnapshotJson(const std::string &dir, double staleSec)
     }
     doc.set("sweep", manifest.sweep);
 
-    std::size_t okCount = 0, failedCount = 0, timedOutCount = 0;
+    OutcomeTally outcome;
     std::size_t claimed = 0;
-    std::uint64_t retries = 0, refsDone = 0;
     std::vector<const RunStatus *> failures;
     std::set<std::uint64_t> doneSet;
     ShardScanner scanner(dir);
-    std::map<std::string, std::pair<std::uint64_t, double>> rollup;
     if (haveManifest) {
         const std::set<std::uint64_t> wanted(manifest.digests.begin(),
                                              manifest.digests.end());
@@ -311,16 +288,7 @@ buildDirSnapshotJson(const std::string &dir, double staleSec)
             if (!wanted.count(digest))
                 continue;
             doneSet.insert(digest);
-            switch (result.status.code) {
-              case RunStatus::Code::Ok: ++okCount; break;
-              case RunStatus::Code::Failed: ++failedCount; break;
-              case RunStatus::Code::TimedOut: ++timedOutCount; break;
-            }
-            retries += result.status.attempts > 0
-                           ? result.status.attempts - 1
-                           : 0;
-            refsDone += refsOf(result);
-            rollupTimeseries(rollup, result);
+            outcome.add(result);
             if (!result.status.ok() &&
                 failures.size() < kMaxSnapshotFailures)
                 failures.push_back(&result.status);
@@ -342,8 +310,7 @@ buildDirSnapshotJson(const std::string &dir, double staleSec)
         }
     }
     // Without a manifest every count is 0.
-    setCounts(doc, manifest.digests.size(), okCount, failedCount,
-              timedOutCount, claimed, retries, refsDone, elapsed);
+    setCounts(doc, manifest.digests.size(), outcome, claimed, elapsed);
 
     // Workers: anyone with a heartbeat or a status file.
     std::set<std::string> ids;
@@ -374,11 +341,10 @@ buildDirSnapshotJson(const std::string &dir, double staleSec)
             std::ostringstream text;
             text << in.rdbuf();
             try {
-                const JsonValue status = stats::parseJson(text.str());
-                for (const auto &[key, value] : status.members) {
-                    if (key == "schema" || key == "worker")
-                        continue;
-                    w.set(key, stats::toJson(value));
+                const Json status = stats::parseJson(text.str());
+                for (const auto &[key, value] : status.members()) {
+                    if (key != "schema" && key != "worker")
+                        w.set(key, value);
                 }
             } catch (const std::exception &) {
                 // Torn read of a status mid-publish: skip its fields.
@@ -389,7 +355,7 @@ buildDirSnapshotJson(const std::string &dir, double staleSec)
     doc.set("workers", std::move(workers));
 
     doc.set("failures", failuresJson(std::move(failures)));
-    doc.set("timeseries", timeseriesJson(rollup));
+    doc.set("timeseries", timeseriesJson(outcome.timeseries));
     return doc.dump();
 }
 

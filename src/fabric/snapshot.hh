@@ -52,6 +52,23 @@
 
 namespace tempo::fabric {
 
+/** The one fold of finished points' outcomes, shared by worker status
+ * files, in-process progress and directory snapshots. */
+struct OutcomeTally {
+    std::uint64_t ok = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t timedOut = 0;
+    std::uint64_t retries = 0;  //!< extra attempts consumed
+    std::uint64_t refsDone = 0; //!< simulated references, all apps
+    /** Windowed obs rollup: column -> (sample count, sample sum). */
+    std::map<std::string, std::pair<std::uint64_t, double>> timeseries;
+
+    /** Fold one finished point in (status, retries, refs, obs). */
+    void add(const RunResult &result);
+
+    std::uint64_t done() const { return ok + failed + timedOut; }
+};
+
 /**
  * One worker's running tally, serialized to `status_<workerId>.json`
  * ("tempo-fabric-worker-1") after every completed point. Callers
@@ -60,19 +77,12 @@ namespace tempo::fabric {
 struct WorkerTally {
     std::string worker;
     std::string sweep;
-    std::uint64_t ok = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t timedOut = 0;
-    std::uint64_t retries = 0;   //!< extra attempts consumed
-    std::uint64_t pointsRun = 0; //!< points this worker executed
-    std::uint64_t refsDone = 0;  //!< simulated references completed
-    double wallSec = 0;          //!< summed per-point wall clock
+    OutcomeTally outcome;    //!< the points this worker executed
+    double wallSec = 0;      //!< summed per-point wall clock
     double lastWallSec = 0;
     std::set<std::uint64_t> inFlight; //!< digests being run right now
-    /** Windowed obs rollup: column -> (sample count, sample sum). */
-    std::map<std::string, std::pair<std::uint64_t, double>> timeseries;
 
-    /** Fold one finished point in (status, refs, retries, obs). */
+    /** Fold one finished point in, with its wall-clock time. */
     void add(const RunResult &result, double pointWallSec);
 
     stats::Json toJson() const;
@@ -122,15 +132,9 @@ class SweepProgress
     bool started_ = false;
     std::size_t printedAt_ = 0; //!< done count of the last line
     // Local (this-process) accounting.
-    std::size_t done_ = 0;
-    std::size_t ok_ = 0;
-    std::size_t failed_ = 0;
-    std::size_t timedOut_ = 0;
+    OutcomeTally outcome_;
     std::size_t inFlight_ = 0;
-    std::uint64_t retries_ = 0;
-    std::uint64_t refsDone_ = 0;
     std::vector<RunStatus> failures_;
-    std::map<std::string, std::pair<std::uint64_t, double>> timeseries_;
     // Directory-wide view (fabric), used for printing when present.
     bool haveGlobal_ = false;
     std::size_t globalDone_ = 0;

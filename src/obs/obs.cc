@@ -132,21 +132,24 @@ Session::walk(std::uint64_t id)
 }
 
 std::uint64_t
-Session::walkBegin(Cycle now, Addr vaddr, WalkKind kind,
+Session::walkBegin(Cycle now, AppId app, Addr vaddr, WalkKind kind,
                    std::size_t planned_steps, std::size_t skipped_steps)
 {
     walks_.emplace_back();
     WalkRecord &rec = walks_.back();
     rec.kind = kind;
+    rec.app = app;
     const std::uint64_t id = walks_.size();
 
-    switch (kind) {
-      case WalkKind::Demand: ++counters_.walks; break;
-      case WalkKind::CorePrefetch: ++counters_.walksPrefetch; break;
-      case WalkKind::TlbPrefetch: ++counters_.walksTlbPrefetch; break;
+    if (measuring(app)) {
+        switch (kind) {
+          case WalkKind::Demand: ++walkCounts_.walks; break;
+          case WalkKind::CorePrefetch: ++walkCounts_.walksPrefetch; break;
+          case WalkKind::TlbPrefetch: ++walkCounts_.walksTlbPrefetch; break;
+        }
+        walkCounts_.walkSteps += planned_steps;
+        walkCounts_.walkStepsSkipped += skipped_steps;
     }
-    counters_.walkSteps += planned_steps;
-    counters_.walkStepsSkipped += skipped_steps;
 
     record(kWalk, EventType::WalkBegin, now, id, vaddr,
            (static_cast<std::uint64_t>(planned_steps) << 16)
@@ -176,8 +179,8 @@ Session::walkEnd(Cycle now, std::uint64_t id, bool leaf_dram)
 {
     if (WalkRecord *rec = walk(id)) {
         rec->leafDram = leaf_dram;
-        if (leaf_dram)
-            ++counters_.walksLeafDram;
+        if (leaf_dram && measuring(rec->app))
+            ++walkCounts_.walksLeafDram;
     }
     record(kWalk, EventType::WalkEnd, now, id, 0, 0, leaf_dram ? 1 : 0);
 }
@@ -196,27 +199,31 @@ Session::replayEnd(Cycle when, std::uint64_t id, ReplayClass cls)
     WalkRecord *rec = walk(id);
     if (rec) {
         // Count only what CoreStats counts (replays whose walk's leaf
-        // came from DRAM) so obs.replay_* sums to replay_after_dram_walk.
+        // came from DRAM, in its app's window) so obs.replay_* sums to
+        // replay_after_dram_walk.
         if (rec->leafDram && rec->kind == WalkKind::Demand) {
-            ++counters_.replay[static_cast<std::size_t>(cls)];
             const double latency = when >= rec->replayStart
                 ? static_cast<double>(when - rec->replayStart)
                 : 0.0;
-            replayLat_[static_cast<std::size_t>(cls)].sample(latency);
             windowLat_.sample(latency);
-            replayHist_.sample(latency);
+            if (measuring(rec->app)) {
+                ++walkCounts_.replay[static_cast<std::size_t>(cls)];
+                replayLat_[static_cast<std::size_t>(cls)].sample(latency);
+                totalLat_.sample(latency);
+                replayHist_.sample(latency);
+            }
         }
         // Prefetch timeliness: the replay is this prefetch's consumer.
         if (rec->pfIssued && !rec->pfClassified
             && rec->pfEpoch == epoch_) {
             rec->pfClassified = true;
             if (cls == ReplayClass::Merged)
-                ++counters_.prefetchLate;
+                ++machineCounts_.prefetchLate;
             else if (cls == ReplayClass::LlcHit
                      || cls == ReplayClass::RowHit)
-                ++counters_.prefetchUseful;
+                ++machineCounts_.prefetchUseful;
             else
-                ++counters_.prefetchUseless;
+                ++machineCounts_.prefetchUseless;
         }
     }
     record(kReplay, EventType::ReplayEnd, when, id, 0, 0,
@@ -247,7 +254,7 @@ Session::txqDispatch(Cycle now, std::uint8_t kind, std::uint64_t walk_id,
 void
 Session::prefetchIssue(Cycle now, std::uint64_t walk_id, Addr line)
 {
-    ++counters_.prefetchIssued;
+    ++machineCounts_.prefetchIssued;
     if (WalkRecord *rec = walk(walk_id)) {
         rec->pfIssued = true;
         rec->pfClassified = false;
@@ -259,7 +266,7 @@ Session::prefetchIssue(Cycle now, std::uint64_t walk_id, Addr line)
 void
 Session::prefetchDrop(Cycle now, std::uint64_t walk_id, Addr line)
 {
-    ++counters_.prefetchDropped;
+    ++machineCounts_.prefetchDropped;
     record(kPrefetch, EventType::PrefetchDrop, now, walk_id, line, 0, 0);
 }
 
@@ -278,7 +285,7 @@ Session::corePrefetchDrop(Cycle now, Addr line)
 void
 Session::prefetchFault(Cycle now, std::uint64_t walk_id)
 {
-    ++counters_.prefetchFaults;
+    ++machineCounts_.prefetchFaults;
     record(kPrefetch, EventType::PrefetchFault, now, walk_id, 0, 0, 0);
 }
 
@@ -311,7 +318,7 @@ Session::rowClose(Cycle when, unsigned bank, Addr row)
 void
 Session::blissBlacklist(Cycle now, AppId app)
 {
-    ++counters_.blissBlacklists;
+    ++machineCounts_.blissBlacklists;
     record(kBliss, EventType::BlissBlacklist, now, 0, app, 0, 0);
 }
 
@@ -344,22 +351,27 @@ Session::timeseriesSample(Cycle now, std::size_t txq_occupancy,
         static_cast<double>(outstanding_walks));
     ts_.columns[4].second.push_back(stats::ratio(hits, accesses));
     ts_.columns[5].second.push_back(windowLat_.mean());
-
-    // Fold the window's latency distribution into the run total; the
-    // merge is min/max-safe even when the window saw no replays.
-    totalLat_.merge(windowLat_);
     windowLat_.reset();
+}
+
+void
+Session::warmUp(std::size_t apps)
+{
+    warming_.assign(apps, 1);
+}
+
+void
+Session::startMeasuring(AppId app)
+{
+    if (app < warming_.size())
+        warming_[app] = 0;
 }
 
 void
 Session::resetCounters()
 {
-    counters_ = Counters{};
-    for (auto &dist : replayLat_)
-        dist.reset();
+    machineCounts_ = MachineCounters{};
     windowLat_.reset();
-    totalLat_.reset();
-    replayHist_.reset();
     ++epoch_;
 }
 
@@ -372,22 +384,19 @@ Session::finish(stats::Report &audit)
     for (WalkRecord &rec : walks_) {
         if (rec.pfIssued && !rec.pfClassified && rec.pfEpoch == epoch_) {
             rec.pfClassified = true;
-            ++counters_.prefetchUseless;
+            ++machineCounts_.prefetchUseless;
         }
     }
-    totalLat_.merge(windowLat_);
-    windowLat_.reset();
-
-    audit.add("walks", counters_.walks);
-    audit.add("walks_prefetch", counters_.walksPrefetch);
-    audit.add("walks_tlb_prefetch", counters_.walksTlbPrefetch);
-    audit.add("walks_leaf_dram", counters_.walksLeafDram);
-    audit.add("walk_steps", counters_.walkSteps);
-    audit.add("walk_steps_skipped", counters_.walkStepsSkipped);
+    audit.add("walks", walkCounts_.walks);
+    audit.add("walks_prefetch", walkCounts_.walksPrefetch);
+    audit.add("walks_tlb_prefetch", walkCounts_.walksTlbPrefetch);
+    audit.add("walks_leaf_dram", walkCounts_.walksLeafDram);
+    audit.add("walk_steps", walkCounts_.walkSteps);
+    audit.add("walk_steps_skipped", walkCounts_.walkStepsSkipped);
     for (std::size_t i = 0; i < kNumReplayClasses; ++i) {
         const auto cls = static_cast<ReplayClass>(i);
         audit.add(std::string("replay_") + replayClassName(cls),
-                  counters_.replay[i]);
+                  walkCounts_.replay[i]);
     }
     for (std::size_t i = 0; i < kNumReplayClasses; ++i) {
         const auto cls = static_cast<ReplayClass>(i);
@@ -399,13 +408,13 @@ Session::finish(stats::Report &audit)
     audit.add("replay_latency_avg", totalLat_.mean());
     audit.add("replay_latency_max", totalLat_.max());
     replayHist_.addTo(audit, "replay_latency_hist.");
-    audit.add("prefetch_issued", counters_.prefetchIssued);
-    audit.add("prefetch_useful", counters_.prefetchUseful);
-    audit.add("prefetch_late", counters_.prefetchLate);
-    audit.add("prefetch_useless", counters_.prefetchUseless);
-    audit.add("prefetch_dropped", counters_.prefetchDropped);
-    audit.add("prefetch_fault_suppressed", counters_.prefetchFaults);
-    audit.add("bliss_blacklists", counters_.blissBlacklists);
+    audit.add("prefetch_issued", machineCounts_.prefetchIssued);
+    audit.add("prefetch_useful", machineCounts_.prefetchUseful);
+    audit.add("prefetch_late", machineCounts_.prefetchLate);
+    audit.add("prefetch_useless", machineCounts_.prefetchUseless);
+    audit.add("prefetch_dropped", machineCounts_.prefetchDropped);
+    audit.add("prefetch_fault_suppressed", machineCounts_.prefetchFaults);
+    audit.add("bliss_blacklists", machineCounts_.blissBlacklists);
     audit.add("trace_events", static_cast<std::uint64_t>(ring_.size()));
     audit.add("trace_dropped", dropped_);
     audit.add("timeseries_windows",

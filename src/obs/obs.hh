@@ -207,9 +207,10 @@ class Session
     explicit Session(const Config &cfg);
 
     // --- Walker lifecycle (SimCore) ---
-    /** Register a planned walk; returns its dense 1-based id. */
-    std::uint64_t walkBegin(Cycle now, Addr vaddr, WalkKind kind,
-                            std::size_t planned_steps,
+    /** Register a planned walk of @p app; returns its dense 1-based
+     * id. */
+    std::uint64_t walkBegin(Cycle now, AppId app, Addr vaddr,
+                            WalkKind kind, std::size_t planned_steps,
                             std::size_t skipped_steps);
     void walkStep(Cycle now, std::uint64_t id, int level, Addr pte_addr,
                   std::uint8_t found_level);
@@ -258,11 +259,21 @@ class Session
                           std::uint64_t row_accesses);
 
     /**
-     * Warmup boundary: zero the audit counters and latency stats (the
-     * system resets core/MC/DRAM stats here too) and start a new epoch
-     * so prefetches issued before the boundary never classify into the
-     * measured window. Recorded trace events and time-series samples
-     * are kept — they are timestamped history, not counters.
+     * Warmup windows. Walk and replay audit counters (walks*,
+     * walk_steps*, replay_*) follow each app's own window, as its core
+     * stats do: after warmUp(@p apps), an app's walks and replays count
+     * only once startMeasuring() named it at its warmup boundary.
+     */
+    void warmUp(std::size_t apps);
+    void startMeasuring(AppId app);
+
+    /**
+     * Machine warmup boundary (the last app's; the system resets MC,
+     * DRAM and LLC stats here too): zero the prefetch and BLISS
+     * counters, which are checked against mc.tempo.*, and start a new
+     * epoch so prefetches issued before the boundary never classify
+     * into the measured window. Recorded trace events and time-series
+     * samples are kept — they are timestamped history, not counters.
      */
     void resetCounters();
 
@@ -276,14 +287,16 @@ class Session
     struct WalkRecord {
         Cycle replayStart = 0;
         std::uint32_t pfEpoch = 0;
+        AppId app = 0;
         WalkKind kind = WalkKind::Demand;
         bool leafDram = false;
         bool pfIssued = false;
         bool pfClassified = false;
     };
 
-    /** Audit counters; all reset at the warmup boundary. */
-    struct Counters {
+    /** Walk and replay audit counters: each counts in its app's
+     * window. */
+    struct WalkCounters {
         std::uint64_t walks = 0;
         std::uint64_t walksPrefetch = 0;
         std::uint64_t walksTlbPrefetch = 0;
@@ -291,6 +304,10 @@ class Session
         std::uint64_t walkSteps = 0;
         std::uint64_t walkStepsSkipped = 0;
         std::uint64_t replay[kNumReplayClasses] = {};
+    };
+
+    /** Prefetch and BLISS audit counters: the machine's window. */
+    struct MachineCounters {
         std::uint64_t prefetchIssued = 0;
         std::uint64_t prefetchUseful = 0;
         std::uint64_t prefetchLate = 0;
@@ -304,6 +321,10 @@ class Session
                 std::uint64_t walk_id, std::uint64_t a, std::uint64_t b,
                 std::uint8_t arg);
     WalkRecord *walk(std::uint64_t id);
+    bool measuring(AppId app) const
+    {
+        return app >= warming_.size() || !warming_[app];
+    }
 
     Config cfg_;
     std::vector<TraceEvent> ring_;
@@ -312,12 +333,14 @@ class Session
     std::uint64_t dropped_ = 0;
 
     std::vector<WalkRecord> walks_; //!< indexed by walk id - 1
-    Counters counters_;
+    WalkCounters walkCounts_;
+    MachineCounters machineCounts_;
     std::uint32_t epoch_ = 0;
+    std::vector<char> warming_; //!< per app: still before its boundary
 
     stats::Distribution replayLat_[kNumReplayClasses];
-    stats::Distribution windowLat_; //!< current window's replay latency
-    stats::Distribution totalLat_;  //!< folded windows (Distribution::merge)
+    stats::Distribution windowLat_; //!< current sample window's latency
+    stats::Distribution totalLat_;
     stats::Histogram replayHist_;
 
     TimeSeries ts_;

@@ -42,6 +42,9 @@ Json::push(Json value)
     return *this;
 }
 
+namespace {
+
+/** JSON string escaping (quotes not included). */
 std::string
 jsonEscape(const std::string &raw)
 {
@@ -67,8 +70,6 @@ jsonEscape(const std::string &raw)
     return out;
 }
 
-namespace {
-
 /** Shortest round-trip double representation (JSON has no NaN/Inf;
  * those become 0 — they never appear in valid results). */
 std::string
@@ -86,67 +87,112 @@ formatDouble(double v)
     return out;
 }
 
-std::string
-indentOf(int depth)
+} // namespace
+
+Json::Json(std::uint64_t v) : kind_(Kind::Number), text_(std::to_string(v))
 {
-    return std::string(static_cast<std::size_t>(depth) * 2, ' ');
+}
+
+Json::Json(double v) : kind_(Kind::Number), text_(formatDouble(v)) {}
+
+const Json *
+Json::find(const std::string &key) const
+{
+    for (const auto &[k, v] : members_)
+        if (k == key)
+            return &v;
+    return nullptr;
+}
+
+const Json &
+Json::at(const std::string &key) const
+{
+    const Json *v = find(key);
+    if (!v)
+        throw std::runtime_error("JSON: missing key \"" + key + "\"");
+    return *v;
+}
+
+namespace {
+
+template <typename T>
+T
+parseNumber(const std::string &token, const char *what)
+{
+    T out{};
+    const auto [p, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), out);
+    if (ec != std::errc() || p != token.data() + token.size())
+        throw std::runtime_error(std::string("JSON: not a ") + what +
+                                 ": " + token);
+    return out;
 }
 
 } // namespace
 
+std::uint64_t
+Json::asUint64() const
+{
+    if (kind_ != Kind::Number)
+        throw std::runtime_error("JSON: not a number");
+    return parseNumber<std::uint64_t>(text_, "uint64");
+}
+
+double
+Json::asDouble() const
+{
+    if (kind_ != Kind::Number)
+        throw std::runtime_error("JSON: not a number");
+    return parseNumber<double>(text_, "double");
+}
+
+const std::string &
+Json::asString() const
+{
+    if (kind_ != Kind::String)
+        throw std::runtime_error("JSON: not a string");
+    return text_;
+}
+
 void
-Json::writeIndented(std::ostream &os, int depth) const
+Json::write(std::ostream &os, int indent, int depth) const
 {
     switch (kind_) {
-      case Kind::Null:
-        os << "null";
-        break;
-      case Kind::Bool:
-        os << (bool_ ? "true" : "false");
-        break;
-      case Kind::Uint:
-        os << uint_;
-        break;
-      case Kind::Double:
-        os << formatDouble(double_);
-        break;
-      case Kind::String:
-        os << '"' << jsonEscape(string_) << '"';
-        break;
+      case Kind::Null: os << "null"; return;
+      case Kind::Bool: os << (bool_ ? "true" : "false"); return;
+      case Kind::Number: os << text_; return;
+      case Kind::String: os << '"' << jsonEscape(text_) << '"'; return;
       case Kind::Array:
-        if (elements_.empty()) {
-            os << "[]";
-            break;
-        }
-        os << "[\n";
-        for (std::size_t i = 0; i < elements_.size(); ++i) {
-            os << indentOf(depth + 1);
-            elements_[i].writeIndented(os, depth + 1);
-            os << (i + 1 < elements_.size() ? ",\n" : "\n");
-        }
-        os << indentOf(depth) << ']';
-        break;
-      case Kind::Object:
-        if (members_.empty()) {
-            os << "{}";
-            break;
-        }
-        os << "{\n";
-        for (std::size_t i = 0; i < members_.size(); ++i) {
-            os << indentOf(depth + 1) << '"'
-               << jsonEscape(members_[i].first) << "\": ";
-            members_[i].second.writeIndented(os, depth + 1);
-            os << (i + 1 < members_.size() ? ",\n" : "\n");
-        }
-        os << indentOf(depth) << '}';
-        break;
+      case Kind::Object: break;
     }
+    const bool array = kind_ == Kind::Array;
+    const std::size_t size = array ? elements_.size() : members_.size();
+    const auto newline = [&](int level) {
+        if (indent)
+            os << '\n'
+               << std::string(static_cast<std::size_t>(indent * level),
+                              ' ');
+    };
+    os << (array ? '[' : '{');
+    for (std::size_t i = 0; i < size; ++i) {
+        if (i)
+            os << ',';
+        newline(depth + 1);
+        if (!array)
+            os << '"' << jsonEscape(members_[i].first)
+               << (indent ? "\": " : "\":");
+        (array ? elements_[i] : members_[i].second)
+            .write(os, indent, depth + 1);
+    }
+    if (size)
+        newline(depth);
+    os << (array ? ']' : '}');
 }
 
 void
 Json::write(std::ostream &os) const
 {
-    writeIndented(os, 0);
+    write(os, 2, 0);
     os << '\n';
 }
 
@@ -158,59 +204,18 @@ Json::dump() const
     return os.str();
 }
 
-void
-Json::writeCompact(std::ostream &os) const
-{
-    switch (kind_) {
-      case Kind::Null:
-        os << "null";
-        break;
-      case Kind::Bool:
-        os << (bool_ ? "true" : "false");
-        break;
-      case Kind::Uint:
-        os << uint_;
-        break;
-      case Kind::Double:
-        os << formatDouble(double_);
-        break;
-      case Kind::String:
-        os << '"' << jsonEscape(string_) << '"';
-        break;
-      case Kind::Array:
-        os << '[';
-        for (std::size_t i = 0; i < elements_.size(); ++i) {
-            if (i)
-                os << ',';
-            elements_[i].writeCompact(os);
-        }
-        os << ']';
-        break;
-      case Kind::Object:
-        os << '{';
-        for (std::size_t i = 0; i < members_.size(); ++i) {
-            if (i)
-                os << ',';
-            os << '"' << jsonEscape(members_[i].first) << "\":";
-            members_[i].second.writeCompact(os);
-        }
-        os << '}';
-        break;
-    }
-}
-
 std::string
 Json::dumpCompact() const
 {
     std::ostringstream os;
-    writeCompact(os);
+    write(os, 0, 0);
     return os.str();
 }
 
-namespace {
-
-/** Recursive-descent parser for the subset Json emits. */
-struct Parser {
+/** Recursive-descent parser for the subset Json emits, bounded at
+ * kJsonMaxDepth nested containers so hostile input cannot exhaust the
+ * stack. */
+struct JsonParser {
     const std::string &text;
     std::size_t pos = 0;
 
@@ -306,15 +311,16 @@ struct Parser {
         }
     }
 
-    JsonValue
-    parseValue()
+    Json
+    parseValue(int depth)
     {
         skipWs();
-        JsonValue v;
         const char c = peek();
+        if ((c == '{' || c == '[') && depth >= kJsonMaxDepth)
+            fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
         if (c == '{') {
             ++pos;
-            v.kind = JsonValue::Kind::Object;
+            Json v = Json::object();
             skipWs();
             if (peek() == '}') {
                 ++pos;
@@ -325,7 +331,8 @@ struct Parser {
                 std::string key = parseString();
                 skipWs();
                 expect(':');
-                v.members.emplace_back(std::move(key), parseValue());
+                v.members_.emplace_back(std::move(key),
+                                        parseValue(depth + 1));
                 skipWs();
                 if (peek() == ',') {
                     ++pos;
@@ -337,14 +344,14 @@ struct Parser {
         }
         if (c == '[') {
             ++pos;
-            v.kind = JsonValue::Kind::Array;
+            Json v = Json::array();
             skipWs();
             if (peek() == ']') {
                 ++pos;
                 return v;
             }
             while (true) {
-                v.elements.push_back(parseValue());
+                v.elements_.push_back(parseValue(depth + 1));
                 skipWs();
                 if (peek() == ',') {
                     ++pos;
@@ -354,23 +361,14 @@ struct Parser {
                 return v;
             }
         }
-        if (c == '"') {
-            v.kind = JsonValue::Kind::String;
-            v.text = parseString();
-            return v;
-        }
-        if (consumeWord("true")) {
-            v.kind = JsonValue::Kind::Bool;
-            v.boolean = true;
-            return v;
-        }
-        if (consumeWord("false")) {
-            v.kind = JsonValue::Kind::Bool;
-            v.boolean = false;
-            return v;
-        }
+        if (c == '"')
+            return Json(parseString());
+        if (consumeWord("true"))
+            return Json(true);
+        if (consumeWord("false"))
+            return Json(false);
         if (consumeWord("null"))
-            return v;
+            return Json();
         if (c == '-' || (c >= '0' && c <= '9')) {
             const std::size_t start = pos;
             if (c == '-')
@@ -396,126 +394,48 @@ struct Parser {
                     ++pos;
                 digits();
             }
-            v.kind = JsonValue::Kind::Number;
-            v.text = text.substr(start, pos - start);
+            Json v;
+            v.kind_ = Json::Kind::Number;
+            v.text_ = text.substr(start, pos - start);
             return v;
         }
         fail("unexpected character");
     }
 };
 
-} // namespace
-
-const JsonValue *
-JsonValue::find(const std::string &key) const
-{
-    if (kind != Kind::Object)
-        return nullptr;
-    for (const auto &[k, v] : members)
-        if (k == key)
-            return &v;
-    return nullptr;
-}
-
-const JsonValue &
-JsonValue::at(const std::string &key) const
-{
-    const JsonValue *v = find(key);
-    if (!v)
-        throw std::runtime_error("JSON: missing key \"" + key + "\"");
-    return *v;
-}
-
-std::uint64_t
-JsonValue::asUint64() const
-{
-    if (kind != Kind::Number)
-        throw std::runtime_error("JSON: not a number");
-    std::uint64_t out = 0;
-    const auto [p, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), out);
-    if (ec != std::errc() || p != text.data() + text.size())
-        throw std::runtime_error("JSON: not a uint64: " + text);
-    return out;
-}
-
-double
-JsonValue::asDouble() const
-{
-    if (kind != Kind::Number)
-        throw std::runtime_error("JSON: not a number");
-    double out = 0;
-    const auto [p, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), out);
-    if (ec != std::errc() || p != text.data() + text.size())
-        throw std::runtime_error("JSON: not a double: " + text);
-    return out;
-}
-
-const std::string &
-JsonValue::asString() const
-{
-    if (kind != Kind::String)
-        throw std::runtime_error("JSON: not a string");
-    return text;
-}
-
-JsonValue
+Json
 parseJson(const std::string &text)
 {
-    Parser p{text};
-    JsonValue v = p.parseValue();
+    JsonParser p{text};
+    Json v = p.parseValue(0);
     p.skipWs();
     if (p.pos != text.size())
         p.fail("trailing garbage");
     return v;
 }
 
-Json
-toJson(const JsonValue &value)
-{
-    switch (value.kind) {
-      case JsonValue::Kind::Null:
-        return Json();
-      case JsonValue::Kind::Bool:
-        return Json(value.boolean);
-      case JsonValue::Kind::Number:
-        // Plain digit runs re-emit as exact integers; anything with a
-        // sign, fraction, or exponent goes through the double path
-        // (shortest round-trip, so re-emission is stable).
-        if (value.text.size() <= 19 &&
-            value.text.find_first_not_of("0123456789") ==
-                std::string::npos)
-            return Json(value.asUint64());
-        return Json(value.asDouble());
-      case JsonValue::Kind::String:
-        return Json(value.text);
-      case JsonValue::Kind::Array: {
-        Json array = Json::array();
-        for (const JsonValue &element : value.elements)
-            array.push(toJson(element));
-        return array;
-      }
-      case JsonValue::Kind::Object: {
-        Json object = Json::object();
-        for (const auto &[key, member] : value.members)
-            object.set(key, toJson(member));
-        return object;
-      }
-    }
-    return Json();
-}
-
-namespace {
-
 std::string
-hexDigest(std::uint64_t digest)
+digestHex(std::uint64_t digest)
 {
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(digest));
     return buf;
 }
+
+std::uint64_t
+parseDigestHex(const std::string &text)
+{
+    std::uint64_t out = 0;
+    const auto [p, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), out, 16);
+    if (ec != std::errc() || p != text.data() + text.size() ||
+        text.empty())
+        throw std::runtime_error("bad digest " + text);
+    return out;
+}
+
+namespace {
 
 Json
 configObject(const BenchPoint &point)
@@ -602,7 +522,7 @@ benchJson(const std::string &bench, std::uint64_t refs,
         f.set("error", point.error);
         f.set("attempts", std::uint64_t(point.attempts));
         f.set("seed", point.seedUsed);
-        f.set("digest", hexDigest(point.digest));
+        f.set("digest", digestHex(point.digest));
         failures.push(std::move(f));
     }
     doc.set("failures", std::move(failures));

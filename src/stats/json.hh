@@ -1,11 +1,17 @@
 /**
  * @file
- * Minimal JSON emission for machine-readable experiment results.
+ * JSON for machine-readable experiment results, sweep records, fabric
+ * files and snapshots.
  *
  * Two layers:
- *  - Json: an ordered, write-only JSON document builder (objects keep
- *    insertion order; doubles print as shortest round-trip so emission
- *    is byte-deterministic for identical values).
+ *  - Json: the one JSON value. It is built (object/array/set/push),
+ *    parsed (parseJson), read (find/at/as*, members, elements) and
+ *    written (dump pretty, dumpCompact on one line) by one recursive
+ *    writer. Objects keep insertion order. A number is its token text:
+ *    Json(std::uint64_t) and Json(double) format at construction
+ *    (doubles as shortest round-trip, NaN/Inf as 0), and the parser
+ *    keeps the token it read, so a parsed document re-emits its own
+ *    bytes and emission is byte-deterministic for identical values.
  *  - The bench result schema ("tempo-bench-1"): one file per bench
  *    binary / tool invocation, listing every simulation point with its
  *    workload, config overrides, runtime, energy breakdown, and
@@ -61,7 +67,6 @@
 #define TEMPO_STATS_JSON_HH
 
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -69,17 +74,19 @@
 
 namespace tempo::stats {
 
-/** Ordered write-only JSON value. */
+/** An ordered JSON value: built, parsed, read and written. */
 class Json
 {
   public:
-    Json() : kind_(Kind::Null) {}
+    enum class Kind { Null, Bool, Number, String, Array, Object };
+
+    Json() = default;
     Json(bool v) : kind_(Kind::Bool), bool_(v) {}
-    Json(std::uint64_t v) : kind_(Kind::Uint), uint_(v) {}
-    Json(int v) : kind_(Kind::Uint), uint_(static_cast<std::uint64_t>(v)) {}
-    Json(double v) : kind_(Kind::Double), double_(v) {}
-    Json(std::string v) : kind_(Kind::String), string_(std::move(v)) {}
-    Json(const char *v) : kind_(Kind::String), string_(v) {}
+    Json(std::uint64_t v);
+    Json(int v) : Json(static_cast<std::uint64_t>(v)) {}
+    Json(double v);
+    Json(std::string v) : kind_(Kind::String), text_(std::move(v)) {}
+    Json(const char *v) : kind_(Kind::String), text_(v) {}
 
     static Json object();
     static Json array();
@@ -89,83 +96,64 @@ class Json
     /** Append an element; panics unless this is an array. */
     Json &push(Json value);
 
-    /** Pretty-print with 2-space indentation and a trailing newline at
-     * top level. Deterministic: same document, same bytes. */
+    Kind kind() const { return kind_; }
+    /** Array elements; empty for any other kind. */
+    const std::vector<Json> &elements() const { return elements_; }
+    /** Object members in order; empty for any other kind. */
+    const std::vector<std::pair<std::string, Json>> &
+    members() const
+    {
+        return members_;
+    }
+
+    /** Member lookup; nullptr when absent or not an object. */
+    const Json *find(const std::string &key) const;
+    /** Member lookup; throws std::runtime_error when absent. */
+    const Json &at(const std::string &key) const;
+    /** Exact integer value; throws on non-numbers or overflow. */
+    std::uint64_t asUint64() const;
+    /** Round-trip-exact double; throws on non-numbers. */
+    double asDouble() const;
+    /** String contents; throws on non-strings. */
+    const std::string &asString() const;
+
+    /** Pretty-print with 2-space indentation and a trailing newline.
+     * Deterministic: same document, same bytes. */
     void write(std::ostream &os) const;
     std::string dump() const;
-
-    /** Single-line emission with no whitespace (for JSONL journals).
-     * Same determinism guarantee as write(); no trailing newline. */
-    void writeCompact(std::ostream &os) const;
+    /** Single line with no whitespace and no trailing newline (for
+     * JSONL records). */
     std::string dumpCompact() const;
 
   private:
-    enum class Kind { Null, Bool, Uint, Double, String, Array, Object };
+    friend struct JsonParser;
 
-    void writeIndented(std::ostream &os, int depth) const;
+    /** The one writer: @p indent spaces per level, or 0 for compact. */
+    void write(std::ostream &os, int indent, int depth) const;
 
-    Kind kind_;
+    Kind kind_ = Kind::Null;
     bool bool_ = false;
-    std::uint64_t uint_ = 0;
-    double double_ = 0;
-    std::string string_;
+    std::string text_; //!< string contents, or the number token
     std::vector<Json> elements_;                        // array
     std::vector<std::pair<std::string, Json>> members_; // object
 };
 
-/** JSON string escaping (quotes not included). */
-std::string jsonEscape(const std::string &raw);
-
-/**
- * A parsed (read-only) JSON value, the counterpart of Json for reading
- * back what this module wrote — primarily sweep checkpoint journals.
- *
- * Numbers keep their raw token so both integer and floating consumers
- * get an exact round-trip: asUint64() on "4984" returns exactly 4984,
- * asDouble() on a shortest-round-trip double token returns the bit-
- * identical double that produced it.
- */
-struct JsonValue {
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    std::string text; //!< string contents, or the raw number token
-    std::vector<JsonValue> elements;
-    std::vector<std::pair<std::string, JsonValue>> members;
-
-    /** Member lookup; nullptr when absent or not an object. */
-    const JsonValue *find(const std::string &key) const;
-
-    /** Member lookup; throws std::runtime_error when absent. */
-    const JsonValue &at(const std::string &key) const;
-
-    /** Exact integer value; throws on non-numbers or overflow. */
-    std::uint64_t asUint64() const;
-
-    /** Round-trip-exact double; throws on non-numbers. */
-    double asDouble() const;
-
-    /** String contents; throws on non-strings. */
-    const std::string &asString() const;
-};
+inline constexpr int kJsonMaxDepth = 64;
 
 /**
  * Parse one JSON document (objects, arrays, strings, numbers, bools,
- * null; the subset Json emits).
+ * null; the subset Json emits). Containers nest at most kJsonMaxDepth
+ * deep; the deepest document this program writes nests 5.
  * @throws std::runtime_error with position info on malformed input.
  */
-JsonValue parseJson(const std::string &text);
+Json parseJson(const std::string &text);
 
-/**
- * Rebuild a writable Json from a parsed JsonValue, so a document can be
- * read, augmented, and re-emitted (the fabric coordinator embeds worker
- * status files into its merged snapshot this way). Number tokens
- * without '.', 'e' or '-' re-emit as exact integers; everything else
- * round-trips through the shortest-round-trip double path, so
- * re-emitting a document this module wrote reproduces its bytes.
- */
-Json toJson(const JsonValue &value);
+/** 16-hex-digit lowercase digest spelling (records, fabric file names,
+ * manifests, snapshots and the bench "failures" list all use it). */
+std::string digestHex(std::uint64_t digest);
+
+/** Inverse of digestHex(). @throws std::runtime_error on bad input. */
+std::uint64_t parseDigestHex(const std::string &text);
 
 /** One simulation point of a bench result file. */
 struct BenchPoint {

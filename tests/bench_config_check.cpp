@@ -29,11 +29,11 @@ main(int argc, char **argv)
         std::ostringstream text;
         text << in.rdbuf();
         try {
-            const stats::JsonValue doc = stats::parseJson(text.str());
-            const auto &points = doc.at("points").elements;
+            const stats::Json doc = stats::parseJson(text.str());
+            const auto &points = doc.at("points").elements();
             for (std::size_t p = 0; p < points.size(); ++p) {
                 for (const auto &[key, value] :
-                     points[p].at("config").members) {
+                     points[p].at("config").members()) {
                     SystemConfig cfg = SystemConfig::skylakeScaled();
                     try {
                         cli::setConfigKey(cfg, key, value.asString());

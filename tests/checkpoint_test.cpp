@@ -252,6 +252,35 @@ TEST(Checkpoint, OneAppRecordFormatIsUnchanged)
     EXPECT_EQ(encodeJournalLine(record.digest, result), kOneAppRecord);
 }
 
+// Shard records and manifests on disk are keyed by FNV-1a digests of
+// the config, the point and the point list. A changed hash would orphan
+// every existing checkpoint directory, so the values are pinned.
+TEST(Checkpoint, DigestsThatKeyFilesOnDiskArePinned)
+{
+    EXPECT_EQ(SystemConfig::skylakeScaled().digest(),
+              0x8e0cf92c047aafbfull);
+
+    ExperimentPoint mix;
+    mix.workload = {"xsbench", "astar.small"};
+    mix.config = SystemConfig::skylakeScaled();
+    mix.config.withTempo(true);
+    mix.refs = 10000;
+    mix.warmup = 5000;
+    mix.seed = 7;
+    EXPECT_EQ(pointDigest(mix, 3), 0x0f28afe286670d22ull);
+
+    ExperimentPoint one;
+    one.workload = {"mcf"};
+    one.config = SystemConfig::skylakeScaled();
+    one.refs = 1000;
+    EXPECT_EQ(pointDigest(one, 0), 0xe2077876daecefb0ull);
+
+    EXPECT_EQ(fabric::manifestPath(
+                  "d", {pointDigest(one, 0), pointDigest(mix, 3),
+                        0xdeadbeefull}),
+              "d/manifest_229abd1751bc05af.json");
+}
+
 TEST(Checkpoint, DecodeRejectsForeignSchema)
 {
     EXPECT_THROW(decodeRunResult(stats::parseJson("{\"v\":99}")),

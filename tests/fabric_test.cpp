@@ -132,9 +132,9 @@ TEST(FabricClaim, ExactlyOneRacingContenderWins)
 
 TEST(FabricClaim, DigestHexRoundTrips)
 {
-    EXPECT_EQ(fabric::digestHex(0xdeadbeefu), "00000000deadbeef");
-    EXPECT_EQ(fabric::parseDigestHex("00000000deadbeef"), 0xdeadbeefu);
-    EXPECT_THROW(fabric::parseDigestHex("xyz"), std::runtime_error);
+    EXPECT_EQ(stats::digestHex(0xdeadbeefu), "00000000deadbeef");
+    EXPECT_EQ(stats::parseDigestHex("00000000deadbeef"), 0xdeadbeefu);
+    EXPECT_THROW(stats::parseDigestHex("xyz"), std::runtime_error);
 }
 
 TEST(FabricPublish, ConcurrentWritersOfOnePathNeverCollide)
@@ -306,9 +306,8 @@ TEST(FabricManifest, MismatchedSweepIsRejected)
 
 TEST(FabricSnapshot, RoundTripsAndSumsExactly)
 {
-    // Local-mode snapshot: encode via the compact writer, decode via
-    // the parser, re-emit via toJson — bytes must survive, and the
-    // status counts must sum to the point total.
+    // Local-mode snapshot: decode via the parser and re-emit — bytes
+    // must survive, and the status counts must sum to the point total.
     fabric::SweepProgress progress;
     progress.configure("unit", 5, 0);
     RunResult ok;
@@ -323,7 +322,7 @@ TEST(FabricSnapshot, RoundTripsAndSumsExactly)
     progress.start(2); // still in flight
 
     const std::string text = progress.snapshotJson();
-    const stats::JsonValue doc = stats::parseJson(text);
+    const stats::Json doc = stats::parseJson(text);
     EXPECT_EQ(doc.at("schema").asString(), "tempo-fabric-snapshot-1");
     const std::uint64_t points = doc.at("points").asUint64();
     EXPECT_EQ(doc.at("ok").asUint64() + doc.at("failed").asUint64() +
@@ -336,12 +335,12 @@ TEST(FabricSnapshot, RoundTripsAndSumsExactly)
     EXPECT_EQ(doc.at("failed").asUint64(), 1u);
     EXPECT_EQ(doc.at("in_flight").asUint64(), 1u);
     EXPECT_EQ(doc.at("pending").asUint64(), 2u);
-    const stats::JsonValue &failures = doc.at("failures");
-    ASSERT_EQ(failures.elements.size(), 1u);
-    EXPECT_EQ(failures.elements[0].at("digest").asString(),
+    const stats::Json &failures = doc.at("failures");
+    ASSERT_EQ(failures.elements().size(), 1u);
+    EXPECT_EQ(failures.elements()[0].at("digest").asString(),
               "0000000000000077");
-    // parse -> toJson -> re-emit reproduces the exact bytes.
-    EXPECT_EQ(stats::toJson(doc).dump(), text);
+    // parse -> dump() reproduces the exact bytes.
+    EXPECT_EQ(doc.dump(), text);
 }
 
 TEST(FabricSnapshot, DirSnapshotCountsClaimsAndShards)
@@ -365,7 +364,7 @@ TEST(FabricSnapshot, DirSnapshotCountsClaimsAndShards)
     ASSERT_TRUE(claims.tryClaim(10)); // done: must NOT count in-flight
     ASSERT_TRUE(claims.tryClaim(12)); // genuinely in flight
 
-    const stats::JsonValue doc = stats::parseJson(
+    const stats::Json doc = stats::parseJson(
         fabric::buildDirSnapshotJson(dir.path, 30.0));
     EXPECT_EQ(doc.at("sweep").asString(), "dirsweep");
     EXPECT_EQ(doc.at("points").asUint64(), 4u);
@@ -373,8 +372,8 @@ TEST(FabricSnapshot, DirSnapshotCountsClaimsAndShards)
     EXPECT_EQ(doc.at("failed").asUint64(), 1u);
     EXPECT_EQ(doc.at("in_flight").asUint64(), 1u);
     EXPECT_EQ(doc.at("pending").asUint64(), 1u);
-    ASSERT_EQ(doc.at("failures").elements.size(), 1u);
-    EXPECT_EQ(doc.at("failures").elements[0].at("error").asString(),
+    ASSERT_EQ(doc.at("failures").elements().size(), 1u);
+    EXPECT_EQ(doc.at("failures").elements()[0].at("error").asString(),
               "boom");
 }
 
@@ -520,7 +519,7 @@ TEST(FabricEndToEnd, DashboardInFabricDirLeavesMergeUnchanged)
     EXPECT_EQ(fromB, expected);
     EXPECT_EQ(fromCoord, expected);
 
-    const stats::JsonValue doc =
+    const stats::Json doc =
         stats::parseJson(readFile(dir.path + "/snapshot.json"));
     EXPECT_EQ(doc.at("points").asUint64(), points.size());
     EXPECT_EQ(doc.at("ok").asUint64(), points.size());

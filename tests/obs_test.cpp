@@ -135,10 +135,10 @@ TEST(ObsTrace, ChromeTraceRoundTrips)
 
     std::ostringstream os;
     obs::writeChromeTrace(os, *result.obs);
-    const stats::JsonValue doc = stats::parseJson(os.str());
-    const stats::JsonValue &events = doc.at("traceEvents");
-    ASSERT_EQ(events.kind, stats::JsonValue::Kind::Array);
-    EXPECT_GT(events.elements.size(), 0u);
+    const stats::Json doc = stats::parseJson(os.str());
+    const stats::Json &events = doc.at("traceEvents");
+    ASSERT_EQ(events.kind(), stats::Json::Kind::Array);
+    EXPECT_GT(events.elements().size(), 0u);
 
     struct Track {
         std::uint64_t lastTs = 0;
@@ -148,7 +148,7 @@ TEST(ObsTrace, ChromeTraceRoundTrips)
     std::set<std::uint64_t> walk_tids;
     std::set<std::uint64_t> prefetch_tids;
     bool saw_counter = false;
-    for (const stats::JsonValue &e : events.elements) {
+    for (const stats::Json &e : events.elements()) {
         const std::string ph = e.at("ph").asString();
         if (ph == "M")
             continue;
@@ -230,9 +230,10 @@ TEST(ObsAudit, BreakdownsSumToAggregates)
     }
 }
 
-// A mix shares one session and one walk-id space: the audit keeps its
-// laws summed over the apps, and the sampler covers every core.
-TEST(ObsAudit, MixKeepsTheLaws)
+/** Run xsbench + astar.small under tempo_full.ini, 10,000 refs per app
+ * after @p warmup, and check the audit's laws summed over the apps. */
+void
+expectMixLaws(std::uint64_t warmup)
 {
     SystemConfig cfg = SystemConfig::skylakeScaled();
     cli::applyConfigFile(std::string(TEMPO_CONFIG_DIR) + "/tempo_full.ini",
@@ -241,7 +242,7 @@ TEST(ObsAudit, MixKeepsTheLaws)
     obs_cfg.timeseriesWindow = 10000;
     obs::configure(obs_cfg);
     System system(cfg, makeMix({"xsbench", "astar.small"}, cfg.seed));
-    const RunResult r = system.run(kRefs / 2);
+    const RunResult r = system.run(kRefs / 2, warmup);
     obs::configure(obs::Config{});
 
     double replays = 0, walks = 0, leaf_walks = 0;
@@ -272,6 +273,21 @@ TEST(ObsAudit, MixKeepsTheLaws)
 
     ASSERT_NE(r.obs, nullptr);
     EXPECT_FALSE(r.obs->timeseries.empty());
+}
+
+// A mix shares one session and one walk-id space: the audit keeps its
+// laws summed over the apps, and the sampler covers every core.
+TEST(ObsAudit, MixKeepsTheLaws)
+{
+    expectMixLaws(0);
+}
+
+// With warmup each app crosses its boundary at its own cycle. Walk and
+// replay audits follow each app's window, as its core stats do; the
+// prefetch taxonomy keeps the machine's window, as mc.tempo.* does.
+TEST(ObsAudit, MixKeepsTheLawsUnderWarmup)
+{
+    expectMixLaws(5000);
 }
 
 // On a baseline (no-TEMPO) machine the taxonomy is exactly zero.
